@@ -19,11 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Whether the in-neighborhood stopping value joins the above-threshold count.
-# The exclusive convention (False) counts only the iterates produced before
-# stopping.
-TTSS_COUNTS_STOP_VALUE = False
-
 _ONE_BELOW = math.nextafter(1.0, 0.0)
 _CHUNK = 32768
 _BLOCK = 256
@@ -95,8 +90,6 @@ def fire(stimulus: float, params: GlsParams = GlsParams()) -> FiringResult:
     count = 0
     for n in range(params.max_len):
         if abs(y - stimulus) < params.eps:
-            if TTSS_COUNTS_STOP_VALUE:
-                return FiringResult(n, (count + (y > params.b)) / (n + 1), False)
             return FiringResult(n, count / n if n else 0.0, False)
         if y > params.b:
             count += 1
@@ -151,17 +144,9 @@ def fire_batch(
             scan(span)
 
     n = n_uniq[inverse]
-    timed_out = n == params.max_len
-    fired = ~timed_out
-    if TTSS_COUNTS_STOP_VALUE:
-        ttss = np.empty(n.size)
-        stop_above = fired & (traj[np.minimum(n, params.max_len - 1)] > params.b)
-        ttss[fired] = (above[n[fired]] + stop_above[fired]) / (n[fired] + 1)
-        ttss[timed_out] = above[params.max_len] / params.max_len
-    else:
-        ttss = above[n] / np.maximum(n, 1)
-        ttss[n == 0] = 0.0
-    return n, ttss, timed_out
+    ttss = above[n] / np.maximum(n, 1)
+    ttss[n == 0] = 0.0
+    return n, ttss, n == params.max_len
 
 
 def extract_ttss(

@@ -17,6 +17,10 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit
 
+from .codec import from_doc, to_doc
+
+MODEL_SCHEMA_VERSION = 1
+
 
 @dataclass(frozen=True)
 class LrHyper:
@@ -60,15 +64,6 @@ class ClassReport:
     f1: tuple[float | None, float | None]
     accuracy: float
     support: tuple[int, int]
-
-    def to_dict(self) -> dict:
-        return {
-            "precision": list(self.precision),
-            "recall": list(self.recall),
-            "f1": list(self.f1),
-            "accuracy": self.accuracy,
-            "support": list(self.support),
-        }
 
 
 def objective(params: np.ndarray, features: np.ndarray, signs: np.ndarray, c: float):
@@ -174,34 +169,14 @@ def evaluate(pred_labels: np.ndarray, true_labels: np.ndarray) -> ClassReport:
     )
 
 
-def model_to_dict(model: LrModel) -> dict:
-    return {
-        "schema_version": 1,
-        "weights": [float(w) for w in model.weights],
-        "bias": model.bias,
-        "hyper": {"c": model.hyper.c, "tol": model.hyper.tol, "max_iter": model.hyper.max_iter},
-        "converged": model.converged,
-        "final_loss": model.final_loss,
-        "fingerprint": model.fingerprint,
-    }
-
-
-def model_from_dict(doc: dict) -> LrModel:
-    if doc.get("schema_version") != 1:
-        raise ValueError(f"unsupported model schema version: {doc.get('schema_version')!r}")
-    return LrModel(
-        weights=np.asarray(doc["weights"], dtype=np.float64),
-        bias=float(doc["bias"]),
-        hyper=LrHyper(**doc["hyper"]),
-        converged=bool(doc["converged"]),
-        final_loss=float(doc["final_loss"]),
-        fingerprint=doc.get("fingerprint"),
-    )
-
-
 def save_model(model: LrModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2) + "\n")
+    doc = {"schema_version": MODEL_SCHEMA_VERSION, **to_doc(model)}
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def load_model(path: str | Path) -> LrModel:
-    return model_from_dict(json.loads(Path(path).read_text()))
+    doc = json.loads(Path(path).read_text())
+    version = doc.pop("schema_version", None)
+    if version != MODEL_SCHEMA_VERSION:
+        raise ValueError(f"unsupported model schema version: {version!r}")
+    return from_doc(LrModel, doc)

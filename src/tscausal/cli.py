@@ -169,6 +169,12 @@ def cmd_evaluate(args) -> int:
     if not model_path.is_file():
         raise FileNotFoundError(f"missing model file: {model_path} (run `train` first)")
     model = classify.load_model(model_path)
+    expected = pipeline.config_fingerprint(config)
+    if model.fingerprint != expected:
+        raise ValueError(
+            f"model {model_path} was trained under config fingerprint {model.fingerprint}, "
+            f"but the features were made under {expected}; run `train` again"
+        )
 
     rows = []
     for entry in manifest["sets"]:

@@ -22,9 +22,10 @@ import numpy as np
 
 from . import classify, spectral
 from .chaosfex import GlsParams, extract_ttss
-from .classify import CHAOSFEX_LR, DEFAULT_LR, ClassReport, LrHyper, LrModel
+from .classify import CHAOSFEX_LR, DEFAULT_LR, ClassReport, LrHyper
+from .codec import DecodeError, from_doc, to_doc
 from .seriesgen import (
-    CAUSAL,
+    CAUSAL_KINDS,
     GENERATOR_NAME,
     Kind,
     LabeledSeries,
@@ -72,6 +73,11 @@ def derive_seed(*parts) -> int:
 # recipes
 
 
+def _require(ok: bool, rule: str, *got) -> None:
+    if not ok:
+        raise ValueError(f"need {rule}, got {', '.join(map(str, got))}")
+
+
 @dataclass(frozen=True)
 class CausalFamily:
     """Parameter ranges for one causal process family.
@@ -93,6 +99,16 @@ class CausalFamily:
     noise_mean: float = 0.0
     noise_variance: float = 0.01
 
+    def __post_init__(self):
+        _require(self.kind in CAUSAL_KINDS, "kind ar, arma or arfima", Kind(self.kind).value)
+        _require(1 <= self.lag_lo <= self.lag_hi, "1 <= lag_lo <= lag_hi", self.lag_lo, self.lag_hi)
+        _require(1 <= self.ma_lag_lo <= self.ma_lag_hi, "1 <= ma_lag_lo <= ma_lag_hi",
+                 self.ma_lag_lo, self.ma_lag_hi)
+        _require(-1 < self.coeff_lo <= self.coeff_hi < 1, "-1 < coeff_lo <= coeff_hi < 1",
+                 self.coeff_lo, self.coeff_hi)
+        _require(-1 < self.d_lo <= self.d_hi < 1, "-1 < d_lo <= d_hi < 1", self.d_lo, self.d_hi)
+        _require(self.noise_variance > 0, "noise_variance > 0", self.noise_variance)
+
 
 @dataclass(frozen=True)
 class NoiseFamily:
@@ -101,6 +117,12 @@ class NoiseFamily:
     variance: float = 0.01
     lo: float = -0.6
     hi: float = 0.6
+
+    def __post_init__(self):
+        _require(self.kind not in CAUSAL_KINDS, "kind noise_normal or noise_uniform",
+                 Kind(self.kind).value)
+        _require(self.variance > 0, "variance > 0", self.variance)
+        _require(self.lo < self.hi, "lo < hi", self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -112,6 +134,15 @@ class DatasetRecipe:
     def __post_init__(self):
         if self.causal is None and self.noncausal is None:
             raise ValueError(f"recipe {self.name!r} defines no generator family")
+
+    @classmethod
+    def from_name(cls, name: str) -> DatasetRecipe:
+        """The bundled recipe called ``name`` (case-insensitive); lets a
+        config write a recipe as its name."""
+        key = name.lower()
+        if key not in RECIPES:
+            raise ValueError(f"unknown recipe {name!r}; known: {sorted(RECIPES)}")
+        return RECIPES[key]
 
 
 AR_TRAIN = DatasetRecipe(
@@ -158,12 +189,8 @@ def _draw_spec(family: CausalFamily, length: int, rng: np.random.Generator) -> P
     ma_terms = ((0, 1.0), (ma_lag, ma_coeff))
     if family.kind == Kind.ARMA:
         return ProcessSpec(kind=Kind.ARMA, ar_terms=((lag, coeff),), ma_terms=ma_terms, **common)
-    if family.kind == Kind.ARFIMA:
-        d = float(rng.uniform(family.d_lo, family.d_hi))
-        return ProcessSpec(
-            kind=Kind.ARFIMA, ar_terms=((lag, coeff),), ma_terms=ma_terms, d=d, **common
-        )
-    raise ValueError(f"unsupported causal kind: {family.kind}")
+    d = float(rng.uniform(family.d_lo, family.d_hi))
+    return ProcessSpec(kind=Kind.ARFIMA, ar_terms=((lag, coeff),), ma_terms=ma_terms, d=d, **common)
 
 
 def _noise_spec(family: NoiseFamily, length: int) -> ProcessSpec:
@@ -171,9 +198,7 @@ def _noise_spec(family: NoiseFamily, length: int) -> ProcessSpec:
         return ProcessSpec(
             kind=family.kind, length=length, noise_mean=family.mean, noise_variance=family.variance
         )
-    if family.kind == Kind.NOISE_UNIFORM:
-        return ProcessSpec(kind=family.kind, length=length, uniform_lo=family.lo, uniform_hi=family.hi)
-    raise ValueError(f"unsupported noise kind: {family.kind}")
+    return ProcessSpec(kind=family.kind, length=length, uniform_lo=family.lo, uniform_hi=family.hi)
 
 
 def build_dataset(
@@ -251,6 +276,16 @@ class ExperimentConfig:
         names = [self.train_recipe.name, *(r.name for r in self.test_recipes)]
         if len(set(names)) != len(names):
             raise ValueError(f"recipe names must be unique within a config, got {names}")
+        where = ["train_recipe", *(f"test_recipes[{i}]" for i in range(len(self.test_recipes)))]
+        for path, recipe in zip(where, (self.train_recipe, *self.test_recipes)):
+            family = recipe.causal
+            if family is None:
+                continue
+            # pure AR draws no MA lag
+            for key in ("lag_hi",) if family.kind == Kind.AR else ("lag_hi", "ma_lag_hi"):
+                lag = getattr(family, key)
+                if lag > self.length:
+                    raise ValueError(f"{path}.causal.{key} {lag} exceeds length {self.length}")
 
     @property
     def lr_hyper(self) -> LrHyper:
@@ -306,30 +341,30 @@ class FeatureStage:
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         cfg = self.config
-        if cfg.demean_first:
-            values = spectral.demean(values)
-        if self.model == "raw":
-            return np.asarray(values, dtype=np.float64)
-        amps = spectral.amplitude_spectra(values)
-        if not cfg.keep_dc:
-            amps = amps[:, 1:]
-        if self.model == "fft":
-            return amps
+        feats = _unscaled_features(cfg, values)
+        if self.model != "fft_chaosfex":
+            return feats
         if cfg.per_instance_scaling:
-            scaled = spectral.scale_per_instance(amps, cfg.headroom)
+            scaled = spectral.scale_per_instance(feats, cfg.headroom)
         else:
-            scaled = spectral.apply_scaler(self.scaler, amps)
+            scaled = spectral.apply_scaler(self.scaler, feats)
         return extract_ttss(scaled, cfg.gls, threads=cfg.threads)
+
+
+def _unscaled_features(config: ExperimentConfig, values: np.ndarray) -> np.ndarray:
+    """Raw values or amplitude spectra, before any scaling into the neuron domain."""
+    if config.demean_first:
+        values = spectral.demean(values)
+    if config.model == "raw":
+        return np.asarray(values, dtype=np.float64)
+    amps = spectral.amplitude_spectra(values)
+    return amps if config.keep_dc else amps[:, 1:]
 
 
 def fit_feature_stage(config: ExperimentConfig, train_values: np.ndarray) -> FeatureStage:
     scaler = None
     if config.model == "fft_chaosfex" and not config.per_instance_scaling:
-        values = spectral.demean(train_values) if config.demean_first else train_values
-        amps = spectral.amplitude_spectra(values)
-        if not config.keep_dc:
-            amps = amps[:, 1:]
-        scaler = spectral.fit_scaler(amps, config.headroom)
+        scaler = spectral.fit_scaler(_unscaled_features(config, train_values), config.headroom)
     return FeatureStage(model=config.model, scaler=scaler, config=config)
 
 
@@ -463,127 +498,24 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 # config (de)serialization
 
 
-def _family_to_dict(f: CausalFamily | NoiseFamily | None) -> dict | None:
-    if f is None:
-        return None
-    if isinstance(f, CausalFamily):
-        return {
-            "kind": f.kind.value,
-            "lag_lo": f.lag_lo,
-            "lag_hi": f.lag_hi,
-            "coeff_lo": f.coeff_lo,
-            "coeff_hi": f.coeff_hi,
-            "ma_lag_lo": f.ma_lag_lo,
-            "ma_lag_hi": f.ma_lag_hi,
-            "d_lo": f.d_lo,
-            "d_hi": f.d_hi,
-            "noise_mean": f.noise_mean,
-            "noise_variance": f.noise_variance,
-        }
-    return {"kind": f.kind.value, "mean": f.mean, "variance": f.variance, "lo": f.lo, "hi": f.hi}
-
-
-def recipe_to_dict(recipe: DatasetRecipe) -> dict:
-    return {
-        "name": recipe.name,
-        "causal": _family_to_dict(recipe.causal),
-        "noncausal": _family_to_dict(recipe.noncausal),
-    }
-
-
-def recipe_from_value(value) -> DatasetRecipe:
-    """Accept a registry name or an inline recipe object."""
-    if isinstance(value, str):
-        key = value.lower()
-        if key not in RECIPES:
-            raise ValueError(f"unknown recipe {value!r}; known: {sorted(RECIPES)}")
-        return RECIPES[key]
-    if not isinstance(value, dict):
-        raise ValueError(f"recipe must be a name or an object, got {type(value).__name__}")
-    causal = value.get("causal")
-    noncausal = value.get("noncausal")
-    return DatasetRecipe(
-        name=str(value.get("name", "custom")),
-        causal=CausalFamily(**{**causal, "kind": Kind(causal["kind"])}) if causal else None,
-        noncausal=NoiseFamily(**{**noncausal, "kind": Kind(noncausal["kind"])}) if noncausal else None,
-    )
-
-
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "master_seed": config.master_seed,
-        "model": config.model,
-        "train_recipe": recipe_to_dict(config.train_recipe),
-        "test_recipes": [recipe_to_dict(r) for r in config.test_recipes],
-        "n_train_per_class": config.n_train_per_class,
-        "n_test_per_class": config.n_test_per_class,
-        "length": config.length,
-        "split_fraction": config.split_fraction,
-        "gls": {
-            "q": config.gls.q,
-            "b": config.gls.b,
-            "eps": config.gls.eps,
-            "max_len": config.gls.max_len,
-        },
-        "lr": {
-            "c": config.lr_hyper.c,
-            "tol": config.lr_hyper.tol,
-            "max_iter": config.lr_hyper.max_iter,
-        },
-        "headroom": config.headroom,
-        "demean_first": config.demean_first,
-        "keep_dc": config.keep_dc,
-        "per_instance_scaling": config.per_instance_scaling,
-        "threads": config.threads,
-    }
-
-
-_CONFIG_KEYS = {
-    "master_seed": int,
-    "model": str,
-    "train_recipe": None,
-    "test_recipes": None,
-    "n_train_per_class": int,
-    "n_test_per_class": int,
-    "length": int,
-    "split_fraction": float,
-    "gls": None,
-    "lr": None,
-    "headroom": float,
-    "demean_first": bool,
-    "keep_dc": bool,
-    "per_instance_scaling": bool,
-    "threads": int,
-}
+    # the resolved hyperparameters, not ``lr: null``: fingerprints and report
+    # bytes depend on them
+    return {**to_doc(config), "lr": to_doc(config.lr_hyper)}
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
-    for key in doc:
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
-    kwargs = {}
-    for key, caster in _CONFIG_KEYS.items():
-        if key not in doc:
-            continue
-        value = doc[key]
+    if isinstance(doc.get("model"), str):
         try:
-            if key == "train_recipe":
-                kwargs[key] = recipe_from_value(value)
-            elif key == "test_recipes":
-                kwargs[key] = tuple(recipe_from_value(v) for v in value)
-            elif key == "gls":
-                kwargs[key] = GlsParams(**value)
-            elif key == "lr":
-                kwargs[key] = LrHyper(**value) if value is not None else None
-            elif key == "model":
-                kwargs[key] = canonical_model(value)
-            else:
-                kwargs[key] = caster(value)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"config key {key!r}: {exc}") from exc
-    return ExperimentConfig(**kwargs)
+            doc = {**doc, "model": canonical_model(doc["model"])}
+        except ValueError as exc:
+            raise ValueError(f"config key 'model': {exc}") from exc
+    try:
+        return from_doc(ExperimentConfig, doc)
+    except DecodeError as exc:
+        raise ValueError(exc.render("config key")) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +530,7 @@ def report_to_dict(report: ExperimentReport) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "config": config,
-        "rows": [{"dataset": r.dataset, **r.report.to_dict()} for r in report.rows],
+        "rows": [{"dataset": r.dataset, **to_doc(r.report)} for r in report.rows],
     }
 
 
@@ -669,38 +601,6 @@ def count_local_extrema(curve: np.ndarray) -> int:
 # dataset persistence
 
 
-def _spec_to_dict(spec: ProcessSpec) -> dict:
-    return {
-        "kind": spec.kind.value,
-        "length": spec.length,
-        "c": spec.c,
-        "ar_terms": [list(t) for t in spec.ar_terms],
-        "ma_terms": [list(t) for t in spec.ma_terms],
-        "d": spec.d,
-        "noise_mean": spec.noise_mean,
-        "noise_variance": spec.noise_variance,
-        "uniform_lo": spec.uniform_lo,
-        "uniform_hi": spec.uniform_hi,
-        "burn_in": spec.burn_in,
-    }
-
-
-def _spec_from_dict(doc: dict) -> ProcessSpec:
-    return ProcessSpec(
-        kind=Kind(doc["kind"]),
-        length=int(doc["length"]),
-        c=float(doc["c"]),
-        ar_terms=tuple((int(l), float(a)) for l, a in doc["ar_terms"]),
-        ma_terms=tuple((int(l), float(b)) for l, b in doc["ma_terms"]),
-        d=float(doc["d"]),
-        noise_mean=float(doc["noise_mean"]),
-        noise_variance=float(doc["noise_variance"]),
-        uniform_lo=float(doc["uniform_lo"]),
-        uniform_hi=float(doc["uniform_hi"]),
-        burn_in=int(doc["burn_in"]),
-    )
-
-
 def persist_dataset(dataset: list[LabeledSeries], dir_path: str | Path) -> None:
     """Write manifest.json + values.csv; values survive bit-exactly."""
     if not dataset:
@@ -712,7 +612,7 @@ def persist_dataset(dataset: list[LabeledSeries], dir_path: str | Path) -> None:
         "generator": GENERATOR_NAME,
         "length": int(dataset[0].values.size),
         "series": [
-            {"label": s.label, "seed": s.seed, "spec": _spec_to_dict(s.spec)} for s in dataset
+            {"label": s.label, "seed": s.seed, "spec": to_doc(s.spec)} for s in dataset
         ],
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
@@ -733,20 +633,20 @@ def load_dataset(dir_path: str | Path) -> list[LabeledSeries]:
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported dataset schema version: {version!r}")
     values = np.loadtxt(values_path, delimiter=",", ndmin=2)
-    if values.shape[0] != len(manifest["series"]):
+    if values.shape != (len(manifest["series"]), manifest["length"]):
         raise ValueError(
-            f"corrupt dataset: {values.shape[0]} value rows for "
-            f"{len(manifest['series'])} manifest entries"
+            f"corrupt dataset: {values.shape[0]}x{values.shape[1]} values for "
+            f"{len(manifest['series'])} manifest entries of length {manifest['length']}"
         )
     out = []
-    for row, entry in zip(values, manifest["series"]):
+    for i, (row, entry) in enumerate(zip(values, manifest["series"])):
         row = row.copy()
         row.setflags(write=False)
         out.append(
             LabeledSeries(
                 values=row,
                 label=int(entry["label"]),
-                spec=_spec_from_dict(entry["spec"]),
+                spec=from_doc(ProcessSpec, entry["spec"], f"series[{i}].spec"),
                 seed=int(entry["seed"]),
             )
         )

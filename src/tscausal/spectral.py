@@ -30,23 +30,6 @@ class Spectrum:
             )
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Instances-by-features matrix with per-row class labels."""
-
-    features: np.ndarray = field(repr=False)
-    labels: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.features.ndim != 2:
-            raise ValueError(f"features must be 2-D, got shape {self.features.shape}")
-        if self.labels.shape != (self.features.shape[0],):
-            raise ValueError(
-                f"labels shape {self.labels.shape} does not match "
-                f"{self.features.shape[0]} rows"
-            )
-
-
 def amplitude_spectrum(series: np.ndarray) -> Spectrum:
     """One-sided DFT amplitude spectrum of a real series (FFT-based)."""
     x = np.asarray(series, dtype=np.float64)

@@ -5,6 +5,8 @@ paper-scale criterion only runs when TSCAUSAL_PAPER_SCALE=1 is set; it is
 excluded from routine CI because it simulates 2500 series per dataset.
 """
 
+import hashlib
+import json
 import os
 
 import numpy as np
@@ -24,6 +26,7 @@ from tscausal.pipeline import (
     count_local_extrema,
     fit_feature_stage,
     labels_vector,
+    report_to_dict,
     run_experiment,
     table_config,
     values_matrix,
@@ -77,6 +80,26 @@ def test_criterion_3_raw_model_overfits(desk_reports):
     held_acc = rep.row("AR-train (held-out)").accuracy
     ok = train_acc >= 0.95 and 0.45 <= held_acc <= 0.65
     check(3, ok, f"train acc {train_acc:.2%}, held-out acc {held_acc:.2%}")
+
+
+# blake2b-256 of each desk preset's report.json at seed 42; the table3 pin is
+# also the benchmark's golden digest
+GOLDEN_DESK_DIGESTS = {
+    "table1-lr": "5892ff50f158457906d07bf28ec770e0119eb5ef868fc24eeea066bb33d91631",
+    "table2-lr": "ce43b00099974674871a1c9fc16f08cd5a09dd759742a29dd60587d70fed9da3",
+    "table3": "ae5b1bee6c455bd35d986ac404e2450a63eefa6efbfe543e0f2d039c28c181b1",
+}
+
+
+def test_desk_reports_match_golden_digests(desk_reports):
+    digests = {
+        table: hashlib.blake2b(
+            (json.dumps(report_to_dict(rep), indent=2, sort_keys=True) + "\n").encode(),
+            digest_size=32,
+        ).hexdigest()
+        for table, rep in desk_reports.items()
+    }
+    assert digests == GOLDEN_DESK_DIGESTS
 
 
 @pytest.mark.skipif(

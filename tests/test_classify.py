@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,12 @@ from tscausal.classify import (
     LrModel,
     evaluate,
     load_model,
-    model_from_dict,
     objective,
     predict,
     save_model,
     train_lr,
 )
+from tscausal.codec import to_doc
 
 
 def toy_problem(seed=0, n=20, separation=2.0):
@@ -201,11 +203,13 @@ def test_evaluate_validates_shapes():
         evaluate(np.array([]), np.array([]))
 
 
-def test_class_report_to_dict_round_trip_values():
+def test_class_report_encodes_as_json_lists():
     r = evaluate(np.array([0, 1, 1]), np.array([0, 1, 0]))
-    doc = r.to_dict()
+    doc = to_doc(r)
+    assert list(doc) == ["precision", "recall", "f1", "accuracy", "support"]
     assert doc["support"] == [2, 1]
     assert doc["accuracy"] == r.accuracy
+    assert doc["recall"] == [0.5, 1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +234,20 @@ def test_model_save_load_round_trip(tmp_path):
     assert np.array_equal(before[1], after[1])
 
 
-def test_model_from_dict_rejects_unknown_schema():
+def test_load_model_rejects_unknown_schema(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text('{"schema_version": 99}')
     with pytest.raises(ValueError, match="schema"):
-        model_from_dict({"schema_version": 99})
+        load_model(path)
+
+
+def test_load_model_rejects_mistyped_fields(tmp_path):
+    features, labels = toy_problem(seed=13)
+    path = tmp_path / "model.json"
+    save_model(train_lr(features, labels, DEFAULT_LR), path)
+    doc = json.loads(path.read_text())
+    assert list(doc)[:2] == ["schema_version", "weights"]
+    doc["hyper"]["max_iter"] = 100.5
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="'hyper.max_iter': expected an integer"):
+        load_model(path)

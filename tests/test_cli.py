@@ -96,6 +96,24 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"per_instance_scaling": "false"}, "'per_instance_scaling'"),
+    ({"master_seed": 1.9}, "'master_seed'"),
+    ({"gls": {"max_len": 10.7}}, "'gls.max_len'"),
+    ({"test_recipes": [{"nme": "x", "causal": {"kind": "ar"}}]}, "'test_recipes[0].nme'"),
+    # both failed halfway through simulation before load-time range checks
+    ({"test_recipes": [{"name": "x", "causal": {"kind": "ar", "lag_lo": 5, "lag_hi": 3}}]},
+     "'test_recipes[0].causal'"),
+    ({"test_recipes": ["AR100"], "length": 64}, "test_recipes[0].causal.lag_hi 100 exceeds length 64"),
+])
+def test_bad_config_fails_at_load_naming_the_key(tmp_path, capsys, doc, key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "run")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_featurize_before_generate_fails_cleanly(tmp_path, tiny_config_path, capsys):
     run = tmp_path / "run"
     run.mkdir()
@@ -159,6 +177,26 @@ def test_model_override_at_featurize(tmp_path, tiny_config_path, capsys):
     features = np.loadtxt(run / "features" / "train-split" / "features.csv",
                           delimiter=",", ndmin=2)
     assert features.shape[1] == TINY["length"]
+
+
+def test_evaluate_refuses_a_model_trained_for_other_features(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**TINY, "model": "fft_chaosfex"}))
+    run = tmp_path / "run"
+    assert main(["generate", "--config", str(config_path), "--out", str(run)]) == 0
+    assert main(["featurize", str(run), "--model", "fft"]) == 0
+    assert main(["train", str(run)]) == 0
+    trained_for = json.loads((run / "model.json").read_text())["fingerprint"]
+    # same feature width, different pipeline
+    assert main(["featurize", str(run)]) == 0
+    manifest = json.loads((run / "features" / "manifest.json").read_text())
+    features_for = pipeline.config_fingerprint(pipeline.config_from_dict(manifest["config"]))
+    capsys.readouterr()
+    assert main(["evaluate", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert trained_for != features_for
+    assert trained_for in err and features_for in err
+    assert not (run / "report.json").exists()
 
 
 def test_evaluate_is_byte_identical_across_runs(tmp_path, tiny_config_path, capsys):

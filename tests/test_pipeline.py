@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
 from tscausal.chaosfex import GlsParams
 from tscausal.classify import CHAOSFEX_LR, DEFAULT_LR, LrHyper
+from tscausal.codec import from_doc, to_doc
 from tscausal.pipeline import (
     AR100,
     AR_TRAIN,
@@ -32,8 +34,6 @@ from tscausal.pipeline import (
     labels_vector,
     load_dataset,
     persist_dataset,
-    recipe_from_value,
-    recipe_to_dict,
     report_to_dict,
     report_to_text,
     run_experiment,
@@ -96,6 +96,32 @@ def test_bundled_recipe_parameters():
 def test_recipe_requires_a_family():
     with pytest.raises(ValueError):
         DatasetRecipe("empty")
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"kind": Kind.NOISE_NORMAL}, "need kind ar, arma or arfima, got noise_normal"),
+    ({"lag_lo": 0}, "1 <= lag_lo <= lag_hi"),
+    ({"lag_lo": 5, "lag_hi": 3}, "1 <= lag_lo <= lag_hi"),
+    ({"ma_lag_lo": 4, "ma_lag_hi": 2}, "1 <= ma_lag_lo <= ma_lag_hi"),
+    ({"coeff_lo": 0.9, "coeff_hi": 0.8}, "-1 < coeff_lo <= coeff_hi < 1"),
+    ({"coeff_hi": 1.0}, "-1 < coeff_lo <= coeff_hi < 1"),
+    ({"d_lo": -1.0}, "-1 < d_lo <= d_hi < 1"),
+    ({"d_lo": 0.4, "d_hi": 0.2}, "-1 < d_lo <= d_hi < 1"),
+    ({"noise_variance": 0.0}, "need noise_variance > 0, got 0.0"),
+])
+def test_causal_family_rejects_bad_ranges(kw, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CausalFamily(**{"kind": Kind.AR, **kw})
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"kind": Kind.ARMA}, "need kind noise_normal or noise_uniform, got arma"),
+    ({"variance": -0.1}, "need variance > 0, got -0.1"),
+    ({"lo": 0.5, "hi": 0.5}, "need lo < hi, got 0.5, 0.5"),
+])
+def test_noise_family_rejects_bad_ranges(kw, message):
+    with pytest.raises(ValueError, match=message):
+        NoiseFamily(**{"kind": Kind.NOISE_UNIFORM, **kw})
 
 
 def test_build_dataset_layout_and_determinism():
@@ -246,11 +272,53 @@ def test_config_from_dict_names_the_failing_key():
 
 
 def test_recipe_round_trip_and_lookup():
-    doc = recipe_to_dict(ARFIMA_TEST)
-    assert recipe_from_value(doc) == ARFIMA_TEST
-    assert recipe_from_value("AR100") == AR100
-    with pytest.raises(ValueError, match="unknown recipe"):
-        recipe_from_value("mystery")
+    doc = json.loads(json.dumps(to_doc(ARFIMA_TEST)))
+    assert doc["causal"]["kind"] == "arfima" and doc["noncausal"] is None
+    assert from_doc(DatasetRecipe, doc) == ARFIMA_TEST
+    assert from_doc(DatasetRecipe, "ar100") == AR100
+    with pytest.raises(ValueError, match="unknown recipe 'mystery'"):
+        from_doc(DatasetRecipe, "mystery")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"per_instance_scaling": "false"}, "'per_instance_scaling': expected a boolean, got a string"),
+    ({"master_seed": 1.9}, "'master_seed': expected an integer, got a number"),
+    ({"length": True}, "'length': expected an integer, got a boolean"),
+    ({"model": 3}, "'model': expected a string, got an integer"),
+    ({"gls": {"max_len": 10.7}}, "'gls.max_len': expected an integer"),
+    ({"gls": {"q": 1.5}}, "'gls': q must lie in [0, 1)"),
+    ({"lr": {"c": 1, "tol": 0.1, "maxiter": 5}}, "unknown config key 'lr.maxiter'"),
+    ({"test_recipes": ["shift-I", 4]}, "'test_recipes[1]': expected an object, got an integer"),
+    ({"test_recipes": ["mystery"]}, "'test_recipes[0]': unknown recipe 'mystery'"),
+    ({"test_recipes": [{"nme": "x", "causal": {"kind": "ar"}}]},
+     "unknown config key 'test_recipes[0].nme'"),
+    ({"test_recipes": [{"causal": {"kind": "ar"}}]},
+     "'test_recipes[0].name': required key is missing"),
+    ({"train_recipe": {"name": "x", "causal": {"kind": "wavelet"}}},
+     "'train_recipe.causal.kind': expected one of"),
+    ({"test_recipes": [{"name": "x", "causal": {"kind": "ar", "lag_lo": 5, "lag_hi": 3}}]},
+     "'test_recipes[0].causal': need 1 <= lag_lo <= lag_hi, got 5, 3"),
+    ({"test_recipes": [{"name": "x", "causal": {"kind": "ar", "lag_hi": 50}}], "length": 40},
+     "test_recipes[0].causal.lag_hi 50 exceeds length 40"),
+    ({"test_recipes": ["AR100"], "length": 64}, "test_recipes[0].causal.lag_hi 100 exceeds length 64"),
+])
+def test_config_from_dict_is_strict_and_names_the_key(doc, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        config_from_dict(doc)
+
+
+def test_config_length_check_skips_ma_lags_of_pure_ar():
+    ar = DatasetRecipe("short-ar", causal=CausalFamily(Kind.AR, lag_hi=8, ma_lag_hi=50))
+    arma = DatasetRecipe("short-arma", causal=CausalFamily(Kind.ARMA, lag_hi=8, ma_lag_hi=50))
+    assert tiny_config(length=32, train_recipe=ar, test_recipes=()).length == 32
+    with pytest.raises(ValueError, match=re.escape("train_recipe.causal.ma_lag_hi 50 exceeds")):
+        tiny_config(length=32, train_recipe=arma, test_recipes=())
+
+
+def test_config_from_dict_widens_integers_to_floats():
+    cfg = config_from_dict({"gls": {"q": 0}})
+    assert cfg.gls.q == 0.0 and isinstance(cfg.gls.q, float)
+    assert config_to_dict(cfg)["gls"]["q"] == 0.0
 
 
 def test_config_fingerprint_tracks_content_not_threads():
@@ -450,6 +518,26 @@ def test_load_dataset_detects_row_mismatch(tmp_path):
     values = (tmp_path / "d" / "values.csv").read_text().splitlines()
     (tmp_path / "d" / "values.csv").write_text("\n".join(values[:-1]) + "\n")
     with pytest.raises(ValueError, match="corrupt"):
+        load_dataset(tmp_path / "d")
+
+
+def test_load_dataset_detects_column_mismatch(tmp_path):
+    data = build_dataset(AR100, n_per_class=3, length=128, master_seed=6)
+    persist_dataset(data, tmp_path / "d")
+    rows = (tmp_path / "d" / "values.csv").read_text().splitlines()
+    cut = [",".join(row.split(",")[:100]) for row in rows]
+    (tmp_path / "d" / "values.csv").write_text("\n".join(cut) + "\n")
+    with pytest.raises(ValueError, match="corrupt dataset: 3x100 values .* length 128"):
+        load_dataset(tmp_path / "d")
+
+
+def test_load_dataset_names_a_mistyped_spec_key(tmp_path):
+    data = build_dataset(AR100, n_per_class=2, length=128, master_seed=5)
+    persist_dataset(data, tmp_path / "d")
+    manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+    manifest["series"][1]["spec"]["burn_in"] = "0"
+    (tmp_path / "d" / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=re.escape("'series[1].spec.burn_in': expected an integer")):
         load_dataset(tmp_path / "d")
 
 

@@ -6,7 +6,6 @@ import pytest
 from helpers import naive_dft_amplitudes
 from tscausal.spectral import (
     DEFAULT_HEADROOM,
-    FeatureMatrix,
     MinMaxScaler,
     Spectrum,
     amplitude_spectra,
@@ -195,11 +194,3 @@ def test_scale_per_instance_constant_row_is_zero():
 def test_scale_per_instance_requires_matrix():
     with pytest.raises(ValueError):
         scale_per_instance(np.ones(4))
-
-
-def test_feature_matrix_shape_guards():
-    with pytest.raises(ValueError):
-        FeatureMatrix(features=np.ones(3), labels=np.ones(3))
-    with pytest.raises(ValueError):
-        FeatureMatrix(features=np.ones((3, 2)), labels=np.ones(2))
-    FeatureMatrix(features=np.ones((3, 2)), labels=np.zeros(3))
