@@ -6,22 +6,24 @@ trajectory first enters the epsilon neighborhood of the stimulus; the
 extracted feature is the fraction of the trajectory spent above the
 discrimination threshold (the TTSS feature).
 
-The map is expansive, so trajectories amplify rounding differences; all
-arithmetic here is plain IEEE double precision and the vectorized extractor
-reproduces the scalar reference bit for bit.
+The orbit depends only on (q, b, max_len), so the firing time is a
+piecewise-constant function of the stimulus with at most 2 * max_len
+breakpoints. ``firing_table`` locates each breakpoint at its exact double
+once per parameter set, on first use, and ``fire_batch`` looks stimuli up
+in it. The map is expansive, so trajectories amplify rounding differences;
+all arithmetic here is plain IEEE double precision and the lookup
+reproduces the scalar reference ``fire`` bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 _ONE_BELOW = math.nextafter(1.0, 0.0)
-_CHUNK = 32768
-_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -39,7 +41,7 @@ class GlsParams:
             raise ValueError(f"q must lie in [0, 1), got {self.q}")
         if not 0 < self.b < 1:
             raise ValueError(f"b must lie in (0, 1), got {self.b}")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if self.max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {self.max_len}")
@@ -97,56 +99,77 @@ def fire(stimulus: float, params: GlsParams = GlsParams()) -> FiringResult:
     return FiringResult(params.max_len, count / params.max_len, True)
 
 
-def _first_entry(stimuli: np.ndarray, traj: np.ndarray, eps: float, max_len: int) -> np.ndarray:
-    """First trajectory index within eps of each stimulus; max_len if none."""
-    out = np.full(stimuli.size, max_len, dtype=np.int64)
-    alive = np.arange(stimuli.size)
-    for start in range(0, max_len, _BLOCK):
-        seg = traj[start : start + _BLOCK]
-        hit = np.abs(stimuli[alive, None] - seg[None, :]) < eps
-        found = hit.any(axis=1)
-        out[alive[found]] = start + hit[found].argmax(axis=1)
-        alive = alive[~found]
-        if alive.size == 0:
-            break
-    return out
+def _least_true(lo: np.ndarray, hi: np.ndarray, pred) -> np.ndarray:
+    """Per element, the least bit pattern in (lo, hi] of a non-negative
+    double where ``pred`` holds, for a ``pred`` monotone in the double, false
+    at ``lo`` and true at ``hi``. ``lo`` = -1 stands for a pattern below 0.0."""
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        ok = pred(mid.view(np.float64))
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid)
+    return hi
+
+
+@functools.lru_cache(maxsize=16)
+def firing_table(params: GlsParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``fire`` as an exact lookup table, built once per parameter set.
+
+    Returns read-only arrays (edges, firing_time, ttss): every stimulus s with
+    ``edges[k] <= s < edges[k + 1]`` fires at ``firing_time[k]`` with feature
+    ``ttss[k]``; ``edges[0]`` is 0.0 and neighbouring segments differ in
+    firing time.
+
+    ``fl(y - s)`` is monotone in s, so the stimuli within eps of iterate y
+    form one run of doubles; bisection over the bit patterns of the
+    non-negative doubles finds its exact ends. Painting the runs from the
+    last iterate down to the first leaves each segment with the first
+    iterate that covers it, and uncovered segments with the timeout max_len.
+    """
+    traj = trajectory(params)
+    eps, max_len = params.eps, params.max_len
+    # + 0.0 turns an orbit stuck at -0.0 into +0.0, whose bits order correctly
+    own = (traj + 0.0).view(np.int64)
+    one = np.full(max_len, np.float64(1.0).view(np.int64))
+    lo = _least_true(np.full(max_len, -1), own, lambda s: traj - s < eps)
+    hi = _least_true(own, one, lambda s: traj - s <= -eps)
+    lo, hi = lo.view(np.float64), hi.view(np.float64)
+
+    cuts = np.sort(np.concatenate(([0.0], lo, hi)))
+    cuts = cuts[np.r_[True, cuts[1:] != cuts[:-1]]]
+    first = np.full(cuts.size, max_len, dtype=np.int64)
+    starts, stops = np.searchsorted(cuts, lo), np.searchsorted(cuts, hi)
+    for n in range(max_len - 1, -1, -1):
+        first[starts[n] : stops[n]] = n
+    keep = np.r_[True, first[1:] != first[:-1]]
+    edges, n = cuts[keep], first[keep]
+
+    above = np.concatenate(([0], np.cumsum(traj > params.b)))
+    # an immediate hit (n = 0) gives 0 / 1 = 0.0, fire's convention
+    ttss = above[n] / np.maximum(n, 1)
+    for a in (edges, n, ttss):
+        a.setflags(write=False)
+    return edges, n, ttss
 
 
 def fire_batch(
-    stimuli: np.ndarray, params: GlsParams = GlsParams(), threads: int = 1
+    stimuli: np.ndarray, params: GlsParams = GlsParams()
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized ``fire`` over a flat stimulus array.
 
-    Returns (firing_time, ttss, timed_out) arrays. Results are identical to
-    calling ``fire`` per element; duplicated stimuli are evaluated once.
+    Returns (firing_time, ttss, timed_out) arrays, identical to calling
+    ``fire`` per element: each stimulus is one ``np.searchsorted`` into
+    ``firing_table(params)``.
     """
     s = np.asarray(stimuli, dtype=np.float64).ravel()
     if s.size and (not np.all(np.isfinite(s)) or s.min() < 0 or s.max() >= 1):
         bad = int(np.argmax(~((s >= 0) & (s < 1))))
         raise ValueError(f"stimulus must lie in [0, 1), got {s[bad]} at index {bad}")
 
-    traj = trajectory(params)
-    above = np.concatenate(([0], np.cumsum(traj > params.b)))
-    uniq, inverse = np.unique(s, return_inverse=True)
-
-    n_uniq = np.empty(uniq.size, dtype=np.int64)
-    spans = [(lo, min(lo + _CHUNK, uniq.size)) for lo in range(0, uniq.size, _CHUNK)]
-
-    def scan(span):
-        lo, hi = span
-        n_uniq[lo:hi] = _first_entry(uniq[lo:hi], traj, params.eps, params.max_len)
-
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(scan, spans))
-    else:
-        for span in spans:
-            scan(span)
-
-    n = n_uniq[inverse]
-    ttss = above[n] / np.maximum(n, 1)
-    ttss[n == 0] = 0.0
-    return n, ttss, n == params.max_len
+    edges, firing_time, ttss = firing_table(params)
+    k = np.searchsorted(edges, s, side="right") - 1
+    n = firing_time[k]
+    return n, ttss[k], n == params.max_len
 
 
 def extract_ttss(
@@ -157,6 +180,10 @@ def extract_ttss(
     Entry (i, j) is ``fire(matrix[i, j], params).ttss``. Entries must already
     lie in [0, 1) (the upstream scaler guarantees this); the first offending
     entry, if any, is reported by position.
+
+    ``threads`` is ignored: a table lookup leaves nothing to parallelise. It
+    is still accepted because the benchmark tracer (``bench/layertrace.py``)
+    passes it; it goes when the tracer stops doing so.
     """
     x = np.asarray(matrix, dtype=np.float64)
     if x.ndim != 2:
@@ -167,5 +194,5 @@ def extract_ttss(
         raise ValueError(
             f"stimulus out of [0, 1) at row {i}, column {j}: {x[i, j]}"
         )
-    _, ttss, _ = fire_batch(x.ravel(), params, threads=threads)
+    _, ttss, _ = fire_batch(x.ravel(), params)
     return ttss.reshape(x.shape)

@@ -64,8 +64,6 @@ def _apply_overrides(config: pipeline.ExperimentConfig, args) -> pipeline.Experi
         config = replace(config, master_seed=args.seed)
     if getattr(args, "model", None) is not None:
         config = replace(config, model=pipeline.canonical_model(args.model))
-    if getattr(args, "threads", None) is not None:
-        config = replace(config, threads=args.threads)
     return config
 
 
@@ -189,9 +187,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    config = pipeline.table_config(
-        args.table, scale=args.scale, seed=args.seed, threads=args.threads
-    )
+    config = pipeline.table_config(args.table, scale=args.scale, seed=args.seed)
     run_dir = _run_dir(args.out, config.master_seed, args.run_name)
     report = pipeline.run_experiment(config)
     _write_config_echo(config, run_dir)
@@ -216,7 +212,7 @@ def _panel_specs(length: int) -> list[tuple[str, ProcessSpec]]:
 
 
 def cmd_plot(args) -> int:
-    config = pipeline.table_config("table3", scale="desk", seed=args.seed, threads=args.threads)
+    config = pipeline.table_config("table3", scale="desk", seed=args.seed)
     run_dir = _run_dir(args.out, config.master_seed, args.run_name)
 
     series = {
@@ -273,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("run_dir", help="run directory produced by `generate`")
     p.add_argument("--config", help="config JSON (default: <run_dir>/config.json)")
     p.add_argument("--model", help="override the feature pipeline (raw, fft, fft_chaosfex)")
-    p.add_argument("--threads", type=int, help="worker threads for feature extraction")
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train", help="train the classifier on the train-split features")
@@ -292,13 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", choices=pipeline.SCALES, default="desk",
                    help="desk: 250/150 per class; paper: 1250/1250 per class")
     p.add_argument("--seed", type=int, default=42, help="master seed")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for feature extraction")
     _add_common_output_flags(p)
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("plot", help="emit two-column .dat files for spectra and TTSS curves")
     p.add_argument("--seed", type=int, default=42, help="master seed")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for feature extraction")
     _add_common_output_flags(p)
     p.set_defaults(func=cmd_plot)
 

@@ -264,7 +264,6 @@ class ExperimentConfig:
     demean_first: bool = False
     keep_dc: bool = True
     per_instance_scaling: bool = False
-    threads: int = 1
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -273,6 +272,16 @@ class ExperimentConfig:
             raise ValueError(f"split_fraction must lie in (0, 1), got {self.split_fraction}")
         if self.n_train_per_class < 1 or self.n_test_per_class < 1:
             raise ValueError("per-class counts must be >= 1")
+        # the rounding of stratified_split
+        k = int(round(self.split_fraction * self.n_train_per_class))
+        if not 1 <= k < self.n_train_per_class:
+            raise ValueError(
+                f"split_fraction {self.split_fraction} keeps {k} of n_train_per_class "
+                f"{self.n_train_per_class} rows per class for training; each class "
+                "needs at least one training and one held-out row"
+            )
+        if not 0 < self.headroom < 0.1:
+            raise ValueError(f"headroom must lie in (0, 0.1), got {self.headroom}")
         names = [self.train_recipe.name, *(r.name for r in self.test_recipes)]
         if len(set(names)) != len(names):
             raise ValueError(f"recipe names must be unique within a config, got {names}")
@@ -298,7 +307,7 @@ TABLE_MODELS = {"table1-lr": "raw", "table2-lr": "fft", "table3": "fft_chaosfex"
 SCALES = ("desk", "paper")
 
 
-def table_config(table: str, scale: str = "desk", seed: int = 42, threads: int = 1) -> ExperimentConfig:
+def table_config(table: str, scale: str = "desk", seed: int = 42) -> ExperimentConfig:
     """Configuration for one of the bundled experiment presets."""
     if table not in TABLE_MODELS:
         raise ValueError(f"unknown table {table!r}; expected one of {sorted(TABLE_MODELS)}")
@@ -323,7 +332,6 @@ def table_config(table: str, scale: str = "desk", seed: int = 42, threads: int =
         # ceiling, collapsing the chaos features; the preset scales each
         # spectrum independently so shifted sets stay inside [0, 1)
         per_instance_scaling=model == "fft_chaosfex",
-        threads=threads,
     )
 
 
@@ -348,7 +356,7 @@ class FeatureStage:
             scaled = spectral.scale_per_instance(feats, cfg.headroom)
         else:
             scaled = spectral.apply_scaler(self.scaler, feats)
-        return extract_ttss(scaled, cfg.gls, threads=cfg.threads)
+        return extract_ttss(scaled, cfg.gls)
 
 
 def _unscaled_features(config: ExperimentConfig, values: np.ndarray) -> np.ndarray:
@@ -392,15 +400,9 @@ class ExperimentReport:
 
 
 def config_fingerprint(config: ExperimentConfig) -> str:
-    """Hash of everything that determines the training data and features.
-
-    Thread count is an execution detail with no effect on results, so it is
-    excluded.
-    """
-    doc = config_to_dict(config)
-    doc.pop("threads")
+    """Hash of everything that determines the training data and features."""
     return hashlib.blake2b(
-        json.dumps(doc, sort_keys=True).encode(), digest_size=16
+        json.dumps(config_to_dict(config), sort_keys=True).encode(), digest_size=16
     ).hexdigest()
 
 
@@ -523,13 +525,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 
 def report_to_dict(report: ExperimentReport) -> dict:
-    # timings and thread count are deliberately excluded: report.json must be
-    # byte-identical across reruns with the same configuration
-    config = config_to_dict(report.config)
-    config.pop("threads")
+    # timings are deliberately excluded: report.json must be byte-identical
+    # across reruns with the same configuration
     return {
         "schema_version": SCHEMA_VERSION,
-        "config": config,
+        "config": config_to_dict(report.config),
         "rows": [{"dataset": r.dataset, **to_doc(r.report)} for r in report.rows],
     }
 

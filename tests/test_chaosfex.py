@@ -1,16 +1,22 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import hypothesis
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 
+import tscausal
 from helpers import rational_fire, rational_gls_step
 from tscausal.chaosfex import (
     GlsParams,
     extract_ttss,
     fire,
     fire_batch,
+    firing_table,
     gls_map,
     trajectory,
 )
@@ -74,6 +80,8 @@ def test_params_validation():
         GlsParams(b=0.0)
     with pytest.raises(ValueError):
         GlsParams(eps=0.0)
+    with pytest.raises(ValueError):
+        GlsParams(eps=math.nan)
     with pytest.raises(ValueError):
         GlsParams(max_len=0)
 
@@ -153,13 +161,65 @@ def test_fire_batch_matches_scalar_fire():
         assert timed_out[i] == r.timed_out
 
 
-def test_fire_batch_threads_do_not_change_results():
-    rng = np.random.default_rng(8)
-    stimuli = rng.uniform(0.0, 1.0, 2000)
-    base = fire_batch(stimuli, GlsParams())
-    threaded = fire_batch(stimuli, GlsParams(), threads=4)
-    for a, b in zip(base, threaded):
-        np.testing.assert_array_equal(a, b)
+TABLE_PARAMS = {
+    "default": GlsParams(),
+    "timeouts": GlsParams(max_len=50),
+    "large-eps": GlsParams(eps=0.9),
+    "small-eps": GlsParams(eps=1e-5, max_len=100),
+    "stuck-at-zero": GlsParams(q=0.0, max_len=100),
+    "stuck-at-minus-zero": GlsParams(q=-0.0, max_len=20),
+}
+
+
+@pytest.mark.parametrize("params", TABLE_PARAMS.values(), ids=TABLE_PARAMS.keys())
+def test_fire_batch_is_exact_at_every_table_breakpoint(params):
+    edges, _, _ = firing_table(params)
+    around = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)])
+    stimuli = np.unique(around[(around >= 0.0) & (around < 1.0)])
+    n, ttss, timed_out = fire_batch(stimuli, params)
+    for i, s in enumerate(stimuli):
+        r = fire(float(s), params)
+        assert (n[i], ttss[i], timed_out[i]) == (r.firing_time, r.ttss, r.timed_out), s
+        assert (n[i], ttss[i], timed_out[i]) == rational_fire(
+            float(s), params.q, params.b, params.eps, params.max_len
+        ), s
+    if params is TABLE_PARAMS["timeouts"]:
+        assert timed_out.any()
+
+
+def test_firing_table_segments_are_distinct_and_start_at_zero():
+    edges, firing_time, ttss = firing_table(GlsParams())
+    assert edges[0] == 0.0
+    assert np.all(np.diff(edges) > 0)
+    assert np.all(firing_time[1:] != firing_time[:-1])
+    assert not edges.flags.writeable and not ttss.flags.writeable
+
+
+gls_params = st.builds(
+    GlsParams,
+    q=unit,
+    b=st.floats(min_value=0.01, max_value=0.99),
+    eps=st.floats(min_value=1e-6, max_value=1.0),
+    max_len=st.integers(min_value=1, max_value=300),
+)
+
+
+@hypothesis.given(gls_params, st.lists(unit, min_size=1, max_size=50))
+@hypothesis.settings(max_examples=100, deadline=None)
+def test_fire_batch_matches_fire_for_any_params(params, stimuli):
+    n, ttss, timed_out = fire_batch(np.array(stimuli), params)
+    for i, s in enumerate(stimuli):
+        r = fire(s, params)
+        assert (n[i], ttss[i], timed_out[i]) == (r.firing_time, r.ttss, r.timed_out)
+
+
+def test_import_builds_no_firing_table():
+    src = str(Path(tscausal.__file__).resolve().parents[1])
+    code = ("import tscausal; from tscausal.chaosfex import firing_table; "
+            "print(firing_table.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "0"
 
 
 def test_fire_batch_rejects_bad_stimuli():

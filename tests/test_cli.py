@@ -69,6 +69,14 @@ def test_unknown_table_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["featurize", "run"], ["reproduce", "table3"], ["plot"]])
+def test_threads_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # config errors
 
@@ -105,6 +113,12 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     ({"test_recipes": [{"name": "x", "causal": {"kind": "ar", "lag_lo": 5, "lag_hi": 3}}]},
      "'test_recipes[0].causal'"),
     ({"test_recipes": ["AR100"], "length": 64}, "test_recipes[0].causal.lag_hi 100 exceeds length 64"),
+    # these three used to fail only at featurize or train, with exit 1
+    ({"headroom": 2.0}, "headroom must lie in (0, 0.1)"),
+    ({"headroom": 2.0, "per_instance_scaling": True}, "headroom must lie in (0, 0.1)"),
+    ({"split_fraction": 0.01, "n_train_per_class": 5}, "split_fraction 0.01 keeps 0 of n_train_per_class 5"),
+    # the knob is gone; a config that still sets it is refused
+    ({"threads": 4}, "unknown config key 'threads'"),
 ])
 def test_bad_config_fails_at_load_naming_the_key(tmp_path, capsys, doc, key):
     bad = tmp_path / "bad.json"

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from tscausal.chaosfex import GlsParams
+from tscausal.chaosfex import GlsParams, firing_table
 from tscausal.classify import CHAOSFEX_LR, DEFAULT_LR, LrHyper
 from tscausal.codec import from_doc, to_doc
 from tscausal.pipeline import (
@@ -301,6 +301,12 @@ def test_recipe_round_trip_and_lookup():
     ({"test_recipes": [{"name": "x", "causal": {"kind": "ar", "lag_hi": 50}}], "length": 40},
      "test_recipes[0].causal.lag_hi 50 exceeds length 40"),
     ({"test_recipes": ["AR100"], "length": 64}, "test_recipes[0].causal.lag_hi 100 exceeds length 64"),
+    ({"headroom": 2.0}, "headroom must lie in (0, 0.1), got 2.0"),
+    ({"split_fraction": 0.01, "n_train_per_class": 5},
+     "split_fraction 0.01 keeps 0 of n_train_per_class 5 rows per class for training"),
+    ({"split_fraction": 0.95, "n_train_per_class": 10},
+     "split_fraction 0.95 keeps 10 of n_train_per_class 10"),
+    ({"threads": 4}, "unknown config key 'threads'"),
 ])
 def test_config_from_dict_is_strict_and_names_the_key(doc, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -321,9 +327,9 @@ def test_config_from_dict_widens_integers_to_floats():
     assert config_to_dict(cfg)["gls"]["q"] == 0.0
 
 
-def test_config_fingerprint_tracks_content_not_threads():
+def test_config_fingerprint_tracks_content():
     base = tiny_config()
-    assert config_fingerprint(base) == config_fingerprint(tiny_config(threads=4))
+    assert config_fingerprint(base) == config_fingerprint(tiny_config())
     assert config_fingerprint(base) != config_fingerprint(tiny_config(master_seed=8))
 
 
@@ -422,19 +428,21 @@ def test_run_experiment_is_deterministic():
     assert a == b
 
 
-def test_run_experiment_thread_count_does_not_change_report():
+def test_run_experiment_report_is_the_same_from_a_cached_firing_table():
     cfg = tiny_config(model="fft_chaosfex", per_instance_scaling=True,
                       gls=GlsParams(max_len=200))
+    firing_table.cache_clear()
     a = report_to_dict(run_experiment(cfg))
-    b = report_to_dict(run_experiment(dataclasses.replace(cfg, threads=4)))
+    assert firing_table.cache_info().currsize == 1
+    b = report_to_dict(run_experiment(cfg))
+    assert firing_table.cache_info().hits > 0
     assert a == b
 
 
-def test_report_json_excludes_timings_and_threads():
-    report = run_experiment(tiny_config(threads=2))
+def test_report_json_excludes_timings():
+    report = run_experiment(tiny_config())
     doc = report_to_dict(report)
     assert "timings" not in doc
-    assert "threads" not in doc["config"]
     assert doc["schema_version"] == 1
     assert {row["dataset"] for row in doc["rows"]} == {
         "AR-train (train split)", "AR-train (held-out)", "shift-I",
