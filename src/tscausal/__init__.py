@@ -35,10 +35,6 @@ from .seriesgen import (
     LabeledSeries,
     ProcessSpec,
     fractional_integration_weights,
-    gen_ar,
-    gen_arfima,
-    gen_arma,
-    gen_noise,
     generate,
 )
 from .spectral import (
@@ -81,10 +77,6 @@ __all__ = [
     "fire_batch",
     "fit_scaler",
     "fractional_integration_weights",
-    "gen_ar",
-    "gen_arfima",
-    "gen_arma",
-    "gen_noise",
     "generate",
     "gls_map",
     "load_dataset",

@@ -91,7 +91,7 @@ def _features_manifest(run_dir: Path) -> dict:
     path = run_dir / "features" / "manifest.json"
     if not path.is_file():
         raise FileNotFoundError(f"missing features manifest: {path} (run `featurize` first)")
-    return json.loads(path.read_text())
+    return pipeline.read_manifest(path, ("config", "sets"))
 
 
 def _load_feature_set(run_dir: Path, slug: str) -> tuple[np.ndarray, np.ndarray]:
@@ -225,15 +225,9 @@ def cmd_plot(args) -> int:
         pipeline.emit_plot_data(spectral.amplitude_spectrum(series[name]).amplitudes, path)
         written.append(path)
 
-    # TTSS curves use the same feature scaling as the classifier pipeline;
-    # a train split is only simulated when the scaling needs fitting
-    scaler_config = replace(config, test_recipes=())
-    if scaler_config.per_instance_scaling:
-        stage = pipeline.fit_feature_stage(scaler_config, np.empty((0, config.length)))
-    else:
-        train_set, _ = pipeline.build_all_datasets(scaler_config)
-        named = pipeline.assemble_sets(scaler_config, train_set, [])
-        stage = pipeline.fit_feature_stage(scaler_config, named[0][1])
+    # TTSS curves use the table3 feature stage, whose per-instance scaling
+    # fits nothing, so no training split is simulated
+    stage = pipeline.fit_feature_stage(config, np.empty((0, config.length)))
     for name, values in series.items():
         path = run_dir / f"ttss-{name}.dat"
         pipeline.emit_plot_data(stage.transform(values[np.newaxis, :])[0], path)

@@ -4,16 +4,18 @@
 value, and a tuple or array as a list. ``from_doc`` decodes from the field
 annotations and rejects unknown or missing keys and wrong JSON types, naming
 the dotted key path. Nothing is coerced: no string is read as a number, no
-float is truncated to an int, and only ``true``/``false`` are booleans; an
-integer is accepted where a float is expected. Range rules stay in each
-dataclass's ``__post_init__``. A dataclass with a ``from_name`` classmethod
-may also be given as a string naming a registered instance.
+float is truncated to an int, only ``true``/``false`` are booleans, and no
+number may be NaN or infinite; an integer is accepted where a float is
+expected. Range rules stay in each dataclass's ``__post_init__``. A
+dataclass with a ``from_name`` classmethod may also be given as a string
+naming a registered instance.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import types
 import typing
 from dataclasses import MISSING
@@ -54,6 +56,9 @@ def to_doc(obj):
 
 def from_doc(cls, doc, path: str = ""):
     """Decode ``doc`` as type ``cls``; ``path`` prefixes the key paths in errors."""
+    # Python's json reads NaN and Infinity; no field may hold one
+    if type(doc) is float and not math.isfinite(doc):
+        raise DecodeError(path, "expected a finite number")
     # exact types: bool is an int subclass
     if type(doc) is cls:
         return doc

@@ -343,14 +343,13 @@ def table_config(table: str, scale: str = "desk", seed: int = 42) -> ExperimentC
 class FeatureStage:
     """Feature transform fitted on the training split (scaler may be None)."""
 
-    model: str
     scaler: MinMaxScaler | None
     config: ExperimentConfig
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         cfg = self.config
         feats = _unscaled_features(cfg, values)
-        if self.model != "fft_chaosfex":
+        if cfg.model != "fft_chaosfex":
             return feats
         if cfg.per_instance_scaling:
             scaled = spectral.scale_per_instance(feats, cfg.headroom)
@@ -373,7 +372,7 @@ def fit_feature_stage(config: ExperimentConfig, train_values: np.ndarray) -> Fea
     scaler = None
     if config.model == "fft_chaosfex" and not config.per_instance_scaling:
         scaler = spectral.fit_scaler(_unscaled_features(config, train_values), config.headroom)
-    return FeatureStage(model=config.model, scaler=scaler, config=config)
+    return FeatureStage(scaler=scaler, config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +600,18 @@ def count_local_extrema(curve: np.ndarray) -> int:
 # dataset persistence
 
 
+def read_manifest(path: Path, keys: tuple[str, ...]) -> dict:
+    """The JSON object in ``path``; a missing key is a ValueError naming the
+    file and the key."""
+    manifest = json.loads(path.read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    for key in keys:
+        if key not in manifest:
+            raise ValueError(f"{path}: missing key {key!r}")
+    return manifest
+
+
 def persist_dataset(dataset: list[LabeledSeries], dir_path: str | Path) -> None:
     """Write manifest.json + values.csv; values survive bit-exactly."""
     if not dataset:
@@ -628,26 +639,29 @@ def load_dataset(dir_path: str | Path) -> list[LabeledSeries]:
         raise FileNotFoundError(f"missing dataset manifest: {manifest_path}")
     if not values_path.is_file():
         raise FileNotFoundError(f"missing dataset values: {values_path}")
-    manifest = json.loads(manifest_path.read_text())
-    version = manifest.get("schema_version")
+    manifest = read_manifest(manifest_path, ("schema_version", "series", "length"))
+    version = manifest["schema_version"]
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported dataset schema version: {version!r}")
+    series, length = manifest["series"], manifest["length"]
     values = np.loadtxt(values_path, delimiter=",", ndmin=2)
-    if values.shape != (len(manifest["series"]), manifest["length"]):
+    if values.shape != (len(series), length):
         raise ValueError(
             f"corrupt dataset: {values.shape[0]}x{values.shape[1]} values for "
-            f"{len(manifest['series'])} manifest entries of length {manifest['length']}"
+            f"{len(series)} manifest entries of length {length}"
         )
     out = []
-    for i, (row, entry) in enumerate(zip(values, manifest["series"])):
+    for i, (row, entry) in enumerate(zip(values, series)):
+        for key in ("label", "seed", "spec"):
+            if key not in entry:
+                raise ValueError(f"{manifest_path}: missing key 'series[{i}].{key}'")
+        try:
+            spec = from_doc(ProcessSpec, entry["spec"], f"series[{i}].spec")
+        except DecodeError as exc:
+            raise ValueError(f"{manifest_path}: {exc}") from exc
         row = row.copy()
         row.setflags(write=False)
         out.append(
-            LabeledSeries(
-                values=row,
-                label=int(entry["label"]),
-                spec=from_doc(ProcessSpec, entry["spec"], f"series[{i}].spec"),
-                seed=int(entry["seed"]),
-            )
+            LabeledSeries(values=row, label=int(entry["label"]), spec=spec, seed=int(entry["seed"]))
         )
     return out

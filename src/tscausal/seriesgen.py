@@ -1,9 +1,12 @@
 """Seeded simulation of causal and non-causal time series.
 
 Causal series come from autoregressive families (AR, ARMA, ARFIMA) where the
-present value depends linearly on past values; non-causal series are i.i.d.
-draws from a normal or uniform distribution. Every generator is a pure
-function of (spec, seed): the same inputs always give bit-identical output.
+present value depends linearly on past values; ARFIMA is Hosking's fractional
+differencing (Biometrika, 1981) applied to an ARMA core. Non-causal series are
+i.i.d. draws from a normal or uniform distribution. ``ProcessSpec`` decides
+whether a process is valid, so a bad spec fails when it is built, and
+``generate`` is the one simulation entry point: a pure function of (spec,
+seed) whose output is bit-identical for the same inputs.
 """
 
 from __future__ import annotations
@@ -35,16 +38,17 @@ CAUSAL = 1
 class ProcessSpec:
     """Parametric description of one stochastic process.
 
-    ``ar_terms`` and ``ma_terms`` are sparse (lag, coefficient) pairs; an
-    ARMA/ARFIMA spec must carry the instantaneous noise term (0, 1.0) in
-    ``ma_terms``. ``d`` is the fractional difference parameter and is only
-    meaningful for ARFIMA. Noise is Normal(noise_mean, noise_variance) except
-    for NOISE_UNIFORM, which draws from U(uniform_lo, uniform_hi).
+    ``ar_terms`` and ``ma_terms`` are sparse (lag, coefficient) pairs. An AR
+    spec needs at least one AR term and no MA terms; an ARMA/ARFIMA spec must
+    carry the instantaneous noise term (0, 1.0) in ``ma_terms``. A single AR
+    term needs |a| < 1; dense term lists are only guarded by the finiteness
+    check in ``generate``. ``d`` is the fractional difference parameter and is
+    only meaningful for ARFIMA. Noise is Normal(noise_mean, noise_variance)
+    except for NOISE_UNIFORM, which draws from U(uniform_lo, uniform_hi).
     """
 
     kind: Kind
     length: int
-    c: float = 0.0
     ar_terms: tuple[tuple[int, float], ...] = ()
     ma_terms: tuple[tuple[int, float], ...] = ()
     d: float = 0.0
@@ -52,13 +56,10 @@ class ProcessSpec:
     noise_variance: float = 1.0
     uniform_lo: float = 0.0
     uniform_hi: float = 1.0
-    burn_in: int = 0
 
     def __post_init__(self):
         if self.length < 1:
             raise ValueError(f"length must be >= 1, got {self.length}")
-        if self.burn_in < 0:
-            raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
         # normalize term lists to hashable tuples regardless of input container
         object.__setattr__(
             self, "ar_terms", tuple((int(l), float(a)) for l, a in self.ar_terms)
@@ -88,6 +89,18 @@ class ProcessSpec:
             )
         if self.kind == Kind.ARFIMA and abs(self.d) >= 1:
             raise ValueError(f"fractional difference parameter |d| must be < 1, got {self.d}")
+        if self.kind == Kind.AR:
+            if not self.ar_terms:
+                raise ValueError("AR spec needs at least one AR term")
+            if self.ma_terms:
+                raise ValueError("AR spec must not carry MA terms")
+        elif self.kind in CAUSAL_KINDS and (0, 1.0) not in self.ma_terms:
+            raise ValueError("ma_terms must include the instantaneous term (0, 1.0)")
+        # a single-lag recursion with |a| >= 1 diverges
+        if self.kind in CAUSAL_KINDS and len(self.ar_terms) == 1 and abs(self.ar_terms[0][1]) >= 1:
+            raise ValueError(
+                f"single-lag AR coefficient must satisfy |a| < 1, got {self.ar_terms[0][1]}"
+            )
 
     @property
     def label(self) -> int:
@@ -122,117 +135,48 @@ def fractional_integration_weights(d: float, n: int) -> np.ndarray:
     return w
 
 
-def _check_single_lag_stationary(ar_terms) -> None:
-    # a single-lag recursion with |a| >= 1 diverges; dense term lists are
-    # accepted as-is and only guarded by the finiteness check on the output
-    if len(ar_terms) == 1 and abs(ar_terms[0][1]) >= 1:
-        raise ValueError(
-            f"single-lag AR coefficient must satisfy |a| < 1, got {ar_terms[0][1]}"
-        )
-
-
-def _require_instantaneous_ma(spec: ProcessSpec) -> None:
-    if (0, 1.0) not in spec.ma_terms:
-        raise ValueError("ma_terms must include the instantaneous term (0, 1.0)")
-
-
 def _simulate_arma_core(spec: ProcessSpec, rng: np.random.Generator) -> np.ndarray:
-    """Shared AR/ARMA recursion over an extended (burn-in padded) grid."""
-    total = spec.length + spec.burn_in
+    """AR/ARMA recursion; the first max-lag values are drawn i.i.d. from the
+    noise law, and each later value is the lagged terms plus fresh noise."""
     lags = [lag for lag, _ in spec.ar_terms] + [lag for lag, _ in spec.ma_terms]
     start = max(lags, default=0)
 
     sd = math.sqrt(spec.noise_variance)
     init = rng.normal(spec.noise_mean, sd, start)
-    eps = rng.normal(spec.noise_mean, sd, total)
+    eps = rng.normal(spec.noise_mean, sd, spec.length)
 
     # a pure-AR spec carries no MA terms; its instantaneous noise is implicit
     ma_terms = spec.ma_terms if spec.ma_terms else ((0, 1.0),)
-    values = np.empty(total)
+    values = np.empty(spec.length)
     values[:start] = init
-    for t in range(start, total):
-        acc = spec.c
+    for t in range(start, spec.length):
+        acc = 0.0
         for lag, a in spec.ar_terms:
             acc += a * values[t - lag]
         for lag, b in ma_terms:
             acc += b * eps[t - lag]
         values[t] = acc
-    return values[spec.burn_in:]
-
-
-def _finish(values: np.ndarray, spec: ProcessSpec, seed: int) -> LabeledSeries:
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"generated series contains non-finite values (kind={spec.kind.value})")
-    values.setflags(write=False)
-    return LabeledSeries(values=values, label=spec.label, spec=spec, seed=seed)
-
-
-def gen_ar(spec: ProcessSpec, rng_seed: int) -> LabeledSeries:
-    """Simulate an autoregressive series.
-
-    The first max-lag values are drawn i.i.d. from the noise law; from there
-    each value is the intercept plus the lagged terms plus fresh noise.
-    """
-    if spec.kind != Kind.AR:
-        raise ValueError(f"gen_ar requires kind=ar, got {spec.kind.value}")
-    if not spec.ar_terms:
-        raise ValueError("gen_ar requires at least one AR term")
-    if spec.ma_terms:
-        raise ValueError("AR spec must not carry MA terms")
-    _check_single_lag_stationary(spec.ar_terms)
-    rng = np.random.default_rng(rng_seed)
-    return _finish(_simulate_arma_core(spec, rng), spec, rng_seed)
-
-
-def gen_arma(spec: ProcessSpec, rng_seed: int) -> LabeledSeries:
-    """Simulate an autoregressive moving-average series."""
-    if spec.kind != Kind.ARMA:
-        raise ValueError(f"gen_arma requires kind=arma, got {spec.kind.value}")
-    _require_instantaneous_ma(spec)
-    _check_single_lag_stationary(spec.ar_terms)
-    rng = np.random.default_rng(rng_seed)
-    return _finish(_simulate_arma_core(spec, rng), spec, rng_seed)
-
-
-def gen_arfima(spec: ProcessSpec, rng_seed: int) -> LabeledSeries:
-    """Simulate a fractionally integrated ARMA series.
-
-    An ARMA core is simulated first, then convolved with the fractional
-    integration weights, truncated at the series start (no presample
-    extension).
-    """
-    if spec.kind != Kind.ARFIMA:
-        raise ValueError(f"gen_arfima requires kind=arfima, got {spec.kind.value}")
-    _require_instantaneous_ma(spec)
-    _check_single_lag_stationary(spec.ar_terms)
-    rng = np.random.default_rng(rng_seed)
-    core = _simulate_arma_core(spec, rng)
-    w = fractional_integration_weights(spec.d, core.size)
-    values = np.convolve(w, core)[: core.size]
-    return _finish(values, spec, rng_seed)
-
-
-def gen_noise(spec: ProcessSpec, rng_seed: int) -> LabeledSeries:
-    """Draw an i.i.d. (non-causal) series from the spec's distribution."""
-    if spec.kind not in (Kind.NOISE_NORMAL, Kind.NOISE_UNIFORM):
-        raise ValueError(f"gen_noise requires a noise kind, got {spec.kind.value}")
-    rng = np.random.default_rng(rng_seed)
-    if spec.kind == Kind.NOISE_NORMAL:
-        values = rng.normal(spec.noise_mean, math.sqrt(spec.noise_variance), spec.length)
-    else:
-        values = rng.uniform(spec.uniform_lo, spec.uniform_hi, spec.length)
-    return _finish(values, spec, rng_seed)
-
-
-_GENERATORS = {
-    Kind.AR: gen_ar,
-    Kind.ARMA: gen_arma,
-    Kind.ARFIMA: gen_arfima,
-    Kind.NOISE_NORMAL: gen_noise,
-    Kind.NOISE_UNIFORM: gen_noise,
-}
+    return values
 
 
 def generate(spec: ProcessSpec, rng_seed: int) -> LabeledSeries:
-    """Dispatch to the generator matching ``spec.kind``."""
-    return _GENERATORS[spec.kind](spec, rng_seed)
+    """Simulate one series of ``spec`` from the generator seeded by ``rng_seed``.
+
+    Noise kinds draw i.i.d. values. Causal kinds run the AR/ARMA recursion;
+    ARFIMA then convolves that core with the fractional integration weights,
+    truncated at the series start (no presample extension).
+    """
+    rng = np.random.default_rng(rng_seed)
+    if spec.kind == Kind.NOISE_NORMAL:
+        values = rng.normal(spec.noise_mean, math.sqrt(spec.noise_variance), spec.length)
+    elif spec.kind == Kind.NOISE_UNIFORM:
+        values = rng.uniform(spec.uniform_lo, spec.uniform_hi, spec.length)
+    else:
+        values = _simulate_arma_core(spec, rng)
+        if spec.kind == Kind.ARFIMA:
+            w = fractional_integration_weights(spec.d, spec.length)
+            values = np.convolve(w, values)[: spec.length]
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"generated series contains non-finite values (kind={spec.kind.value})")
+    values.setflags(write=False)
+    return LabeledSeries(values=values, label=spec.label, spec=spec, seed=rng_seed)

@@ -119,6 +119,9 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     ({"split_fraction": 0.01, "n_train_per_class": 5}, "split_fraction 0.01 keeps 0 of n_train_per_class 5"),
     # the knob is gone; a config that still sets it is refused
     ({"threads": 4}, "unknown config key 'threads'"),
+    # json reads NaN and Infinity; both used to run to a report
+    ({"lr": {"c": float("nan")}}, "'lr.c': expected a finite number"),
+    ({"gls": {"eps": float("inf")}}, "'gls.eps': expected a finite number"),
 ])
 def test_bad_config_fails_at_load_naming_the_key(tmp_path, capsys, doc, key):
     bad = tmp_path / "bad.json"
@@ -134,6 +137,28 @@ def test_featurize_before_generate_fails_cleanly(tmp_path, tiny_config_path, cap
     (run / "config.json").write_text(tiny_config_path.read_text())
     assert main(["featurize", str(run)]) == 1
     assert "run `generate` first" in capsys.readouterr().err
+
+
+def test_featurize_names_a_key_missing_from_a_dataset_manifest(tmp_path, tiny_config_path, capsys):
+    run = tmp_path / "run"
+    assert main(["generate", "--config", str(tiny_config_path), "--out", str(run)]) == 0
+    path = run / "datasets" / "AR-train" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["length"]
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["featurize", str(run)]) == 1
+    assert f"error [featurize]: {path}: missing key 'length'" in capsys.readouterr().err
+
+
+def test_evaluate_names_a_key_missing_from_the_features_manifest(tmp_path, tiny_config_path, capsys):
+    run = run_chain(tmp_path, tiny_config_path, capsys)
+    path = run / "features" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["sets"]
+    path.write_text(json.dumps(manifest))
+    assert main(["evaluate", str(run), "--out", str(tmp_path / "again")]) == 1
+    assert f"error [evaluate]: {path}: missing key 'sets'" in capsys.readouterr().err
 
 
 def test_evaluate_before_train_fails_cleanly(tmp_path, tiny_config_path, capsys):

@@ -128,6 +128,18 @@ def test_array_field_accepts_only_numbers():
         from_doc(Holder, {"values": 1.0})
 
 
+@pytest.mark.parametrize("text, cls, path", [
+    ('{"color": "red", "weight": NaN}', Leaf, "weight"),
+    ('{"name": "t", "scores": [Infinity, null]}', Tree, "scores[0]"),
+    ('{"values": [1.0, -Infinity]}', Holder, "values[1]"),
+])
+def test_rejects_non_finite_numbers(text, cls, path):
+    # json.loads accepts these tokens, so the codec must refuse them itself
+    with pytest.raises(DecodeError) as exc:
+        from_doc(cls, json.loads(text))
+    assert (exc.value.path, exc.value.reason) == (path, "expected a finite number")
+
+
 def test_root_post_init_errors_pass_through_unwrapped():
     with pytest.raises(ValueError, match="^size must be >= 1, got 0$"):
         from_doc(Leaf, {"color": "red", "size": 0})

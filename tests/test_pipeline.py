@@ -543,9 +543,36 @@ def test_load_dataset_names_a_mistyped_spec_key(tmp_path):
     data = build_dataset(AR100, n_per_class=2, length=128, master_seed=5)
     persist_dataset(data, tmp_path / "d")
     manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
-    manifest["series"][1]["spec"]["burn_in"] = "0"
+    manifest["series"][1]["spec"]["noise_variance"] = "0.01"
     (tmp_path / "d" / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match=re.escape("'series[1].spec.burn_in': expected an integer")):
+    with pytest.raises(ValueError, match=re.escape("'series[1].spec.noise_variance': expected a number")):
+        load_dataset(tmp_path / "d")
+
+
+def test_load_dataset_refuses_a_spec_that_breaks_a_process_rule(tmp_path):
+    data = build_dataset(AR100, n_per_class=2, length=128, master_seed=5)
+    persist_dataset(data, tmp_path / "d")
+    path = tmp_path / "d" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["series"][1]["spec"]["ma_terms"] = [[0, 1.0]]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: key 'series[1].spec': AR spec must not carry MA terms")):
+        load_dataset(tmp_path / "d")
+
+
+@pytest.mark.parametrize("key", ["series", "length", "series[0].seed"])
+def test_load_dataset_names_a_missing_manifest_key(tmp_path, key):
+    data = build_dataset(AR100, n_per_class=2, length=128, master_seed=5)
+    persist_dataset(data, tmp_path / "d")
+    path = tmp_path / "d" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    if key == "series[0].seed":
+        del manifest["series"][0]["seed"]
+    else:
+        del manifest[key]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: missing key '{key}'")):
         load_dataset(tmp_path / "d")
 
 

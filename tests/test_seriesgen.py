@@ -12,10 +12,6 @@ from tscausal.seriesgen import (
     Kind,
     ProcessSpec,
     fractional_integration_weights,
-    gen_ar,
-    gen_arfima,
-    gen_arma,
-    gen_noise,
     generate,
 )
 
@@ -127,44 +123,43 @@ def test_spec_labels():
 
 
 def test_ar_deterministic_per_seed():
-    a = gen_ar(ar_spec(), 7).values
-    b = gen_ar(ar_spec(), 7).values
+    a = generate(ar_spec(), 7).values
+    b = generate(ar_spec(), 7).values
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, gen_ar(ar_spec(), 8).values)
+    assert not np.array_equal(a, generate(ar_spec(), 8).values)
 
 
 def test_ar_output_is_read_only():
-    series = gen_ar(ar_spec(), 1)
+    series = generate(ar_spec(), 1)
     with pytest.raises(ValueError):
         series.values[0] = 0.0
 
 
 def test_ar_requires_matching_kind_and_terms():
-    with pytest.raises(ValueError):
-        gen_ar(ProcessSpec(kind=Kind.NOISE_NORMAL, length=10), 0)
-    with pytest.raises(ValueError):
-        gen_ar(ProcessSpec(kind=Kind.AR, length=10), 0)
-    with pytest.raises(ValueError):
-        gen_ar(ProcessSpec(kind=Kind.AR, length=10, ar_terms=((1, 0.5),),
-                           ma_terms=((0, 1.0),)), 0)
+    with pytest.raises(ValueError, match="at least one AR term"):
+        ProcessSpec(kind=Kind.AR, length=10)
+    with pytest.raises(ValueError, match="must not carry MA terms"):
+        ProcessSpec(kind=Kind.AR, length=10, ar_terms=((1, 0.5),), ma_terms=((0, 1.0),))
 
 
 def test_ar_rejects_nonstationary_single_lag():
-    with pytest.raises(ValueError):
-        gen_ar(ar_spec(coeff=1.0), 0)
+    with pytest.raises(ValueError, match=r"\|a\| < 1"):
+        ar_spec(coeff=1.0)
+    with pytest.raises(ValueError, match=r"\|a\| < 1"):
+        ProcessSpec(kind=Kind.ARMA, length=10, ar_terms=((1, -1.0),), ma_terms=((0, 1.0),))
 
 
 def test_ar_divergent_dense_terms_reported():
     spec = ProcessSpec(kind=Kind.AR, length=2000,
                        ar_terms=((1, 1.2), (2, 0.5)), noise_variance=0.01)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
-        gen_ar(spec, 0)
+        generate(spec, 0)
 
 
 def test_ar_lag_autocorrelation_matches_coefficient():
     # for a single-lag process the autocorrelation at that lag equals the
     # coefficient; averaging over seeds pins the generator to the recursion
-    acs = [lag_autocorr(gen_ar(ar_spec(lag=5, coeff=0.85), seed).values, 5)
+    acs = [lag_autocorr(generate(ar_spec(lag=5, coeff=0.85), seed).values, 5)
            for seed in range(120)]
     assert abs(float(np.mean(acs)) - 0.85) < 0.01
 
@@ -172,7 +167,7 @@ def test_ar_lag_autocorrelation_matches_coefficient():
 def test_ar_zero_coefficient_behaves_like_noise():
     # with a = 0 the recursion reduces to the innovation sequence
     sample = np.concatenate(
-        [gen_ar(ar_spec(lag=3, coeff=0.0, length=500), s).values for s in range(100)]
+        [generate(ar_spec(lag=3, coeff=0.0, length=500), s).values for s in range(100)]
     )
     assert abs(sample.mean()) < 0.002
     assert abs(sample.var() - 0.01) < 0.0005
@@ -180,21 +175,10 @@ def test_ar_zero_coefficient_behaves_like_noise():
 
 
 def test_ar_variance_matches_stationary_theory():
-    # var = sigma^2 / (1 - a^2) once the transient is discarded
-    spec = ar_spec(lag=1, coeff=0.85, burn_in=300)
-    var = np.mean([gen_ar(spec, s).values.var() for s in range(100)])
+    # var = sigma^2 / (1 - a^2) once the first 300 values of transient are discarded
+    spec = ar_spec(lag=1, coeff=0.85, length=2000 + 300)
+    var = np.mean([generate(spec, s).values[300:].var() for s in range(100)])
     assert abs(var - 0.01 / (1 - 0.85**2)) < 0.002
-
-
-def test_ar_intercept_shifts_the_mean():
-    # stationary mean is c / (1 - a)
-    spec = ar_spec(lag=1, coeff=0.5, c=1.0, burn_in=200)
-    mean = np.mean([gen_ar(spec, s).values.mean() for s in range(50)])
-    assert abs(mean - 2.0) < 0.05
-
-
-def test_ar_burn_in_preserves_length():
-    assert gen_ar(ar_spec(length=400, burn_in=100), 3).values.size == 400
 
 
 # ---------------------------------------------------------------------------
@@ -207,22 +191,21 @@ def arma_spec(length=2000, **kw):
 
 
 def test_arma_requires_instantaneous_term():
-    spec = ProcessSpec(kind=Kind.ARMA, length=10, ar_terms=((1, 0.5),),
-                       ma_terms=((3, 0.85),))
-    with pytest.raises(ValueError, match=r"\(0, 1\.0\)"):
-        gen_arma(spec, 0)
+    for kind in (Kind.ARMA, Kind.ARFIMA):
+        with pytest.raises(ValueError, match=r"\(0, 1\.0\)"):
+            ProcessSpec(kind=kind, length=10, ar_terms=((1, 0.5),), ma_terms=((3, 0.85),))
 
 
 def test_arma_deterministic_per_seed():
-    assert np.array_equal(gen_arma(arma_spec(), 11).values,
-                          gen_arma(arma_spec(), 11).values)
+    assert np.array_equal(generate(arma_spec(), 11).values,
+                          generate(arma_spec(), 11).values)
 
 
 def test_pure_ma_noise_equivalence():
     # an MA spec with only the instantaneous term is the innovation sequence
     spec = ProcessSpec(kind=Kind.ARMA, length=1000, ma_terms=((0, 1.0),),
                        noise_variance=0.04)
-    sample = np.concatenate([gen_arma(spec, s).values for s in range(50)])
+    sample = np.concatenate([generate(spec, s).values for s in range(50)])
     assert abs(sample.var() - 0.04) < 0.002
     assert abs(lag_autocorr(sample, 1)) < 0.01
 
@@ -231,8 +214,8 @@ def test_arfima_d_zero_equals_arma_core():
     spec_arma = arma_spec()
     spec_arfima = ProcessSpec(kind=Kind.ARFIMA, length=2000, ar_terms=((2, 0.85),),
                               ma_terms=((0, 1.0), (3, 0.85)), noise_variance=0.01, d=0.0)
-    assert np.array_equal(gen_arma(spec_arma, 5).values,
-                          gen_arfima(spec_arfima, 5).values)
+    assert np.array_equal(generate(spec_arma, 5).values,
+                          generate(spec_arfima, 5).values)
 
 
 def test_arfima_long_memory_slows_autocorr_decay():
@@ -240,15 +223,15 @@ def test_arfima_long_memory_slows_autocorr_decay():
                        noise_variance=0.01)
     frac = ProcessSpec(kind=Kind.ARFIMA, length=4000, ma_terms=((0, 1.0),),
                        noise_variance=0.01, d=0.45)
-    far = np.mean([lag_autocorr(gen_arfima(frac, s).values, 50) for s in range(40)])
-    near = np.mean([lag_autocorr(gen_arma(base, s).values, 50) for s in range(40)])
+    far = np.mean([lag_autocorr(generate(frac, s).values, 50) for s in range(40)])
+    near = np.mean([lag_autocorr(generate(base, s).values, 50) for s in range(40)])
     assert far > near + 0.1
 
 
 def test_arfima_matches_manual_convolution():
     spec = ProcessSpec(kind=Kind.ARFIMA, length=300, ma_terms=((0, 1.0),),
                        noise_variance=1.0, d=0.3)
-    got = gen_arfima(spec, 9).values
+    got = generate(spec, 9).values
     rng = np.random.default_rng(9)
     eps = rng.normal(0.0, 1.0, 300)
     w = fractional_integration_weights(0.3, 300)
@@ -261,7 +244,7 @@ def test_arfima_matches_manual_convolution():
 
 def test_noise_normal_moments():
     spec = ProcessSpec(kind=Kind.NOISE_NORMAL, length=2000, noise_variance=0.09)
-    sample = np.concatenate([gen_noise(spec, s).values for s in range(50)])
+    sample = np.concatenate([generate(spec, s).values for s in range(50)])
     assert abs(sample.mean()) < 0.003
     assert abs(sample.var() - 0.09) < 0.003
 
@@ -269,19 +252,14 @@ def test_noise_normal_moments():
 def test_noise_uniform_bounds_and_moments():
     spec = ProcessSpec(kind=Kind.NOISE_UNIFORM, length=2000,
                        uniform_lo=-0.6, uniform_hi=0.6)
-    sample = np.concatenate([gen_noise(spec, s).values for s in range(50)])
+    sample = np.concatenate([generate(spec, s).values for s in range(50)])
     assert sample.min() >= -0.6 and sample.max() < 0.6
     assert abs(sample.var() - 1.2**2 / 12) < 0.002
 
 
-def test_noise_rejects_causal_kind():
-    with pytest.raises(ValueError):
-        gen_noise(ar_spec(), 0)
-
-
 def test_noise_iid_has_no_serial_correlation():
     spec = ProcessSpec(kind=Kind.NOISE_NORMAL, length=2000, noise_variance=0.01)
-    acs = [lag_autocorr(gen_noise(spec, s).values, 1) for s in range(100)]
+    acs = [lag_autocorr(generate(spec, s).values, 1) for s in range(100)]
     assert abs(float(np.mean(acs))) < 0.005
 
 
