@@ -36,6 +36,7 @@ from .seriesgen import (
     ProcessSpec,
     fractional_integration_weights,
     generate,
+    generate_many,
 )
 from .spectral import (
     MinMaxScaler,
@@ -78,6 +79,7 @@ __all__ = [
     "fit_scaler",
     "fractional_integration_weights",
     "generate",
+    "generate_many",
     "gls_map",
     "load_dataset",
     "load_model",

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classify, pipeline, spectral
-from .seriesgen import Kind, ProcessSpec, generate as generate_series
+from .seriesgen import Kind, ProcessSpec, generate_many
 
 
 class ConfigError(Exception):
@@ -91,7 +91,7 @@ def _features_manifest(run_dir: Path) -> dict:
     path = run_dir / "features" / "manifest.json"
     if not path.is_file():
         raise FileNotFoundError(f"missing features manifest: {path} (run `featurize` first)")
-    return pipeline.read_manifest(path, ("config", "sets"))
+    return pipeline.read_manifest(path, ("config", "sets"), ("sets", ("name", "dir")))
 
 
 def _load_feature_set(run_dir: Path, slug: str) -> tuple[np.ndarray, np.ndarray]:
@@ -215,10 +215,9 @@ def cmd_plot(args) -> int:
     config = pipeline.table_config("table3", scale="desk", seed=args.seed)
     run_dir = _run_dir(args.out, config.master_seed, args.run_name)
 
-    series = {
-        name: generate_series(spec, pipeline.derive_seed(config.master_seed, "plot", name)).values
-        for name, spec in _panel_specs(config.length)
-    }
+    names, specs = zip(*_panel_specs(config.length))
+    seeds = [pipeline.derive_seed(config.master_seed, "plot", name) for name in names]
+    series = {name: s.values for name, s in zip(names, generate_many(specs, seeds))}
     written = []
     for name in ("ar15", "noise-normal", "noise-uniform"):
         path = run_dir / f"spectrum-{name}.dat"

@@ -30,7 +30,8 @@ from .seriesgen import (
     Kind,
     LabeledSeries,
     ProcessSpec,
-    generate,
+    generate,  # noqa: F401 -- bench/layertrace.py wraps pipeline.generate
+    generate_many,
 )
 from .spectral import DEFAULT_HEADROOM, MinMaxScaler
 
@@ -207,18 +208,20 @@ def build_dataset(
     """Simulate a labeled dataset: causal rows first, then non-causal rows."""
     if n_per_class < 1:
         raise ValueError(f"n_per_class must be >= 1, got {n_per_class}")
-    out: list[LabeledSeries] = []
+    specs: list[ProcessSpec] = []
+    seeds: list[int] = []
     if recipe.causal is not None:
         for i in range(n_per_class):
             rng = np.random.default_rng(derive_seed(master_seed, recipe.name, "causal", i))
-            spec = _draw_spec(recipe.causal, length, rng)
-            out.append(generate(spec, int(rng.integers(0, 2**63))))
+            specs.append(_draw_spec(recipe.causal, length, rng))
+            seeds.append(int(rng.integers(0, 2**63)))
     if recipe.noncausal is not None:
         spec = _noise_spec(recipe.noncausal, length)
         for i in range(n_per_class):
             rng = np.random.default_rng(derive_seed(master_seed, recipe.name, "noncausal", i))
-            out.append(generate(spec, int(rng.integers(0, 2**63))))
-    return out
+            specs.append(spec)
+            seeds.append(int(rng.integers(0, 2**63)))
+    return generate_many(specs, seeds)
 
 
 def values_matrix(dataset: list[LabeledSeries]) -> np.ndarray:
@@ -600,15 +603,28 @@ def count_local_extrema(curve: np.ndarray) -> int:
 # dataset persistence
 
 
-def read_manifest(path: Path, keys: tuple[str, ...]) -> dict:
+def read_manifest(
+    path: Path, keys: tuple[str, ...], entry_keys: tuple[str, tuple[str, ...]]
+) -> dict:
     """The JSON object in ``path``; a missing key is a ValueError naming the
-    file and the key."""
+    file and the key. ``entry_keys = (name, required)`` names the list of
+    entries among ``keys`` and the keys each of its objects must have."""
     manifest = json.loads(path.read_text())
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: expected a JSON object")
     for key in keys:
         if key not in manifest:
             raise ValueError(f"{path}: missing key {key!r}")
+    name, required = entry_keys
+    entries = manifest[name]
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: {name!r} must be a list")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: '{name}[{i}]' must be an object")
+        for key in required:
+            if key not in entry:
+                raise ValueError(f"{path}: missing key '{name}[{i}].{key}'")
     return manifest
 
 
@@ -639,7 +655,9 @@ def load_dataset(dir_path: str | Path) -> list[LabeledSeries]:
         raise FileNotFoundError(f"missing dataset manifest: {manifest_path}")
     if not values_path.is_file():
         raise FileNotFoundError(f"missing dataset values: {values_path}")
-    manifest = read_manifest(manifest_path, ("schema_version", "series", "length"))
+    manifest = read_manifest(
+        manifest_path, ("schema_version", "series", "length"), ("series", ("label", "seed", "spec"))
+    )
     version = manifest["schema_version"]
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported dataset schema version: {version!r}")
@@ -652,16 +670,17 @@ def load_dataset(dir_path: str | Path) -> list[LabeledSeries]:
         )
     out = []
     for i, (row, entry) in enumerate(zip(values, series)):
-        for key in ("label", "seed", "spec"):
-            if key not in entry:
-                raise ValueError(f"{manifest_path}: missing key 'series[{i}].{key}'")
         try:
             spec = from_doc(ProcessSpec, entry["spec"], f"series[{i}].spec")
         except DecodeError as exc:
             raise ValueError(f"{manifest_path}: {exc}") from exc
+        label = entry["label"]
+        if type(label) is not int or label != spec.label:
+            raise ValueError(
+                f"{manifest_path}: 'series[{i}].label' is {label!r}, but its "
+                f"{spec.kind.value} spec has label {spec.label}"
+            )
         row = row.copy()
         row.setflags(write=False)
-        out.append(
-            LabeledSeries(values=row, label=int(entry["label"]), spec=spec, seed=int(entry["seed"]))
-        )
+        out.append(LabeledSeries(values=row, label=label, spec=spec, seed=int(entry["seed"])))
     return out

@@ -5,13 +5,15 @@ present value depends linearly on past values; ARFIMA is Hosking's fractional
 differencing (Biometrika, 1981) applied to an ARMA core. Non-causal series are
 i.i.d. draws from a normal or uniform distribution. ``ProcessSpec`` decides
 whether a process is valid, so a bad spec fails when it is built, and
-``generate`` is the one simulation entry point: a pure function of (spec,
-seed) whose output is bit-identical for the same inputs.
+``generate_many`` is the one simulation entry point: each series it returns
+is a pure function of its (spec, seed), bit-identical for the same inputs
+whatever else shares the batch.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -42,9 +44,10 @@ class ProcessSpec:
     spec needs at least one AR term and no MA terms; an ARMA/ARFIMA spec must
     carry the instantaneous noise term (0, 1.0) in ``ma_terms``. A single AR
     term needs |a| < 1; dense term lists are only guarded by the finiteness
-    check in ``generate``. ``d`` is the fractional difference parameter and is
-    only meaningful for ARFIMA. Noise is Normal(noise_mean, noise_variance)
-    except for NOISE_UNIFORM, which draws from U(uniform_lo, uniform_hi).
+    check in ``generate_many``. ``d`` is the fractional difference parameter
+    and must stay 0 except for ARFIMA; noise kinds carry no terms. Noise is
+    Normal(noise_mean, noise_variance) except for NOISE_UNIFORM, which draws
+    from U(uniform_lo, uniform_hi).
     """
 
     kind: Kind
@@ -87,8 +90,13 @@ class ProcessSpec:
             raise ValueError(
                 f"noise_variance must be positive, got {self.noise_variance}"
             )
-        if self.kind == Kind.ARFIMA and abs(self.d) >= 1:
-            raise ValueError(f"fractional difference parameter |d| must be < 1, got {self.d}")
+        if self.kind not in CAUSAL_KINDS and (self.ar_terms or self.ma_terms):
+            raise ValueError(f"{self.kind.value} spec must not carry AR or MA terms")
+        if self.kind == Kind.ARFIMA:
+            if not abs(self.d) < 1:
+                raise ValueError(f"fractional difference parameter |d| must be < 1, got {self.d}")
+        elif self.d != 0:
+            raise ValueError(f"{self.kind.value} spec must have d = 0, got {self.d}")
         if self.kind == Kind.AR:
             if not self.ar_terms:
                 raise ValueError("AR spec needs at least one AR term")
@@ -117,66 +125,123 @@ class LabeledSeries:
     seed: int
 
 
-def fractional_integration_weights(d: float, n: int) -> np.ndarray:
+def fractional_integration_weights(d: float | Sequence[float], n: int) -> np.ndarray:
     """Coefficients of the inverse fractional difference filter.
 
     Returns the first ``n`` weights of the binomial-series expansion of the
     backshift polynomial raised to the power -d, via the recursion
-    w[0] = 1, w[j] = w[j-1] * (j - 1 + d) / j.
+    w[0] = 1, w[j] = w[j-1] * (j - 1 + d) / j. A sequence of ``k`` values of
+    ``d`` gives a (k, n) matrix, one row per value, computed with the same
+    per-element operations as a single value.
     """
-    if abs(d) >= 1:
+    d = np.asarray(d, dtype=np.float64)
+    if not np.all(np.abs(d) < 1):
         raise ValueError(f"|d| must be < 1, got {d}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    w = np.empty(n)
+    # lag-major, so each step writes one contiguous row
+    w = np.empty((n, *d.shape))
     w[0] = 1.0
     for j in range(1, n):
         w[j] = w[j - 1] * (j - 1 + d) / j
-    return w
+    return np.ascontiguousarray(np.moveaxis(w, 0, -1))
 
 
-def _simulate_arma_core(spec: ProcessSpec, rng: np.random.Generator) -> np.ndarray:
-    """AR/ARMA recursion; the first max-lag values are drawn i.i.d. from the
-    noise law, and each later value is the lagged terms plus fresh noise."""
-    lags = [lag for lag, _ in spec.ar_terms] + [lag for lag, _ in spec.ma_terms]
-    start = max(lags, default=0)
+def _by_position(terms: list, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lags and coefficients of ``k`` term lists of ``n`` terms each, as two
+    (n, k) arrays: one row per term position, one column per spec."""
+    a = np.array(terms, dtype=np.float64).reshape(k, n, 2).transpose(2, 1, 0)
+    return np.ascontiguousarray(a[0], dtype=np.intp), np.ascontiguousarray(a[1])
 
-    sd = math.sqrt(spec.noise_variance)
-    init = rng.normal(spec.noise_mean, sd, start)
-    eps = rng.normal(spec.noise_mean, sd, spec.length)
 
+def _arma_batch(specs: list[ProcessSpec], rngs: list[np.random.Generator],
+                length: int, n_ar: int, n_ma: int) -> np.ndarray:
+    """AR/ARMA recursion for specs that share a length and their term counts.
+
+    Row i's first ``start`` values, its largest lag, are drawn i.i.d. from
+    its noise law; each later value is its lagged terms plus fresh noise.
+    Every row keeps its own generator and draw order (initial values, then
+    the noise sequence). One time loop updates all rows at once, adding the
+    terms in each spec's order from a literal 0.0, so every value equals
+    that of a scalar recursion bit for bit; a row whose ``start`` lies ahead
+    keeps its initial values.
+    """
+    k = len(specs)
+    ar_lag, ar_coef = _by_position([s.ar_terms for s in specs], k, n_ar)
     # a pure-AR spec carries no MA terms; its instantaneous noise is implicit
-    ma_terms = spec.ma_terms if spec.ma_terms else ((0, 1.0),)
-    values = np.empty(spec.length)
-    values[:start] = init
-    for t in range(start, spec.length):
+    ma_lag, ma_coef = _by_position([s.ma_terms or ((0, 1.0),) for s in specs], k, n_ma or 1)
+    start = np.concatenate([ar_lag, ma_lag]).max(axis=0)
+
+    # time-major, so each step reads the last few time rows and writes one;
+    # zeros, not empty: a row whose start lies ahead reads unwritten cells,
+    # which must stay finite so that no spurious warning is raised
+    values = np.zeros((length, k))
+    eps = np.empty((length, k))
+    for col, (spec, rng, s) in enumerate(zip(specs, rngs, start)):
+        sd = math.sqrt(spec.noise_variance)
+        values[:s, col] = rng.normal(spec.noise_mean, sd, s)
+        eps[:, col] = rng.normal(spec.noise_mean, sd, length)
+
+    # flat index of [t - lag, col] is t * k + (col - lag * k); a row whose
+    # start lies ahead may index cells before time 0, which wrap to the end
+    # of the buffer, and its result is dropped
+    cols = np.arange(k)
+    ar_off, ma_off = cols - ar_lag * k, cols - ma_lag * k
+    flat_values, flat_eps = values.reshape(-1), eps.reshape(-1)
+    for t in range(int(start.min()), length):
+        at = t * k
         acc = 0.0
-        for lag, a in spec.ar_terms:
-            acc += a * values[t - lag]
-        for lag, b in ma_terms:
-            acc += b * eps[t - lag]
-        values[t] = acc
-    return values
+        for off, coef in zip(ar_off, ar_coef):
+            acc = acc + coef * flat_values[at + off]
+        for off, coef in zip(ma_off, ma_coef):
+            acc = acc + coef * flat_eps[at + off]
+        np.copyto(values[t], acc, where=start <= t)
+    return np.ascontiguousarray(values.T)
+
+
+def generate_many(specs: Sequence[ProcessSpec], seeds: Sequence[int]) -> list[LabeledSeries]:
+    """Simulate ``specs[i]`` from the generator seeded by ``seeds[i]``, for every i.
+
+    The simulation entry point. Results come back in input order, and each
+    series is a pure function of its own (spec, seed): batching changes no
+    bit. Noise kinds draw i.i.d. values. Causal kinds run the AR/ARMA
+    recursion, one vectorised time loop per group of specs sharing a kind,
+    a length and their term counts; ARFIMA then convolves each core with
+    its fractional integration weights, truncated at the series start (no
+    presample extension).
+    """
+    if len(specs) != len(seeds):
+        raise ValueError(f"got {len(specs)} specs but {len(seeds)} seeds")
+    groups: dict[tuple[Kind, int, int, int], list[int]] = {}
+    for i, spec in enumerate(specs):
+        key = (spec.kind, spec.length, len(spec.ar_terms), len(spec.ma_terms))
+        groups.setdefault(key, []).append(i)
+
+    out: list[LabeledSeries | None] = [None] * len(specs)
+    for (kind, length, n_ar, n_ma), idx in groups.items():
+        batch = [specs[i] for i in idx]
+        rngs = [np.random.default_rng(seeds[i]) for i in idx]
+        if kind == Kind.NOISE_NORMAL:
+            rows = [rng.normal(s.noise_mean, math.sqrt(s.noise_variance), length)
+                    for s, rng in zip(batch, rngs)]
+        elif kind == Kind.NOISE_UNIFORM:
+            rows = [rng.uniform(s.uniform_lo, s.uniform_hi, length) for s, rng in zip(batch, rngs)]
+        else:
+            rows = _arma_batch(batch, rngs, length, n_ar, n_ma)
+            if kind == Kind.ARFIMA:
+                # one convolution per series: a batched one would sum in another order
+                weights = fractional_integration_weights([s.d for s in batch], length)
+                rows = [np.convolve(w, x)[:length] for w, x in zip(weights, rows)]
+        for i, spec, values in zip(idx, batch, rows):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(
+                    f"generated series contains non-finite values (kind={kind.value})"
+                )
+            values.setflags(write=False)
+            out[i] = LabeledSeries(values=values, label=spec.label, spec=spec, seed=seeds[i])
+    return out
 
 
 def generate(spec: ProcessSpec, rng_seed: int) -> LabeledSeries:
-    """Simulate one series of ``spec`` from the generator seeded by ``rng_seed``.
-
-    Noise kinds draw i.i.d. values. Causal kinds run the AR/ARMA recursion;
-    ARFIMA then convolves that core with the fractional integration weights,
-    truncated at the series start (no presample extension).
-    """
-    rng = np.random.default_rng(rng_seed)
-    if spec.kind == Kind.NOISE_NORMAL:
-        values = rng.normal(spec.noise_mean, math.sqrt(spec.noise_variance), spec.length)
-    elif spec.kind == Kind.NOISE_UNIFORM:
-        values = rng.uniform(spec.uniform_lo, spec.uniform_hi, spec.length)
-    else:
-        values = _simulate_arma_core(spec, rng)
-        if spec.kind == Kind.ARFIMA:
-            w = fractional_integration_weights(spec.d, spec.length)
-            values = np.convolve(w, values)[: spec.length]
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"generated series contains non-finite values (kind={spec.kind.value})")
-    values.setflags(write=False)
-    return LabeledSeries(values=values, label=spec.label, spec=spec, seed=rng_seed)
+    """Simulate one series of ``spec`` from the generator seeded by ``rng_seed``."""
+    return generate_many([spec], [rng_seed])[0]

@@ -2,8 +2,9 @@
 
 Everything here is deliberately slow and simple: direct DFT summation,
 exact rational arithmetic for the chaotic map, brute-force grid search for
-the classifier, and closed-form gamma ratios for the fractional weights.
-None of it shares code with the library under test.
+the classifier, closed-form gamma ratios for the fractional weights, and a
+per-series scalar recursion for the simulated processes. None of it shares
+code with the library under test.
 """
 
 from __future__ import annotations
@@ -109,6 +110,45 @@ def gamma_ratio_weights(d: float, n: int) -> np.ndarray:
     for j in range(1, n):
         out[j] = math.gamma(j + d) / (math.gamma(d) * math.gamma(j + 1))
     return out
+
+
+def scalar_series(spec, seed: int) -> np.ndarray:
+    """Values of one simulated series, one Python step per time index.
+
+    Reads only the fields of ``spec``. Noise kinds draw i.i.d. values; causal
+    kinds draw ``start`` (the largest lag) initial values and then the noise
+    sequence from the same generator, add each step's terms to a literal 0.0
+    in the spec's order, and ARFIMA convolves that core with weights from
+    w[j] = w[j-1] * (j - 1 + d) / j. Non-finite values are returned, not
+    refused.
+    """
+    rng = np.random.default_rng(seed)
+    kind = spec.kind.value
+    sd = math.sqrt(spec.noise_variance)
+    if kind == "noise_normal":
+        return rng.normal(spec.noise_mean, sd, spec.length)
+    if kind == "noise_uniform":
+        return rng.uniform(spec.uniform_lo, spec.uniform_hi, spec.length)
+    start = max([lag for lag, _ in spec.ar_terms] + [lag for lag, _ in spec.ma_terms], default=0)
+    init = rng.normal(spec.noise_mean, sd, start)
+    eps = rng.normal(spec.noise_mean, sd, spec.length)
+    # a pure-AR spec carries no MA terms; its instantaneous noise is implicit
+    ma_terms = spec.ma_terms if spec.ma_terms else ((0, 1.0),)
+    values = np.empty(spec.length)
+    values[:start] = init
+    for t in range(start, spec.length):
+        acc = 0.0
+        for lag, a in spec.ar_terms:
+            acc += a * values[t - lag]
+        for lag, b in ma_terms:
+            acc += b * eps[t - lag]
+        values[t] = acc
+    if kind == "arfima":
+        w = [1.0]
+        for j in range(1, spec.length):
+            w.append(w[j - 1] * (j - 1 + spec.d) / j)
+        values = np.convolve(np.array(w), values)[: spec.length]
+    return values
 
 
 def lag_autocorr(series, lag: int) -> float:

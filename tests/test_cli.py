@@ -161,6 +161,18 @@ def test_evaluate_names_a_key_missing_from_the_features_manifest(tmp_path, tiny_
     assert f"error [evaluate]: {path}: missing key 'sets'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["name", "dir"])
+def test_evaluate_names_a_key_missing_from_a_features_manifest_set(
+        tmp_path, tiny_config_path, capsys, key):
+    run = run_chain(tmp_path, tiny_config_path, capsys)
+    path = run / "features" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["sets"][0][key]
+    path.write_text(json.dumps(manifest))
+    assert main(["evaluate", str(run), "--out", str(tmp_path / "again")]) == 1
+    assert f"error [evaluate]: {path}: missing key 'sets[0].{key}'" in capsys.readouterr().err
+
+
 def test_evaluate_before_train_fails_cleanly(tmp_path, tiny_config_path, capsys):
     run = tmp_path / "run"
     assert main(["generate", "--config", str(tiny_config_path), "--out", str(run)]) == 0

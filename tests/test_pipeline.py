@@ -561,6 +561,19 @@ def test_load_dataset_refuses_a_spec_that_breaks_a_process_rule(tmp_path):
         load_dataset(tmp_path / "d")
 
 
+@pytest.mark.parametrize("label", [7, 0, "1", 1.0, True])
+def test_load_dataset_refuses_a_label_that_disagrees_with_its_spec(tmp_path, label):
+    data = build_dataset(AR100, n_per_class=2, length=128, master_seed=5)
+    persist_dataset(data, tmp_path / "d")
+    path = tmp_path / "d" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["series"][1]["label"] = label
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: 'series[1].label' is {label!r}, but its ar spec has label 1")):
+        load_dataset(tmp_path / "d")
+
+
 @pytest.mark.parametrize("key", ["series", "length", "series[0].seed"])
 def test_load_dataset_names_a_missing_manifest_key(tmp_path, key):
     data = build_dataset(AR100, n_per_class=2, length=128, master_seed=5)

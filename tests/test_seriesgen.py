@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from helpers import gamma_ratio_weights, lag_autocorr
+from helpers import gamma_ratio_weights, lag_autocorr, scalar_series
 from tscausal.seriesgen import (
     CAUSAL,
     NON_CAUSAL,
@@ -13,12 +13,18 @@ from tscausal.seriesgen import (
     ProcessSpec,
     fractional_integration_weights,
     generate,
+    generate_many,
 )
 
 
 def ar_spec(lag=1, coeff=0.85, length=2000, **kw):
     return ProcessSpec(kind=Kind.AR, length=length, ar_terms=((lag, coeff),),
                        noise_variance=kw.pop("noise_variance", 0.01), **kw)
+
+
+def sample(spec, n):
+    """Values of ``spec`` at seeds 0..n-1, simulated as one batch."""
+    return [s.values for s in generate_many([spec] * n, range(n))]
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +73,17 @@ def test_weights_negative_d_all_negative_tail():
 def test_weights_reject_bad_d(bad_d):
     with pytest.raises(ValueError):
         fractional_integration_weights(bad_d, 5)
+    with pytest.raises(ValueError):
+        fractional_integration_weights([0.3, bad_d], 5)
+
+
+def test_weights_of_many_d_are_rows_of_single_d():
+    ds = [-0.9, -0.3, 0.0, 0.3, 0.49]
+    rows = fractional_integration_weights(ds, 40)
+    assert rows.shape == (5, 40) and rows.flags.c_contiguous
+    for d, row in zip(ds, rows):
+        assert np.array_equal(row.view(np.uint64),
+                              fractional_integration_weights(d, 40).view(np.uint64))
 
 
 def test_weights_reject_bad_n():
@@ -111,6 +128,26 @@ def test_spec_rejects_nonpositive_variance():
 def test_spec_rejects_large_arfima_d():
     with pytest.raises(ValueError):
         ProcessSpec(kind=Kind.ARFIMA, length=10, ma_terms=((0, 1.0),), d=1.0)
+    with pytest.raises(ValueError, match="must be < 1, got nan"):
+        ProcessSpec(kind=Kind.ARFIMA, length=10, ma_terms=((0, 1.0),), d=float("nan"))
+
+
+@pytest.mark.parametrize("kind", [Kind.NOISE_NORMAL, Kind.NOISE_UNIFORM])
+@pytest.mark.parametrize("field", [
+    dict(ar_terms=((1, 0.5),)),
+    dict(ma_terms=((0, 1.0),)),
+    dict(d=0.3),
+])
+def test_noise_spec_rejects_process_fields(kind, field):
+    with pytest.raises(ValueError, match=f"{kind.value} spec must"):
+        ProcessSpec(kind=kind, length=10, **field)
+
+
+@pytest.mark.parametrize("kind", [Kind.AR, Kind.ARMA])
+def test_ar_and_arma_specs_reject_a_fractional_d(kind):
+    ma = () if kind == Kind.AR else ((0, 1.0),)
+    with pytest.raises(ValueError, match=f"{kind.value} spec must have d = 0, got 0.3"):
+        ProcessSpec(kind=kind, length=10, ar_terms=((1, 0.5),), ma_terms=ma, d=0.3)
 
 
 def test_spec_labels():
@@ -159,25 +196,22 @@ def test_ar_divergent_dense_terms_reported():
 def test_ar_lag_autocorrelation_matches_coefficient():
     # for a single-lag process the autocorrelation at that lag equals the
     # coefficient; averaging over seeds pins the generator to the recursion
-    acs = [lag_autocorr(generate(ar_spec(lag=5, coeff=0.85), seed).values, 5)
-           for seed in range(120)]
+    acs = [lag_autocorr(v, 5) for v in sample(ar_spec(lag=5, coeff=0.85), 120)]
     assert abs(float(np.mean(acs)) - 0.85) < 0.01
 
 
 def test_ar_zero_coefficient_behaves_like_noise():
     # with a = 0 the recursion reduces to the innovation sequence
-    sample = np.concatenate(
-        [generate(ar_spec(lag=3, coeff=0.0, length=500), s).values for s in range(100)]
-    )
-    assert abs(sample.mean()) < 0.002
-    assert abs(sample.var() - 0.01) < 0.0005
-    assert abs(lag_autocorr(sample, 3)) < 0.01
+    values = np.concatenate(sample(ar_spec(lag=3, coeff=0.0, length=500), 100))
+    assert abs(values.mean()) < 0.002
+    assert abs(values.var() - 0.01) < 0.0005
+    assert abs(lag_autocorr(values, 3)) < 0.01
 
 
 def test_ar_variance_matches_stationary_theory():
     # var = sigma^2 / (1 - a^2) once the first 300 values of transient are discarded
     spec = ar_spec(lag=1, coeff=0.85, length=2000 + 300)
-    var = np.mean([generate(spec, s).values[300:].var() for s in range(100)])
+    var = np.mean([v[300:].var() for v in sample(spec, 100)])
     assert abs(var - 0.01 / (1 - 0.85**2)) < 0.002
 
 
@@ -205,9 +239,9 @@ def test_pure_ma_noise_equivalence():
     # an MA spec with only the instantaneous term is the innovation sequence
     spec = ProcessSpec(kind=Kind.ARMA, length=1000, ma_terms=((0, 1.0),),
                        noise_variance=0.04)
-    sample = np.concatenate([generate(spec, s).values for s in range(50)])
-    assert abs(sample.var() - 0.04) < 0.002
-    assert abs(lag_autocorr(sample, 1)) < 0.01
+    values = np.concatenate(sample(spec, 50))
+    assert abs(values.var() - 0.04) < 0.002
+    assert abs(lag_autocorr(values, 1)) < 0.01
 
 
 def test_arfima_d_zero_equals_arma_core():
@@ -223,8 +257,8 @@ def test_arfima_long_memory_slows_autocorr_decay():
                        noise_variance=0.01)
     frac = ProcessSpec(kind=Kind.ARFIMA, length=4000, ma_terms=((0, 1.0),),
                        noise_variance=0.01, d=0.45)
-    far = np.mean([lag_autocorr(generate(frac, s).values, 50) for s in range(40)])
-    near = np.mean([lag_autocorr(generate(base, s).values, 50) for s in range(40)])
+    far = np.mean([lag_autocorr(v, 50) for v in sample(frac, 40)])
+    near = np.mean([lag_autocorr(v, 50) for v in sample(base, 40)])
     assert far > near + 0.1
 
 
@@ -293,3 +327,99 @@ def test_generate_ar_is_finite_and_reproducible(seed, lag, coeff):
     a = generate(spec, seed)
     assert np.all(np.isfinite(a.values))
     assert np.array_equal(a.values, generate(spec, seed).values)
+
+
+# ---------------------------------------------------------------------------
+# batched simulation against the scalar oracle
+
+# few lengths and at most two terms of each sort, so that specs of one kind
+# often share a batch group; a lag may equal the length (start == length)
+LENGTHS = (1, 2, 7, 16)
+COEFFS = st.floats(-0.95, 0.95)
+
+
+@st.composite
+def specs(draw):
+    kind = draw(st.sampled_from(list(Kind)))
+    length = draw(st.sampled_from(LENGTHS))
+    noise = dict(noise_mean=draw(st.floats(-1.0, 1.0)),
+                 noise_variance=draw(st.floats(0.01, 2.0)))
+    if kind == Kind.NOISE_NORMAL:
+        return ProcessSpec(kind=kind, length=length, **noise)
+    if kind == Kind.NOISE_UNIFORM:
+        lo = draw(st.floats(-1.0, 1.0))
+        return ProcessSpec(kind=kind, length=length, uniform_lo=lo,
+                           uniform_hi=lo + draw(st.floats(0.1, 2.0)))
+    ar_terms = draw(st.lists(st.tuples(st.integers(1, length), COEFFS),
+                             min_size=1 if kind == Kind.AR else 0, max_size=2))
+    if kind == Kind.AR:
+        return ProcessSpec(kind=kind, length=length, ar_terms=ar_terms, **noise)
+    extra = draw(st.lists(st.tuples(st.integers(0, length), COEFFS), max_size=2))
+    at = draw(st.integers(0, len(extra)))
+    ma_terms = [*extra[:at], (0, 1.0), *extra[at:]]
+    d = draw(st.floats(-0.9, 0.9)) if kind == Kind.ARFIMA else 0.0
+    return ProcessSpec(kind=kind, length=length, ar_terms=ar_terms, ma_terms=ma_terms,
+                       d=d, **noise)
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def assert_matches_oracle(batch, seeds):
+    got = generate_many(batch, seeds)
+    assert len(got) == len(batch)
+    for series, spec, seed in zip(got, batch, seeds):
+        assert series.spec is spec and series.seed == seed and series.label == spec.label
+        assert not series.values.flags.writeable
+        assert np.array_equal(bits(series.values), bits(scalar_series(spec, seed)))
+
+
+@hypothesis.given(st.lists(st.tuples(specs(), st.integers(0, 2**63 - 1)), min_size=1, max_size=12))
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.example([
+    # one AR group whose rows start at 1, 3 and 7 == length, and one row of
+    # every other kind
+    (ProcessSpec(kind=Kind.AR, length=7, ar_terms=((1, 0.5),)), 1),
+    (ProcessSpec(kind=Kind.AR, length=7, ar_terms=((3, -0.9),)), 2),
+    (ProcessSpec(kind=Kind.AR, length=7, ar_terms=((7, 0.9),)), 3),
+    (ProcessSpec(kind=Kind.ARMA, length=7, ar_terms=((2, 0.4),),
+                 ma_terms=((7, 0.3), (0, 1.0))), 4),
+    (ProcessSpec(kind=Kind.ARFIMA, length=7, ar_terms=((1, 0.4),),
+                 ma_terms=((0, 1.0), (2, 0.3)), d=0.4), 5),
+    (ProcessSpec(kind=Kind.NOISE_NORMAL, length=7), 6),
+    (ProcessSpec(kind=Kind.NOISE_UNIFORM, length=7), 7),
+])
+def test_generate_many_equals_the_scalar_oracle_bit_for_bit(pairs):
+    batch, seeds = [list(x) for x in zip(*pairs)]
+    assert_matches_oracle(batch, seeds)
+    for spec, seed in pairs:
+        assert_matches_oracle([spec], [seed])
+
+
+@pytest.mark.parametrize("kind", [Kind.AR, Kind.ARMA, Kind.ARFIMA])
+def test_generate_many_names_the_kind_of_a_divergent_series(kind):
+    ma = () if kind == Kind.AR else ((0, 1.0),)
+    d = 0.3 if kind == Kind.ARFIMA else 0.0
+    dense = ProcessSpec(kind=kind, length=2000, ar_terms=((1, 1.2), (2, 0.5)),
+                        ma_terms=ma, d=d, noise_variance=0.01)
+    tame = ProcessSpec(kind=kind, length=2000, ar_terms=((1, 0.5), (2, 0.3)),
+                       ma_terms=ma, d=d, noise_variance=0.01)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.all(np.isfinite(scalar_series(dense, 2)))
+        with pytest.raises(ValueError, match=f"non-finite values \\(kind={kind.value}\\)"):
+            generate_many([tame, dense, ar_spec()], [1, 2, 3])
+
+
+def test_generate_many_requires_one_seed_per_spec():
+    with pytest.raises(ValueError, match="2 specs but 1 seeds"):
+        generate_many([ar_spec(), ar_spec()], [1])
+
+
+def test_build_dataset_shaped_batch_equals_the_oracle():
+    # full-length specs as the recipes draw them: mixed lags within one group
+    batch = [ar_spec(lag=lag, coeff=0.8 + lag / 200) for lag in (1, 20, 7, 13)]
+    batch += [ProcessSpec(kind=Kind.ARFIMA, length=2000, ar_terms=((lag, 0.85),),
+                          ma_terms=((0, 1.0), (21 - lag, 0.8)), d=lag / 50 - 0.2,
+                          noise_variance=0.01) for lag in (3, 18)]
+    assert_matches_oracle(batch, list(range(100, 100 + len(batch))))
