@@ -17,6 +17,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit
 
+from .artifacts import write_text
 from .codec import from_doc, to_doc
 
 MODEL_SCHEMA_VERSION = 1
@@ -171,7 +172,7 @@ def evaluate(pred_labels: np.ndarray, true_labels: np.ndarray) -> ClassReport:
 
 def save_model(model: LrModel, path: str | Path) -> None:
     doc = {"schema_version": MODEL_SCHEMA_VERSION, **to_doc(model)}
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 def load_model(path: str | Path) -> LrModel:

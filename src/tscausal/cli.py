@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import classify, pipeline, spectral
+from . import artifacts, classify, pipeline, spectral
 from .seriesgen import Kind, ProcessSpec, generate_many
 
 
@@ -45,8 +45,9 @@ def _load_config(path: str | Path) -> pipeline.ExperimentConfig:
 
 def _write_config_echo(config: pipeline.ExperimentConfig, run_dir: Path) -> None:
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.json").write_text(
-        json.dumps(pipeline.config_to_dict(config), indent=2, sort_keys=True) + "\n"
+    artifacts.write_text(
+        run_dir / "config.json",
+        json.dumps(pipeline.config_to_dict(config), indent=2, sort_keys=True) + "\n",
     )
 
 
@@ -76,9 +77,11 @@ def cmd_generate(args) -> int:
     run_dir = _run_dir(args.out, config.master_seed, args.run_name)
     train_set, test_sets = pipeline.build_all_datasets(config)
     _write_config_echo(config, run_dir)
-    pipeline.persist_dataset(train_set, run_dir / "datasets" / config.train_recipe.name)
-    for recipe, dataset in zip(config.test_recipes, test_sets):
-        pipeline.persist_dataset(dataset, run_dir / "datasets" / recipe.name)
+    recipes = (config.train_recipe, *config.test_recipes)
+    for recipe, dataset in zip(recipes, (train_set, *test_sets)):
+        pipeline.persist_dataset(
+            dataset, run_dir / "datasets" / recipe.name, pipeline.dataset_source(config, recipe)
+        )
     print(f"wrote {1 + len(test_sets)} datasets under {run_dir / 'datasets'}")
     return 0
 
@@ -88,19 +91,33 @@ def _set_slugs(config: pipeline.ExperimentConfig) -> list[str]:
 
 
 def _features_manifest(run_dir: Path) -> dict:
+    """The features manifest; its first set is the training split."""
     path = run_dir / "features" / "manifest.json"
     if not path.is_file():
         raise FileNotFoundError(f"missing features manifest: {path} (run `featurize` first)")
-    return pipeline.read_manifest(path, ("config", "sets"), ("sets", ("name", "dir")))
+    manifest = artifacts.read_manifest(path, ("config", "sets"), ("sets", ("name", "dir", "shape")))
+    for i, entry in enumerate(manifest["sets"]):
+        shape = entry["shape"]
+        if not (isinstance(shape, list) and len(shape) == 2
+                and all(type(n) is int and n >= 0 for n in shape)):
+            raise ValueError(f"{path}: 'sets[{i}].shape' must be two non-negative integers, "
+                             f"got {shape!r}")
+    if not manifest["sets"] or manifest["sets"][0]["dir"] != "train-split":
+        raise ValueError(f"{path}: the first of 'sets' must be the train-split set")
+    return manifest
 
 
-def _load_feature_set(run_dir: Path, slug: str) -> tuple[np.ndarray, np.ndarray]:
-    set_dir = run_dir / "features" / slug
-    for name in ("features.csv", "labels.csv"):
-        if not (set_dir / name).is_file():
-            raise FileNotFoundError(f"missing feature file: {set_dir / name}")
-    features = np.loadtxt(set_dir / "features.csv", delimiter=",", ndmin=2)
-    labels = np.loadtxt(set_dir / "labels.csv", dtype=np.int64, ndmin=1)
+def _load_feature_set(run_dir: Path, entry: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Features and labels of one features-manifest ``sets`` entry."""
+    set_dir = run_dir / "features" / entry["dir"]
+    features = artifacts.load_array(set_dir / "features.npy", np.float64, 2)
+    labels = artifacts.load_array(set_dir / "labels.npy", np.int64, 1)
+    rows, columns = entry["shape"]
+    if features.shape != (rows, columns) or labels.shape != (rows,):
+        raise ValueError(
+            f"{set_dir}: corrupt feature set: {features.shape[0]}x{features.shape[1]} features "
+            f"and {labels.size} labels for a manifest shape of {rows}x{columns}"
+        )
     return features, labels
 
 
@@ -115,29 +132,31 @@ def cmd_featurize(args) -> int:
         d = data_dir / recipe.name
         if not d.is_dir():
             raise FileNotFoundError(f"missing dataset directory: {d} (run `generate` first)")
-        datasets[recipe.name] = pipeline.load_dataset(d)
+        datasets[recipe.name] = pipeline.load_dataset(d, pipeline.dataset_source(config, recipe))
     named = pipeline.assemble_sets(
         config, datasets[config.train_recipe.name], [datasets[r.name] for r in config.test_recipes]
     )
     stage = pipeline.fit_feature_stage(config, named[0][1])
 
     feat_root = run_dir / "features"
+    manifest_path = feat_root / "manifest.json"
+    # no manifest may point at feature sets that are being replaced
+    manifest_path.unlink(missing_ok=True)
     sets_meta = []
     for slug, (name, values, labels) in zip(_set_slugs(config), named):
         set_dir = feat_root / slug
         set_dir.mkdir(parents=True, exist_ok=True)
-        # 17 significant digits keep the round trip bit-exact, so the chained
-        # path trains on the same numbers as an in-process run
-        np.savetxt(set_dir / "features.csv", stage.transform(values), fmt="%.17g", delimiter=",")
-        np.savetxt(set_dir / "labels.csv", labels, fmt="%d")
-        sets_meta.append({"name": name, "dir": slug})
+        features = stage.transform(values)
+        artifacts.save_array(set_dir / "features.npy", features)
+        artifacts.save_array(set_dir / "labels.npy", labels)
+        sets_meta.append({"name": name, "dir": slug, "shape": list(features.shape)})
     manifest = {
-        "schema_version": pipeline.SCHEMA_VERSION,
+        "schema_version": artifacts.ARTIFACT_SCHEMA_VERSION,
         "model": config.model,
         "config": pipeline.config_to_dict(config),
         "sets": sets_meta,
     }
-    (feat_root / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    artifacts.write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(sets_meta)} feature sets ({config.model}) under {feat_root}")
     return 0
 
@@ -146,7 +165,7 @@ def cmd_train(args) -> int:
     run_dir = Path(args.run_dir)
     manifest = _features_manifest(run_dir)
     config = pipeline.config_from_dict(manifest["config"])
-    features, labels = _load_feature_set(run_dir, "train-split")
+    features, labels = _load_feature_set(run_dir, manifest["sets"][0])
     model = classify.train_lr(
         features, labels, config.lr_hyper, fingerprint=pipeline.config_fingerprint(config)
     )
@@ -176,7 +195,7 @@ def cmd_evaluate(args) -> int:
 
     rows = []
     for entry in manifest["sets"]:
-        features, labels = _load_feature_set(run_dir, entry["dir"])
+        features, labels = _load_feature_set(run_dir, entry)
         pred, _ = classify.predict(model, features)
         rows.append(pipeline.ReportRow(dataset=entry["name"], report=classify.evaluate(pred, labels)))
     report = pipeline.ExperimentReport(config=config, rows=tuple(rows))

@@ -1,5 +1,5 @@
 """Experiment orchestration: dataset recipes, the three feature pipelines,
-persistence, and report emission.
+and report emission.
 
 A recipe names parameter ranges for one dataset; per-instance parameters are
 drawn from child seeds derived by hashing (master seed, recipe name, class,
@@ -21,12 +21,16 @@ from pathlib import Path
 import numpy as np
 
 from . import classify, spectral
+from .artifacts import (  # noqa: F401 -- the CLI calls these through pipeline
+    load_dataset,
+    persist_dataset,
+    write_text,
+)
 from .chaosfex import GlsParams, extract_ttss
 from .classify import CHAOSFEX_LR, DEFAULT_LR, ClassReport, LrHyper
 from .codec import DecodeError, from_doc, to_doc
 from .seriesgen import (
     CAUSAL_KINDS,
-    GENERATOR_NAME,
     Kind,
     LabeledSeries,
     ProcessSpec,
@@ -421,6 +425,18 @@ def split_indices(config: ExperimentConfig, labels: np.ndarray) -> tuple[np.ndar
     return stratified_split(labels, config.split_fraction, split_seed)
 
 
+def dataset_source(config: ExperimentConfig, recipe: DatasetRecipe) -> dict:
+    """Everything ``build_dataset`` draws ``recipe``'s dataset from; a
+    persisted dataset records it, and featurize holds its config to it."""
+    train = recipe.name == config.train_recipe.name
+    return {
+        "master_seed": config.master_seed,
+        "recipe": to_doc(recipe),
+        "n_per_class": config.n_train_per_class if train else config.n_test_per_class,
+        "length": config.length,
+    }
+
+
 def build_all_datasets(
     config: ExperimentConfig,
 ) -> tuple[list[LabeledSeries], list[list[LabeledSeries]]]:
@@ -567,10 +583,10 @@ def report_to_text(report: ExperimentReport) -> str:
 def write_report(report: ExperimentReport, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(
-        json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    write_text(
+        out / "report.json", json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
     )
-    (out / "report.txt").write_text(report_to_text(report))
+    write_text(out / "report.txt", report_to_text(report))
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +600,7 @@ def emit_plot_data(values: np.ndarray, path: str | Path) -> None:
         raise ValueError("refusing to write plot data for an empty vector")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        for i, x in enumerate(v.tolist()):
-            fh.write(f"{i} {x!r}\n")
+    write_text(path, "".join(f"{i} {x!r}\n" for i, x in enumerate(v.tolist())))
 
 
 def count_local_extrema(curve: np.ndarray) -> int:
@@ -597,90 +611,3 @@ def count_local_extrema(curve: np.ndarray) -> int:
     if signs.size < 2:
         return 0
     return int(np.sum(signs[1:] != signs[:-1]))
-
-
-# ---------------------------------------------------------------------------
-# dataset persistence
-
-
-def read_manifest(
-    path: Path, keys: tuple[str, ...], entry_keys: tuple[str, tuple[str, ...]]
-) -> dict:
-    """The JSON object in ``path``; a missing key is a ValueError naming the
-    file and the key. ``entry_keys = (name, required)`` names the list of
-    entries among ``keys`` and the keys each of its objects must have."""
-    manifest = json.loads(path.read_text())
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    for key in keys:
-        if key not in manifest:
-            raise ValueError(f"{path}: missing key {key!r}")
-    name, required = entry_keys
-    entries = manifest[name]
-    if not isinstance(entries, list):
-        raise ValueError(f"{path}: {name!r} must be a list")
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ValueError(f"{path}: '{name}[{i}]' must be an object")
-        for key in required:
-            if key not in entry:
-                raise ValueError(f"{path}: missing key '{name}[{i}].{key}'")
-    return manifest
-
-
-def persist_dataset(dataset: list[LabeledSeries], dir_path: str | Path) -> None:
-    """Write manifest.json + values.csv; values survive bit-exactly."""
-    if not dataset:
-        raise ValueError("refusing to persist an empty dataset")
-    out = Path(dir_path)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "generator": GENERATOR_NAME,
-        "length": int(dataset[0].values.size),
-        "series": [
-            {"label": s.label, "seed": s.seed, "spec": to_doc(s.spec)} for s in dataset
-        ],
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    # 17 significant digits round-trip every double exactly
-    np.savetxt(out / "values.csv", values_matrix(dataset), fmt="%.17g", delimiter=",")
-
-
-def load_dataset(dir_path: str | Path) -> list[LabeledSeries]:
-    src = Path(dir_path)
-    manifest_path = src / "manifest.json"
-    values_path = src / "values.csv"
-    if not manifest_path.is_file():
-        raise FileNotFoundError(f"missing dataset manifest: {manifest_path}")
-    if not values_path.is_file():
-        raise FileNotFoundError(f"missing dataset values: {values_path}")
-    manifest = read_manifest(
-        manifest_path, ("schema_version", "series", "length"), ("series", ("label", "seed", "spec"))
-    )
-    version = manifest["schema_version"]
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"unsupported dataset schema version: {version!r}")
-    series, length = manifest["series"], manifest["length"]
-    values = np.loadtxt(values_path, delimiter=",", ndmin=2)
-    if values.shape != (len(series), length):
-        raise ValueError(
-            f"corrupt dataset: {values.shape[0]}x{values.shape[1]} values for "
-            f"{len(series)} manifest entries of length {length}"
-        )
-    out = []
-    for i, (row, entry) in enumerate(zip(values, series)):
-        try:
-            spec = from_doc(ProcessSpec, entry["spec"], f"series[{i}].spec")
-        except DecodeError as exc:
-            raise ValueError(f"{manifest_path}: {exc}") from exc
-        label = entry["label"]
-        if type(label) is not int or label != spec.label:
-            raise ValueError(
-                f"{manifest_path}: 'series[{i}].label' is {label!r}, but its "
-                f"{spec.kind.value} spec has label {spec.label}"
-            )
-        row = row.copy()
-        row.setflags(write=False)
-        out.append(LabeledSeries(values=row, label=label, spec=spec, seed=int(entry["seed"])))
-    return out

@@ -189,7 +189,7 @@ def test_evaluate_before_train_fails_cleanly(tmp_path, tiny_config_path, capsys)
 def test_chain_produces_expected_layout(tmp_path, tiny_config_path, capsys):
     run = run_chain(tmp_path, tiny_config_path, capsys)
     assert (run / "config.json").is_file()
-    assert (run / "datasets" / "AR-train" / "values.csv").is_file()
+    assert (run / "datasets" / "AR-train" / "values.npy").is_file()
     assert (run / "datasets" / "shift-I" / "manifest.json").is_file()
     manifest = json.loads((run / "features" / "manifest.json").read_text())
     assert [s["dir"] for s in manifest["sets"]] == ["train-split", "held-out", "shift-I"]
@@ -214,8 +214,8 @@ def test_seed_override_changes_generated_data(tmp_path, tiny_config_path, capsys
                  "--out", str(run_b)]) == 0
     echo = json.loads((run_b / "config.json").read_text())
     assert echo["master_seed"] == 99
-    a = (run_a / "datasets" / "AR-train" / "values.csv").read_text()
-    b = (run_b / "datasets" / "AR-train" / "values.csv").read_text()
+    a = (run_a / "datasets" / "AR-train" / "values.npy").read_bytes()
+    b = (run_b / "datasets" / "AR-train" / "values.npy").read_bytes()
     assert a != b
 
 
@@ -225,8 +225,7 @@ def test_model_override_at_featurize(tmp_path, tiny_config_path, capsys):
     assert main(["featurize", str(run), "--model", "raw"]) == 0
     manifest = json.loads((run / "features" / "manifest.json").read_text())
     assert manifest["model"] == "raw"
-    features = np.loadtxt(run / "features" / "train-split" / "features.csv",
-                          delimiter=",", ndmin=2)
+    features = np.load(run / "features" / "train-split" / "features.npy")
     assert features.shape[1] == TINY["length"]
 
 

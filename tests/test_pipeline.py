@@ -523,8 +523,8 @@ def test_load_dataset_rejects_wrong_schema(tmp_path):
 def test_load_dataset_detects_row_mismatch(tmp_path):
     data = build_dataset(AR100, n_per_class=3, length=128, master_seed=6)
     persist_dataset(data, tmp_path / "d")
-    values = (tmp_path / "d" / "values.csv").read_text().splitlines()
-    (tmp_path / "d" / "values.csv").write_text("\n".join(values[:-1]) + "\n")
+    values = np.load(tmp_path / "d" / "values.npy")
+    np.save(tmp_path / "d" / "values.npy", values[:-1])
     with pytest.raises(ValueError, match="corrupt"):
         load_dataset(tmp_path / "d")
 
@@ -532,9 +532,8 @@ def test_load_dataset_detects_row_mismatch(tmp_path):
 def test_load_dataset_detects_column_mismatch(tmp_path):
     data = build_dataset(AR100, n_per_class=3, length=128, master_seed=6)
     persist_dataset(data, tmp_path / "d")
-    rows = (tmp_path / "d" / "values.csv").read_text().splitlines()
-    cut = [",".join(row.split(",")[:100]) for row in rows]
-    (tmp_path / "d" / "values.csv").write_text("\n".join(cut) + "\n")
+    values = np.load(tmp_path / "d" / "values.npy")
+    np.save(tmp_path / "d" / "values.npy", values[:, :100])
     with pytest.raises(ValueError, match="corrupt dataset: 3x100 values .* length 128"):
         load_dataset(tmp_path / "d")
 
@@ -571,6 +570,19 @@ def test_load_dataset_refuses_a_label_that_disagrees_with_its_spec(tmp_path, lab
     path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match=re.escape(
             f"{path}: 'series[1].label' is {label!r}, but its ar spec has label 1")):
+        load_dataset(tmp_path / "d")
+
+
+@pytest.mark.parametrize("seed", [1.7, "12", True, -1])
+def test_load_dataset_refuses_a_seed_that_is_not_a_non_negative_integer(tmp_path, seed):
+    data = build_dataset(AR100, n_per_class=2, length=128, master_seed=5)
+    persist_dataset(data, tmp_path / "d")
+    path = tmp_path / "d" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["series"][1]["seed"] = seed
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: 'series[1].seed' must be a non-negative integer, got {seed!r}")):
         load_dataset(tmp_path / "d")
 
 
