@@ -30,8 +30,8 @@ from .pipeline import (
     write_report,
 )
 from .seriesgen import (
+    Dataset,
     Kind,
-    LabeledSeries,
     ProcessSpec,
     fractional_integration_weights,
     generate,
@@ -53,13 +53,13 @@ __all__ = [
     "CHAOSFEX_LR",
     "DEFAULT_LR",
     "ClassReport",
+    "Dataset",
     "DatasetRecipe",
     "ExperimentConfig",
     "ExperimentReport",
     "FiringResult",
     "GlsParams",
     "Kind",
-    "LabeledSeries",
     "LrHyper",
     "LrModel",
     "MinMaxScaler",

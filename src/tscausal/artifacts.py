@@ -23,7 +23,7 @@ from typing import IO
 import numpy as np
 
 from .codec import DecodeError, from_doc, to_doc
-from .seriesgen import GENERATOR_NAME, LabeledSeries, ProcessSpec
+from .seriesgen import GENERATOR_NAME, Dataset, ProcessSpec
 
 ARTIFACT_SCHEMA_VERSION = 2
 
@@ -78,6 +78,18 @@ def load_array(path: str | Path, dtype: type, ndim: int) -> np.ndarray:
     return array
 
 
+def read_json_object(path: str | Path) -> dict:
+    """The JSON object in ``path``; anything else is a ValueError naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
+                         f"{exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return doc
+
+
 def read_manifest(
     path: Path, keys: tuple[str, ...], entry_keys: tuple[str, tuple[str, ...]]
 ) -> dict:
@@ -85,14 +97,7 @@ def read_manifest(
     release's, or a missing key, is a ValueError naming the file and the key.
     ``entry_keys = (name, required)`` names the list of entries among ``keys``
     and the keys each of its objects must have."""
-    try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{path}: expected a JSON object")
+    manifest = read_json_object(path)
     version = manifest.get("schema_version")
     if version != ARTIFACT_SCHEMA_VERSION:
         raise ValueError(
@@ -119,29 +124,28 @@ def read_manifest(
 # datasets
 
 
-def persist_dataset(
-    dataset: list[LabeledSeries], dir_path: str | Path, source: dict | None = None
-) -> None:
+def persist_dataset(dataset: Dataset, dir_path: str | Path, source: dict | None = None) -> None:
     """Write ``values.npy`` (one series per row), then ``manifest.json``.
 
     ``source`` records what generated the dataset (``pipeline.dataset_source``);
     ``load_dataset`` can hold a config to it.
     """
-    if not dataset:
+    if not dataset.specs:
         raise ValueError("refusing to persist an empty dataset")
     out = Path(dir_path)
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"
     # no manifest may point at values that are being replaced
     manifest_path.unlink(missing_ok=True)
-    save_array(out / "values.npy", np.stack([s.values for s in dataset]))
+    save_array(out / "values.npy", dataset.values)
     manifest = {
         "schema_version": ARTIFACT_SCHEMA_VERSION,
         "generator": GENERATOR_NAME,
         "source": source,
-        "length": int(dataset[0].values.size),
+        "length": dataset.values.shape[1],
         "series": [
-            {"label": s.label, "seed": s.seed, "spec": to_doc(s.spec)} for s in dataset
+            {"label": label, "seed": seed, "spec": to_doc(spec)}
+            for label, seed, spec in zip(dataset.labels.tolist(), dataset.seeds, dataset.specs)
         ],
     }
     write_text(manifest_path, json.dumps(manifest, indent=2) + "\n")
@@ -172,10 +176,10 @@ def _check_source(path: Path, recorded, expected: dict) -> None:
         )
 
 
-def load_dataset(dir_path: str | Path, source: dict | None = None) -> list[LabeledSeries]:
-    """The dataset ``persist_dataset`` wrote to ``dir_path``, as read-only rows
-    of one matrix. With ``source``, a dataset generated otherwise is refused,
-    naming the first key that differs and both values."""
+def load_dataset(dir_path: str | Path, source: dict | None = None) -> Dataset:
+    """The dataset ``persist_dataset`` wrote to ``dir_path``. With ``source``,
+    a dataset generated otherwise is refused, naming the first key that
+    differs and both values."""
     src = Path(dir_path)
     manifest_path = src / "manifest.json"
     if not manifest_path.is_file():
@@ -188,14 +192,13 @@ def load_dataset(dir_path: str | Path, source: dict | None = None) -> list[Label
     series, length = manifest["series"], manifest["length"]
     values_path = src / "values.npy"
     values = load_array(values_path, np.float64, 2)
-    if values.shape != (len(series), length):
+    if not series or values.shape != (len(series), length):
         raise ValueError(
             f"{values_path}: corrupt dataset: {values.shape[0]}x{values.shape[1]} values for "
             f"{len(series)} manifest entries of length {length}"
         )
-    values.setflags(write=False)
-    out = []
-    for i, (row, entry) in enumerate(zip(values, series)):
+    specs = []
+    for i, entry in enumerate(series):
         try:
             spec = from_doc(ProcessSpec, entry["spec"], f"series[{i}].spec")
         except DecodeError as exc:
@@ -211,5 +214,5 @@ def load_dataset(dir_path: str | Path, source: dict | None = None) -> list[Label
                 f"{manifest_path}: 'series[{i}].seed' must be a non-negative integer, "
                 f"got {seed!r}"
             )
-        out.append(LabeledSeries(values=row, label=label, spec=spec, seed=seed))
-    return out
+        specs.append(spec)
+    return Dataset(values, tuple(specs), tuple(entry["seed"] for entry in series))

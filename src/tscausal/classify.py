@@ -17,8 +17,8 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from .artifacts import write_text
-from .codec import from_doc, to_doc
+from .artifacts import read_json_object, write_text
+from .codec import DecodeError, from_doc, to_doc
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -176,8 +176,12 @@ def save_model(model: LrModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> LrModel:
-    doc = json.loads(Path(path).read_text())
+    """The model ``save_model`` wrote to ``path``; a fault is a ValueError naming the file."""
+    doc = read_json_object(path)
     version = doc.pop("schema_version", None)
     if version != MODEL_SCHEMA_VERSION:
-        raise ValueError(f"unsupported model schema version: {version!r}")
-    return from_doc(LrModel, doc)
+        raise ValueError(f"{path}: unsupported model schema version: {version!r}")
+    try:
+        return from_doc(LrModel, doc)
+    except DecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

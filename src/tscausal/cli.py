@@ -32,11 +32,9 @@ def _load_config(path: str | Path) -> pipeline.ExperimentConfig:
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{p}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+        doc = artifacts.read_json_object(p)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     try:
         return pipeline.config_from_dict(doc)
     except ValueError as exc:
@@ -126,16 +124,14 @@ def cmd_featurize(args) -> int:
     config_path = args.config if args.config else run_dir / "config.json"
     config = _apply_overrides(_load_config(config_path), args)
 
-    data_dir = run_dir / "datasets"
-    datasets = {}
+    datasets = []
     for recipe in (config.train_recipe, *config.test_recipes):
-        d = data_dir / recipe.name
+        d = run_dir / "datasets" / recipe.name
         if not d.is_dir():
             raise FileNotFoundError(f"missing dataset directory: {d} (run `generate` first)")
-        datasets[recipe.name] = pipeline.load_dataset(d, pipeline.dataset_source(config, recipe))
-    named = pipeline.assemble_sets(
-        config, datasets[config.train_recipe.name], [datasets[r.name] for r in config.test_recipes]
-    )
+        datasets.append(pipeline.load_dataset(d, pipeline.dataset_source(config, recipe)))
+    named = pipeline.assemble_sets(config, datasets[0], datasets[1:])
+    del datasets  # ``named`` now holds the only reference to each set's values
     stage = pipeline.fit_feature_stage(config, named[0][1])
 
     feat_root = run_dir / "features"
@@ -143,10 +139,12 @@ def cmd_featurize(args) -> int:
     # no manifest may point at feature sets that are being replaced
     manifest_path.unlink(missing_ok=True)
     sets_meta = []
-    for slug, (name, values, labels) in zip(_set_slugs(config), named):
+    for slug in _set_slugs(config):
+        name, values, labels = named.pop(0)
         set_dir = feat_root / slug
         set_dir.mkdir(parents=True, exist_ok=True)
         features = stage.transform(values)
+        del values
         artifacts.save_array(set_dir / "features.npy", features)
         artifacts.save_array(set_dir / "labels.npy", labels)
         sets_meta.append({"name": name, "dir": slug, "shape": list(features.shape)})
@@ -236,22 +234,17 @@ def cmd_plot(args) -> int:
 
     names, specs = zip(*_panel_specs(config.length))
     seeds = [pipeline.derive_seed(config.master_seed, "plot", name) for name in names]
-    series = {name: s.values for name, s in zip(names, generate_many(specs, seeds))}
-    written = []
-    for name in ("ar15", "noise-normal", "noise-uniform"):
-        path = run_dir / f"spectrum-{name}.dat"
-        pipeline.emit_plot_data(spectral.amplitude_spectrum(series[name]).amplitudes, path)
-        written.append(path)
-
+    values = generate_many(specs, seeds)
+    spectra = spectral.amplitude_spectra(values)
     # TTSS curves use the table3 feature stage, whose per-instance scaling
     # fits nothing, so no training split is simulated
     stage = pipeline.fit_feature_stage(config, np.empty((0, config.length)))
-    for name, values in series.items():
-        path = run_dir / f"ttss-{name}.dat"
-        pipeline.emit_plot_data(stage.transform(values[np.newaxis, :])[0], path)
-        written.append(path)
-
-    print(f"wrote {len(written)} plot data files under {run_dir}")
+    curves = {f"spectrum-{n}": spectra[names.index(n)]
+              for n in ("ar15", "noise-normal", "noise-uniform")}
+    curves.update((f"ttss-{n}", ttss) for n, ttss in zip(names, stage.transform(values)))
+    for stem, curve in curves.items():
+        pipeline.emit_plot_data(curve, run_dir / f"{stem}.dat")
+    print(f"wrote {len(curves)} plot data files under {run_dir}")
     return 0
 
 

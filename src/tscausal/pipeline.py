@@ -31,8 +31,8 @@ from .classify import CHAOSFEX_LR, DEFAULT_LR, ClassReport, LrHyper
 from .codec import DecodeError, from_doc, to_doc
 from .seriesgen import (
     CAUSAL_KINDS,
+    Dataset,
     Kind,
-    LabeledSeries,
     ProcessSpec,
     generate,  # noqa: F401 -- bench/layertrace.py wraps pipeline.generate
     generate_many,
@@ -208,7 +208,7 @@ def _noise_spec(family: NoiseFamily, length: int) -> ProcessSpec:
 
 def build_dataset(
     recipe: DatasetRecipe, n_per_class: int, length: int, master_seed: int
-) -> list[LabeledSeries]:
+) -> Dataset:
     """Simulate a labeled dataset: causal rows first, then non-causal rows."""
     if n_per_class < 1:
         raise ValueError(f"n_per_class must be >= 1, got {n_per_class}")
@@ -225,15 +225,7 @@ def build_dataset(
             rng = np.random.default_rng(derive_seed(master_seed, recipe.name, "noncausal", i))
             specs.append(spec)
             seeds.append(int(rng.integers(0, 2**63)))
-    return generate_many(specs, seeds)
-
-
-def values_matrix(dataset: list[LabeledSeries]) -> np.ndarray:
-    return np.stack([s.values for s in dataset])
-
-
-def labels_vector(dataset: list[LabeledSeries]) -> np.ndarray:
-    return np.array([s.label for s in dataset], dtype=np.int64)
+    return Dataset(generate_many(specs, seeds), tuple(specs), tuple(seeds))
 
 
 def stratified_split(labels: np.ndarray, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -437,42 +429,35 @@ def dataset_source(config: ExperimentConfig, recipe: DatasetRecipe) -> dict:
     }
 
 
-def build_all_datasets(
-    config: ExperimentConfig,
-) -> tuple[list[LabeledSeries], list[list[LabeledSeries]]]:
+def build_all_datasets(config: ExperimentConfig) -> tuple[Dataset, list[Dataset]]:
     """The training-recipe dataset plus one dataset per test recipe."""
-    with _stage("generate", config.train_recipe.name):
-        train_set = build_dataset(
-            config.train_recipe, config.n_train_per_class, config.length, config.master_seed
-        )
-    test_sets = []
-    for recipe in config.test_recipes:
+    sets = []
+    for recipe in (config.train_recipe, *config.test_recipes):
         with _stage("generate", recipe.name):
-            test_sets.append(
-                build_dataset(recipe, config.n_test_per_class, config.length, config.master_seed)
-            )
-    return train_set, test_sets
+            n = dataset_source(config, recipe)["n_per_class"]
+            sets.append(build_dataset(recipe, n, config.length, config.master_seed))
+    return sets[0], sets[1:]
 
 
 def assemble_sets(
     config: ExperimentConfig,
-    train_set: list[LabeledSeries],
-    test_sets: list[list[LabeledSeries]],
+    train_set: Dataset,
+    test_sets: list[Dataset],
 ) -> list[tuple[str, np.ndarray, np.ndarray]]:
     """(display name, values, labels) rows: train split, held-out, then tests.
 
-    The split is a pure function of the configuration, so regenerated and
-    reloaded datasets partition identically.
+    Only the training dataset is indexed (copied) into its two splits; each
+    test set passes its own matrices. The split is a pure function of the
+    configuration, so regenerated and reloaded datasets partition identically.
     """
-    all_values = values_matrix(train_set)
-    all_labels = labels_vector(train_set)
-    train_idx, heldout_idx = split_indices(config, all_labels)
+    values, labels = train_set.values, train_set.labels
+    train_idx, heldout_idx = split_indices(config, labels)
     named = [
-        (f"{config.train_recipe.name} (train split)", all_values[train_idx], all_labels[train_idx]),
-        (f"{config.train_recipe.name} (held-out)", all_values[heldout_idx], all_labels[heldout_idx]),
+        (f"{config.train_recipe.name} (train split)", values[train_idx], labels[train_idx]),
+        (f"{config.train_recipe.name} (held-out)", values[heldout_idx], labels[heldout_idx]),
     ]
     for recipe, dataset in zip(config.test_recipes, test_sets):
-        named.append((recipe.name, values_matrix(dataset), labels_vector(dataset)))
+        named.append((recipe.name, dataset.values, dataset.labels))
     return named
 
 
@@ -485,12 +470,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     t0 = time.perf_counter()
     named = assemble_sets(config, train_set, test_sets)
+    del train_set, test_sets  # ``named`` now holds the only reference to each set's values
     with _stage("featurize", named[0][0]):
         feature_stage = fit_feature_stage(config, named[0][1])
     named_features = []
-    for name, values, labels in named:
+    while named:
+        name, values, labels = named.pop(0)
         with _stage("featurize", name):
             named_features.append((name, feature_stage.transform(values), labels))
+        del values
     timings["featurize"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

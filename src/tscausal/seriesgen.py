@@ -5,9 +5,10 @@ present value depends linearly on past values; ARFIMA is Hosking's fractional
 differencing (Biometrika, 1981) applied to an ARMA core. Non-causal series are
 i.i.d. draws from a normal or uniform distribution. ``ProcessSpec`` decides
 whether a process is valid, so a bad spec fails when it is built, and
-``generate_many`` is the one simulation entry point: each series it returns
-is a pure function of its (spec, seed), bit-identical for the same inputs
-whatever else shares the batch.
+``generate_many`` is the one simulation entry point: each row of the matrix
+it returns is a pure function of its (spec, seed), bit-identical for the
+same inputs whatever else shares the batch. A ``Dataset`` holds such a
+matrix with the labels, specs and seeds of its rows.
 """
 
 from __future__ import annotations
@@ -115,14 +116,20 @@ class ProcessSpec:
         return CAUSAL if self.kind in CAUSAL_KINDS else NON_CAUSAL
 
 
-@dataclass(frozen=True)
-class LabeledSeries:
-    """One simulated series with its causal/non-causal label and provenance."""
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Simulated series: row i of the read-only float64 ``values`` matrix is
+    ``specs[i]`` simulated from ``seeds[i]``; read-only int64 ``labels`` follow."""
 
     values: np.ndarray = field(repr=False)
-    label: int
-    spec: ProcessSpec
-    seed: int
+    specs: tuple[ProcessSpec, ...]
+    seeds: tuple[int, ...]
+    labels: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "labels", np.array([s.label for s in self.specs], dtype=np.int64))
+        self.values.setflags(write=False)
+        self.labels.setflags(write=False)
 
 
 def fractional_integration_weights(d: float | Sequence[float], n: int) -> np.ndarray:
@@ -156,7 +163,8 @@ def _by_position(terms: list, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _arma_batch(specs: list[ProcessSpec], rngs: list[np.random.Generator],
                 length: int, n_ar: int, n_ma: int) -> np.ndarray:
-    """AR/ARMA recursion for specs that share a length and their term counts.
+    """AR/ARMA recursion for specs that share a length and their term counts,
+    as a time-major (length, k) matrix: column i is the series of specs[i].
 
     Row i's first ``start`` values, its largest lag, are drawn i.i.d. from
     its noise law; each later value is its lagged terms plus fresh noise.
@@ -196,52 +204,56 @@ def _arma_batch(specs: list[ProcessSpec], rngs: list[np.random.Generator],
         for off, coef in zip(ma_off, ma_coef):
             acc = acc + coef * flat_eps[at + off]
         np.copyto(values[t], acc, where=start <= t)
-    return np.ascontiguousarray(values.T)
+    return values
 
 
-def generate_many(specs: Sequence[ProcessSpec], seeds: Sequence[int]) -> list[LabeledSeries]:
+def generate_many(specs: Sequence[ProcessSpec], seeds: Sequence[int]) -> np.ndarray:
     """Simulate ``specs[i]`` from the generator seeded by ``seeds[i]``, for every i.
 
-    The simulation entry point. Results come back in input order, and each
-    series is a pure function of its own (spec, seed): batching changes no
-    bit. Noise kinds draw i.i.d. values. Causal kinds run the AR/ARMA
-    recursion, one vectorised time loop per group of specs sharing a kind,
-    a length and their term counts; ARFIMA then convolves each core with
-    its fractional integration weights, truncated at the series start (no
-    presample extension).
+    The simulation entry point. All specs share one length; row i of the
+    read-only result is the series of ``specs[i]``, a pure function of its
+    own (spec, seed): batching changes no bit. Noise kinds draw i.i.d.
+    values. Causal kinds run the AR/ARMA recursion, one vectorised time loop
+    per group of specs sharing a kind and their term counts, written straight
+    into the group's rows; ARFIMA then convolves each core with its
+    fractional integration weights, truncated at the series start.
     """
     if len(specs) != len(seeds):
         raise ValueError(f"got {len(specs)} specs but {len(seeds)} seeds")
-    groups: dict[tuple[Kind, int, int, int], list[int]] = {}
+    lengths = {spec.length for spec in specs}
+    if len(lengths) != 1:
+        raise ValueError(f"need specs of one length, got lengths {sorted(lengths)}")
+    (length,) = lengths
+    groups: dict[tuple[Kind, int, int], list[int]] = {}
     for i, spec in enumerate(specs):
-        key = (spec.kind, spec.length, len(spec.ar_terms), len(spec.ma_terms))
-        groups.setdefault(key, []).append(i)
+        groups.setdefault((spec.kind, len(spec.ar_terms), len(spec.ma_terms)), []).append(i)
 
-    out: list[LabeledSeries | None] = [None] * len(specs)
-    for (kind, length, n_ar, n_ma), idx in groups.items():
+    out = np.empty((len(specs), length))
+    for (kind, n_ar, n_ma), idx in groups.items():
         batch = [specs[i] for i in idx]
         rngs = [np.random.default_rng(seeds[i]) for i in idx]
         if kind == Kind.NOISE_NORMAL:
-            rows = [rng.normal(s.noise_mean, math.sqrt(s.noise_variance), length)
-                    for s, rng in zip(batch, rngs)]
+            for i, s, rng in zip(idx, batch, rngs):
+                out[i] = rng.normal(s.noise_mean, math.sqrt(s.noise_variance), length)
         elif kind == Kind.NOISE_UNIFORM:
-            rows = [rng.uniform(s.uniform_lo, s.uniform_hi, length) for s, rng in zip(batch, rngs)]
+            for i, s, rng in zip(idx, batch, rngs):
+                out[i] = rng.uniform(s.uniform_lo, s.uniform_hi, length)
+        elif kind == Kind.ARFIMA:
+            core = _arma_batch(batch, rngs, length, n_ar, n_ma)
+            # one convolution per series: a batched one would sum in another order
+            weights = fractional_integration_weights([s.d for s in batch], length)
+            for i, w, x in zip(idx, weights, core.T):
+                out[i] = np.convolve(w, x)[:length]
         else:
-            rows = _arma_batch(batch, rngs, length, n_ar, n_ma)
-            if kind == Kind.ARFIMA:
-                # one convolution per series: a batched one would sum in another order
-                weights = fractional_integration_weights([s.d for s in batch], length)
-                rows = [np.convolve(w, x)[:length] for w, x in zip(weights, rows)]
-        for i, spec, values in zip(idx, batch, rows):
-            if not np.all(np.isfinite(values)):
-                raise ValueError(
-                    f"generated series contains non-finite values (kind={kind.value})"
-                )
-            values.setflags(write=False)
-            out[i] = LabeledSeries(values=values, label=spec.label, spec=spec, seed=seeds[i])
+            out[idx] = _arma_batch(batch, rngs, length, n_ar, n_ma).T
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        kind = specs[int(np.argmin(finite))].kind
+        raise ValueError(f"generated series contains non-finite values (kind={kind.value})")
+    out.setflags(write=False)
     return out
 
 
-def generate(spec: ProcessSpec, rng_seed: int) -> LabeledSeries:
-    """Simulate one series of ``spec`` from the generator seeded by ``rng_seed``."""
+def generate(spec: ProcessSpec, rng_seed: int) -> np.ndarray:
+    """The read-only series of ``spec`` simulated from a generator seeded by ``rng_seed``."""
     return generate_many([spec], [rng_seed])[0]

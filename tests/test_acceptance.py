@@ -25,11 +25,9 @@ from tscausal.pipeline import (
     build_dataset,
     count_local_extrema,
     fit_feature_stage,
-    labels_vector,
     report_to_dict,
     run_experiment,
     table_config,
-    values_matrix,
     write_report,
 )
 from tscausal.seriesgen import fractional_integration_weights
@@ -120,8 +118,8 @@ def test_criterion_4_chaos_model_at_paper_scale():
 def test_criterion_5_extrema_counts_separate_classes():
     config = table_config("table3", scale="desk", seed=42)
     data = build_dataset(AR_TRAIN, n_per_class=50, length=config.length, master_seed=42)
-    values = values_matrix(data)
-    labels = labels_vector(data)
+    values = data.values
+    labels = data.labels
     stage = fit_feature_stage(config, values)
     curves = stage.transform(values)
     counts = np.array([count_local_extrema(c) for c in curves])

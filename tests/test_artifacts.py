@@ -64,12 +64,12 @@ def test_array_round_trip_is_bit_exact(tmp_path):
 
 def test_dataset_round_trip_keeps_every_bit(tmp_path):
     data = build_dataset(AR_TRAIN, n_per_class=3, length=64, master_seed=4)
-    values = finite_doubles(np.random.default_rng(2), (len(data), 64))
-    data = [dataclasses.replace(s, values=row) for s, row in zip(data, values)]
+    values = finite_doubles(np.random.default_rng(2), data.values.shape)
+    data = dataclasses.replace(data, values=values)
     persist_dataset(data, tmp_path / "d")
     loaded = load_dataset(tmp_path / "d")
-    assert np.array_equal(np.stack([s.values for s in loaded]).view(np.uint64), values.view(np.uint64))
-    assert all(not s.values.flags.writeable for s in loaded)
+    assert np.array_equal(loaded.values.view(np.uint64), values.view(np.uint64))
+    assert not loaded.values.flags.writeable and not loaded.labels.flags.writeable
 
 
 # ---------------------------------------------------------------------------

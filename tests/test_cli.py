@@ -173,6 +173,20 @@ def test_evaluate_names_a_key_missing_from_a_features_manifest_set(
     assert f"error [evaluate]: {path}: missing key 'sets[0].{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage, message", [
+    (lambda text: text[:40], "invalid JSON at line"),
+    (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "bias"}),
+     "key 'bias': required key is missing"),
+    (lambda text: "[1, 2]", "expected a JSON object"),
+], ids=["truncated", "no-bias", "array"])
+def test_evaluate_names_a_damaged_model_file(tmp_path, tiny_config_path, capsys, damage, message):
+    run = run_chain(tmp_path, tiny_config_path, capsys)
+    path = run / "model.json"
+    path.write_text(damage(path.read_text()))
+    assert main(["evaluate", str(run), "--out", str(tmp_path / "again")]) == 1
+    assert f"error [evaluate]: {path}: {message}" in capsys.readouterr().err
+
+
 def test_evaluate_before_train_fails_cleanly(tmp_path, tiny_config_path, capsys):
     run = tmp_path / "run"
     assert main(["generate", "--config", str(tiny_config_path), "--out", str(run)]) == 0

@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tscausal.chaosfex import GlsParams, firing_table
 from tscausal.classify import CHAOSFEX_LR, DEFAULT_LR, LrHyper
+from tscausal import pipeline
 from tscausal.codec import from_doc, to_doc
 from tscausal.pipeline import (
     AR100,
@@ -19,6 +21,7 @@ from tscausal.pipeline import (
     CausalFamily,
     DatasetRecipe,
     ExperimentConfig,
+    FeatureStage,
     NoiseFamily,
     assemble_sets,
     build_all_datasets,
@@ -31,7 +34,6 @@ from tscausal.pipeline import (
     derive_seed,
     emit_plot_data,
     fit_feature_stage,
-    labels_vector,
     load_dataset,
     persist_dataset,
     report_to_dict,
@@ -40,10 +42,9 @@ from tscausal.pipeline import (
     split_indices,
     stratified_split,
     table_config,
-    values_matrix,
     write_report,
 )
-from tscausal.seriesgen import Kind
+from tscausal.seriesgen import Dataset, Kind
 
 
 def tiny_config(**kw):
@@ -126,10 +127,10 @@ def test_noise_family_rejects_bad_ranges(kw, message):
 
 def test_build_dataset_layout_and_determinism():
     data = build_dataset(AR_TRAIN, n_per_class=4, length=64, master_seed=1)
-    labels = labels_vector(data)
+    labels = data.labels
     assert np.array_equal(labels, [1, 1, 1, 1, 0, 0, 0, 0])
     again = build_dataset(AR_TRAIN, n_per_class=4, length=64, master_seed=1)
-    assert np.array_equal(values_matrix(data), values_matrix(again))
+    assert np.array_equal(data.values, again.values)
 
 
 def test_build_dataset_per_index_seeds_are_independent():
@@ -137,14 +138,14 @@ def test_build_dataset_per_index_seeds_are_independent():
     many = build_dataset(AR_TRAIN, n_per_class=5, length=64, master_seed=1)
     # growing the dataset must not disturb earlier rows of either class
     for i in range(3):
-        assert np.array_equal(few[i].values, many[i].values)
-        assert np.array_equal(few[3 + i].values, many[5 + i].values)
+        assert np.array_equal(few.values[i], many.values[i])
+        assert np.array_equal(few.values[3 + i], many.values[5 + i])
 
 
 def test_build_dataset_draws_lags_in_range():
     data = build_dataset(AR_TRAIN, n_per_class=50, length=64, master_seed=3)
-    lags = {s.spec.ar_terms[0][0] for s in data if s.label == 1}
-    coeffs = [s.spec.ar_terms[0][1] for s in data if s.label == 1]
+    lags = {spec.ar_terms[0][0] for spec, label in zip(data.specs, data.labels) if label == 1}
+    coeffs = [spec.ar_terms[0][1] for spec, label in zip(data.specs, data.labels) if label == 1]
     assert min(lags) >= 1 and max(lags) <= 20
     assert len(lags) > 5
     assert all(0.8 <= c <= 0.9 for c in coeffs)
@@ -152,9 +153,9 @@ def test_build_dataset_draws_lags_in_range():
 
 def test_build_dataset_causal_only_recipe():
     data = build_dataset(AR100, n_per_class=3, length=128, master_seed=2)
-    assert len(data) == 3
-    assert all(s.label == 1 for s in data)
-    assert all(s.spec.ar_terms[0][0] == 100 for s in data)
+    assert data.values.shape == (3, 128)
+    assert all(data.labels == 1)
+    assert all(spec.ar_terms[0][0] == 100 for spec in data.specs)
 
 
 def test_build_dataset_rejects_bad_count():
@@ -439,6 +440,45 @@ def test_run_experiment_report_is_the_same_from_a_cached_firing_table():
     assert a == b
 
 
+def test_test_sets_reach_the_feature_stage_without_a_copy(monkeypatch):
+    built, seen = [], []
+    build, transform = pipeline.build_dataset, FeatureStage.transform
+
+    def recording_build(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    def recording_transform(self, values):
+        seen.append(values)
+        return transform(self, values)
+
+    monkeypatch.setattr(pipeline, "build_dataset", recording_build)
+    monkeypatch.setattr(FeatureStage, "transform", recording_transform)
+    run_experiment(tiny_config(test_recipes=(SHIFT_I, AR100)))
+    # the train split and held-out set come first, then one matrix per test recipe
+    assert len(built) == 3 and len(seen) == 4
+    for dataset, values in zip(built[1:], seen[2:]):
+        assert np.shares_memory(values, dataset.values)
+
+
+def test_run_experiment_peak_memory_stays_below_1_75x_its_datasets():
+    # each set's values are freed once featurized and no series is held
+    # twice, so the traced peak stays near the bytes of all datasets
+    config = table_config("table3", scale="desk", seed=42)
+    run_experiment(config)  # builds the firing table and other first-use state
+    sizes = [(config.train_recipe, config.n_train_per_class),
+             *((recipe, config.n_test_per_class) for recipe in config.test_recipes)]
+    n_series = sum(n * ((r.causal is not None) + (r.noncausal is not None)) for r, n in sizes)
+    dataset_bytes = n_series * config.length * np.dtype(np.float64).itemsize
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * dataset_bytes, f"traced peak is {peak / dataset_bytes:.2f}x the datasets"
+
+
 def test_report_json_excludes_timings():
     report = run_experiment(tiny_config())
     doc = report_to_dict(report)
@@ -502,12 +542,21 @@ def test_dataset_round_trip_is_bit_exact(tmp_path):
     data = build_dataset(AR_TRAIN, n_per_class=3, length=64, master_seed=4)
     persist_dataset(data, tmp_path / "d")
     loaded = load_dataset(tmp_path / "d")
-    assert len(loaded) == len(data)
-    for a, b in zip(data, loaded):
-        assert np.array_equal(a.values, b.values)
-        assert a.label == b.label
-        assert a.seed == b.seed
-        assert a.spec == b.spec
+    assert loaded.values.shape == data.values.shape
+    assert np.array_equal(data.values, loaded.values)
+    assert np.array_equal(data.labels, loaded.labels)
+    assert loaded.seeds == data.seeds
+    assert loaded.specs == data.specs
+
+
+def test_dataset_arrays_are_read_only(tmp_path):
+    data = build_dataset(AR_TRAIN, n_per_class=3, length=64, master_seed=4)
+    persist_dataset(data, tmp_path / "d")
+    for dataset in (data, load_dataset(tmp_path / "d")):
+        for array in (dataset.values, dataset.labels):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 def test_load_dataset_rejects_wrong_schema(tmp_path):
@@ -535,6 +584,17 @@ def test_load_dataset_detects_column_mismatch(tmp_path):
     values = np.load(tmp_path / "d" / "values.npy")
     np.save(tmp_path / "d" / "values.npy", values[:, :100])
     with pytest.raises(ValueError, match="corrupt dataset: 3x100 values .* length 128"):
+        load_dataset(tmp_path / "d")
+
+
+def test_load_dataset_refuses_an_empty_dataset(tmp_path):
+    persist_dataset(build_dataset(AR100, n_per_class=2, length=128, master_seed=5), tmp_path / "d")
+    path = tmp_path / "d" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["series"] = []
+    path.write_text(json.dumps(manifest))
+    np.save(tmp_path / "d" / "values.npy", np.empty((0, 128)))
+    with pytest.raises(ValueError, match="corrupt dataset: 0x128 values for 0 manifest entries"):
         load_dataset(tmp_path / "d")
 
 
@@ -607,5 +667,5 @@ def test_load_dataset_missing_files(tmp_path):
 
 
 def test_persist_dataset_rejects_empty(tmp_path):
-    with pytest.raises(ValueError):
-        persist_dataset([], tmp_path / "d")
+    with pytest.raises(ValueError, match="empty dataset"):
+        persist_dataset(Dataset(np.empty((0, 8)), (), ()), tmp_path / "d")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import hypothesis
 import hypothesis.strategies as st
@@ -23,8 +24,8 @@ def ar_spec(lag=1, coeff=0.85, length=2000, **kw):
 
 
 def sample(spec, n):
-    """Values of ``spec`` at seeds 0..n-1, simulated as one batch."""
-    return [s.values for s in generate_many([spec] * n, range(n))]
+    """Values of ``spec`` at seeds 0..n-1, simulated as one batch, one per row."""
+    return generate_many([spec] * n, range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +161,16 @@ def test_spec_labels():
 
 
 def test_ar_deterministic_per_seed():
-    a = generate(ar_spec(), 7).values
-    b = generate(ar_spec(), 7).values
+    a = generate(ar_spec(), 7)
+    b = generate(ar_spec(), 7)
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, generate(ar_spec(), 8).values)
+    assert not np.array_equal(a, generate(ar_spec(), 8))
 
 
 def test_ar_output_is_read_only():
     series = generate(ar_spec(), 1)
     with pytest.raises(ValueError):
-        series.values[0] = 0.0
+        series[0] = 0.0
 
 
 def test_ar_requires_matching_kind_and_terms():
@@ -231,8 +232,7 @@ def test_arma_requires_instantaneous_term():
 
 
 def test_arma_deterministic_per_seed():
-    assert np.array_equal(generate(arma_spec(), 11).values,
-                          generate(arma_spec(), 11).values)
+    assert np.array_equal(generate(arma_spec(), 11), generate(arma_spec(), 11))
 
 
 def test_pure_ma_noise_equivalence():
@@ -248,8 +248,7 @@ def test_arfima_d_zero_equals_arma_core():
     spec_arma = arma_spec()
     spec_arfima = ProcessSpec(kind=Kind.ARFIMA, length=2000, ar_terms=((2, 0.85),),
                               ma_terms=((0, 1.0), (3, 0.85)), noise_variance=0.01, d=0.0)
-    assert np.array_equal(generate(spec_arma, 5).values,
-                          generate(spec_arfima, 5).values)
+    assert np.array_equal(generate(spec_arma, 5), generate(spec_arfima, 5))
 
 
 def test_arfima_long_memory_slows_autocorr_decay():
@@ -265,7 +264,7 @@ def test_arfima_long_memory_slows_autocorr_decay():
 def test_arfima_matches_manual_convolution():
     spec = ProcessSpec(kind=Kind.ARFIMA, length=300, ma_terms=((0, 1.0),),
                        noise_variance=1.0, d=0.3)
-    got = generate(spec, 9).values
+    got = generate(spec, 9)
     rng = np.random.default_rng(9)
     eps = rng.normal(0.0, 1.0, 300)
     w = fractional_integration_weights(0.3, 300)
@@ -278,7 +277,7 @@ def test_arfima_matches_manual_convolution():
 
 def test_noise_normal_moments():
     spec = ProcessSpec(kind=Kind.NOISE_NORMAL, length=2000, noise_variance=0.09)
-    sample = np.concatenate([generate(spec, s).values for s in range(50)])
+    sample = np.concatenate([generate(spec, s) for s in range(50)])
     assert abs(sample.mean()) < 0.003
     assert abs(sample.var() - 0.09) < 0.003
 
@@ -286,14 +285,14 @@ def test_noise_normal_moments():
 def test_noise_uniform_bounds_and_moments():
     spec = ProcessSpec(kind=Kind.NOISE_UNIFORM, length=2000,
                        uniform_lo=-0.6, uniform_hi=0.6)
-    sample = np.concatenate([generate(spec, s).values for s in range(50)])
+    sample = np.concatenate([generate(spec, s) for s in range(50)])
     assert sample.min() >= -0.6 and sample.max() < 0.6
     assert abs(sample.var() - 1.2**2 / 12) < 0.002
 
 
 def test_noise_iid_has_no_serial_correlation():
     spec = ProcessSpec(kind=Kind.NOISE_NORMAL, length=2000, noise_variance=0.01)
-    acs = [lag_autocorr(generate(spec, s).values, 1) for s in range(100)]
+    acs = [lag_autocorr(generate(spec, s), 1) for s in range(100)]
     assert abs(float(np.mean(acs))) < 0.005
 
 
@@ -310,10 +309,8 @@ def test_noise_iid_has_no_serial_correlation():
 ])
 def test_generate_dispatches_by_kind(spec):
     series = generate(spec, 123)
-    assert series.values.size == 64
-    assert series.label == spec.label
-    assert series.seed == 123
-    assert np.all(np.isfinite(series.values))
+    assert series.shape == (64,)
+    assert np.all(np.isfinite(series))
 
 
 @hypothesis.given(
@@ -325,8 +322,8 @@ def test_generate_dispatches_by_kind(spec):
 def test_generate_ar_is_finite_and_reproducible(seed, lag, coeff):
     spec = ar_spec(lag=lag, coeff=coeff, length=256)
     a = generate(spec, seed)
-    assert np.all(np.isfinite(a.values))
-    assert np.array_equal(a.values, generate(spec, seed).values)
+    assert np.all(np.isfinite(a))
+    assert np.array_equal(a, generate(spec, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +336,8 @@ COEFFS = st.floats(-0.95, 0.95)
 
 
 @st.composite
-def specs(draw):
+def specs(draw, length):
     kind = draw(st.sampled_from(list(Kind)))
-    length = draw(st.sampled_from(LENGTHS))
     noise = dict(noise_mean=draw(st.floats(-1.0, 1.0)),
                  noise_variance=draw(st.floats(0.01, 2.0)))
     if kind == Kind.NOISE_NORMAL:
@@ -368,14 +364,18 @@ def bits(values):
 
 def assert_matches_oracle(batch, seeds):
     got = generate_many(batch, seeds)
-    assert len(got) == len(batch)
-    for series, spec, seed in zip(got, batch, seeds):
-        assert series.spec is spec and series.seed == seed and series.label == spec.label
-        assert not series.values.flags.writeable
-        assert np.array_equal(bits(series.values), bits(scalar_series(spec, seed)))
+    assert got.shape == (len(batch), batch[0].length)
+    assert not got.flags.writeable
+    for row, spec, seed in zip(got, batch, seeds):
+        assert np.array_equal(bits(row), bits(scalar_series(spec, seed)))
 
 
-@hypothesis.given(st.lists(st.tuples(specs(), st.integers(0, 2**63 - 1)), min_size=1, max_size=12))
+# each batch shares one length, as generate_many requires
+BATCHES = st.sampled_from(LENGTHS).flatmap(lambda length: st.lists(
+    st.tuples(specs(length), st.integers(0, 2**63 - 1)), min_size=1, max_size=12))
+
+
+@hypothesis.given(BATCHES)
 @hypothesis.settings(max_examples=60, deadline=None)
 @hypothesis.example([
     # one AR group whose rows start at 1, 3 and 7 == length, and one row of
@@ -414,6 +414,13 @@ def test_generate_many_names_the_kind_of_a_divergent_series(kind):
 def test_generate_many_requires_one_seed_per_spec():
     with pytest.raises(ValueError, match="2 specs but 1 seeds"):
         generate_many([ar_spec(), ar_spec()], [1])
+
+
+def test_generate_many_requires_one_length():
+    with pytest.raises(ValueError, match=re.escape("one length, got lengths [64, 2000]")):
+        generate_many([ar_spec(), ar_spec(length=64)], [1, 2])
+    with pytest.raises(ValueError, match=re.escape("one length, got lengths []")):
+        generate_many([], [])
 
 
 def test_build_dataset_shaped_batch_equals_the_oracle():
