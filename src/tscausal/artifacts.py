@@ -179,7 +179,8 @@ def _check_source(path: Path, recorded, expected: dict) -> None:
 def load_dataset(dir_path: str | Path, source: dict | None = None) -> Dataset:
     """The dataset ``persist_dataset`` wrote to ``dir_path``. With ``source``,
     a dataset generated otherwise is refused, naming the first key that
-    differs and both values."""
+    differs and both values, and so is one whose series count is not
+    ``n_per_class`` per class of the source's recipe."""
     src = Path(dir_path)
     manifest_path = src / "manifest.json"
     if not manifest_path.is_file():
@@ -187,9 +188,16 @@ def load_dataset(dir_path: str | Path, source: dict | None = None) -> Dataset:
     manifest = read_manifest(
         manifest_path, ("source", "series", "length"), ("series", ("label", "seed", "spec"))
     )
+    series, length = manifest["series"], manifest["length"]
     if source is not None:
         _check_source(manifest_path, manifest["source"], source)
-    series, length = manifest["series"], manifest["length"]
+        n, recipe = source["n_per_class"], source["recipe"]
+        classes = sum(recipe[family] is not None for family in ("causal", "noncausal"))
+        if len(series) != n * classes:
+            raise ValueError(
+                f"{manifest_path}: holds {len(series)} series, but the config's n_per_class "
+                f"{n} over {classes} class(es) gives {n * classes}; run `generate` again"
+            )
     values_path = src / "values.npy"
     values = load_array(values_path, np.float64, 2)
     if not series or values.shape != (len(series), length):
@@ -203,6 +211,11 @@ def load_dataset(dir_path: str | Path, source: dict | None = None) -> Dataset:
             spec = from_doc(ProcessSpec, entry["spec"], f"series[{i}].spec")
         except DecodeError as exc:
             raise ValueError(f"{manifest_path}: {exc}") from exc
+        if spec.length != length:
+            raise ValueError(
+                f"{manifest_path}: 'series[{i}].spec.length' is {spec.length}, but the "
+                f"dataset's length is {length}"
+            )
         label, seed = entry["label"], entry["seed"]
         if type(label) is not int or label != spec.label:
             raise ValueError(

@@ -5,6 +5,9 @@ with y in {-1, +1} and an unregularized bias, so ``c`` is the inverse
 regularization strength. Minimization uses the deterministic L-BFGS-B
 quasi-Newton solver, stopping when the gradient infinity norm drops to
 ``tol`` or after ``max_iter`` iterations.
+
+scipy is imported by the training functions alone, so that generating,
+featurizing and evaluating never pay for loading it.
 """
 
 from __future__ import annotations
@@ -14,13 +17,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import expit
 
 from .artifacts import read_json_object, write_text
 from .codec import DecodeError, from_doc, to_doc
 
 MODEL_SCHEMA_VERSION = 1
+
+# The least double margin z with scipy.special.expit(z) >= 0.5: -0x1.7fffffffffffep-52,
+# just above -6 * 2**-54. On [this, 0), 1 + exp(-z) rounds to 2, so expit gives
+# exactly 0.5, a tie that goes to class 1.
+CLASS1_MIN_MARGIN = -3.3306690738754686e-16
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,8 @@ class ClassReport:
 
 def objective(params: np.ndarray, features: np.ndarray, signs: np.ndarray, c: float):
     """Loss and analytic gradient at params = [weights..., bias]."""
+    from scipy.special import expit
+
     w, b = params[:-1], params[-1]
     margins = signs * (features @ w + b)
     loss = c * np.logaddexp(0.0, -margins).sum() + 0.5 * (w @ w)
@@ -87,6 +95,8 @@ def train_lr(
     callback=None,
 ) -> LrModel:
     """Fit the classifier from a zero start. Deterministic for fixed inputs."""
+    from scipy.optimize import minimize
+
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
     if x.ndim != 2 or y.shape != (x.shape[0],):
@@ -125,15 +135,23 @@ def train_lr(
 
 
 def predict(model: LrModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted labels and class-1 probabilities; ties at 0.5 go to class 1."""
+    """Predicted labels and class-1 probabilities.
+
+    A label is 1 exactly when ``scipy.special.expit`` of the margin is at
+    least 0.5 (ties go to class 1); it is read off the margin against
+    ``CLASS1_MIN_MARGIN``, never off the probabilities. The probabilities come
+    from ``numpy.exp`` and can differ from ``expit``'s in the last bits.
+    """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.weights.size:
         raise ValueError(
             f"feature dimension {x.shape[-1] if x.ndim == 2 else x.shape} does not "
             f"match model dimension {model.weights.size}"
         )
-    probs = expit(x @ model.weights + model.bias)
-    return (probs >= 0.5).astype(np.int64), probs
+    margins = x @ model.weights + model.bias
+    with np.errstate(over="ignore"):  # a margin below about -709 has probability 0
+        probs = 1.0 / (1.0 + np.exp(-margins))
+    return (margins >= CLASS1_MIN_MARGIN).astype(np.int64), probs
 
 
 def evaluate(pred_labels: np.ndarray, true_labels: np.ndarray) -> ClassReport:

@@ -338,6 +338,11 @@ def table_config(table: str, scale: str = "desk", seed: int = 42) -> ExperimentC
 # feature stages
 
 
+# rows the feature stage transforms at a time; every step of the transform
+# acts on each row alone, so the block size never changes a feature bit
+TRANSFORM_BLOCK_ROWS = 256
+
+
 @dataclass(frozen=True)
 class FeatureStage:
     """Feature transform fitted on the training split (scaler may be None)."""
@@ -346,15 +351,33 @@ class FeatureStage:
     config: ExperimentConfig
 
     def transform(self, values: np.ndarray) -> np.ndarray:
+        """Features of every row of ``values``, computed one block of
+        ``TRANSFORM_BLOCK_ROWS`` rows at a time into one preallocated matrix,
+        so the transients of the spectra, scaling and firing are those of a
+        block, not of the whole set."""
+        first = self._transform_rows(values[:TRANSFORM_BLOCK_ROWS])
+        out = np.empty((len(values), first.shape[1]))
+        out[: len(first)] = first
+        for start in range(TRANSFORM_BLOCK_ROWS, len(values), TRANSFORM_BLOCK_ROWS):
+            stop = start + TRANSFORM_BLOCK_ROWS
+            try:
+                out[start:stop] = self._transform_rows(values[start:stop])
+            except ValueError as exc:
+                # a row an error names counts from the block's first row
+                raise ValueError(f"in the block from row {start}: {exc}") from exc
+        return out
+
+    def _transform_rows(self, values: np.ndarray) -> np.ndarray:
         cfg = self.config
         feats = _unscaled_features(cfg, values)
         if cfg.model != "fft_chaosfex":
             return feats
+        # rebinding ``feats`` frees each step's input before the next allocates
         if cfg.per_instance_scaling:
-            scaled = spectral.scale_per_instance(feats, cfg.headroom)
+            feats = spectral.scale_per_instance(feats, cfg.headroom)
         else:
-            scaled = spectral.apply_scaler(self.scaler, feats)
-        return extract_ttss(scaled, cfg.gls)
+            feats = spectral.apply_scaler(self.scaler, feats)
+        return extract_ttss(feats, cfg.gls)
 
 
 def _unscaled_features(config: ExperimentConfig, values: np.ndarray) -> np.ndarray:

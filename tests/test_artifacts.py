@@ -279,6 +279,33 @@ def test_featurize_accepts_a_config_that_changes_only_the_features(default_run, 
     assert main(["featurize", str(out), "--config", str(config)]) == 0, capsys.readouterr().err
 
 
+def test_featurize_refuses_a_dataset_trimmed_below_its_config(tmp_path, capsys):
+    run = tiny_run(tmp_path)
+    shift = run / "datasets" / "shift-I"
+    manifest = json.loads((shift / "manifest.json").read_text())
+    manifest["series"] = manifest["series"][:3]
+    (shift / "manifest.json").write_text(json.dumps(manifest))
+    np.save(shift / "values.npy", np.load(shift / "values.npy")[:3])
+    capsys.readouterr()
+    assert main(["featurize", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert f"{shift / 'manifest.json'}: holds 3 series" in err
+    assert "n_per_class 6 over 2 class(es) gives 12" in err
+    assert not (run / "features").exists()
+
+
+def test_featurize_refuses_a_spec_length_that_is_not_the_dataset_length(tmp_path, capsys):
+    run = tiny_run(tmp_path)
+    path = run / "datasets" / "shift-I" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["series"][4]["spec"]["length"] = 300
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["featurize", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: 'series[4].spec.length' is 300, but the dataset's length is 128" in err
+
+
 def test_load_dataset_refuses_a_dataset_without_a_source(tmp_path):
     persist_dataset(build_dataset(AR100, n_per_class=2, length=128, master_seed=5), tmp_path / "d")
     with pytest.raises(ValueError, match="records no generating config"):

@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from helpers import grid_search_lr, lr_loss
 from tscausal.classify import (
     CHAOSFEX_LR,
+    CLASS1_MIN_MARGIN,
     DEFAULT_LR,
     ClassReport,
     LrHyper,
@@ -154,6 +156,49 @@ def test_predict_tie_goes_to_class_one():
     pred, probs = predict(model, np.zeros((3, 2)))
     assert np.all(pred == 1)
     assert np.all(probs == 0.5)
+
+
+def margin_model():
+    """A one-feature model whose margin is the feature itself."""
+    return LrModel(weights=np.ones(1), bias=0.0, hyper=DEFAULT_LR, converged=True, final_loss=0.0)
+
+
+def tie_rule_margins():
+    """Every double within 64 ulps of the class-1 threshold, signed zeros,
+    subnormals and infinities, and 10**6 random margins of every magnitude."""
+    near = (np.float64(CLASS1_MIN_MARGIN).view(np.int64) + np.arange(-64, 65)).view(np.float64)
+    tiny = np.finfo(np.float64).tiny
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, tiny - 5e-324, 5e-324 - tiny,
+                        tiny, -tiny, np.inf, -np.inf])
+    rng = np.random.default_rng(8)
+    scale = 10.0 ** rng.uniform(-20, 3, size=10**6)
+    return np.concatenate([near, special, rng.choice([-1.0, 1.0], size=scale.size) * scale])
+
+
+def test_class1_min_margin_is_the_least_margin_expit_sends_to_class_one():
+    below = np.nextafter(CLASS1_MIN_MARGIN, -np.inf)
+    assert expit(CLASS1_MIN_MARGIN) >= 0.5 and expit(below) < 0.5
+    assert -6 * 2.0**-54 < CLASS1_MIN_MARGIN <= -5.5 * 2.0**-54
+
+
+def test_predict_labels_follow_the_expit_tie_rule():
+    z = tie_rule_margins()
+    pred, probs = predict(margin_model(), z[:, None])
+    np.testing.assert_array_equal(pred, (expit(z) >= 0.5).astype(np.int64))
+    # the probabilities may differ from expit's in the last bits only
+    np.testing.assert_allclose(probs, expit(z), rtol=1e-14, atol=1e-300)
+
+
+def test_the_tie_rule_check_catches_labels_taken_from_numpy_probabilities():
+    # the check above fails the naive rule: at -6 * 2**-54 numpy's exp rounds
+    # differently from the C library's exp that expit uses
+    z = tie_rule_margins()
+    with np.errstate(over="ignore"):
+        naive = 1.0 / (1.0 + np.exp(-z)) >= 0.5
+    wrong = z[naive != (expit(z) >= 0.5)]
+    if wrong.size == 0:
+        pytest.skip("this numpy's exp rounds like the C library's at every margin checked")
+    assert -6 * 2.0**-54 in wrong
 
 
 def test_predict_checks_dimension():

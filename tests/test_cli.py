@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tscausal
 from tscausal import pipeline
 from tscausal.cli import build_parser, main
 
@@ -194,6 +199,42 @@ def test_evaluate_before_train_fails_cleanly(tmp_path, tiny_config_path, capsys)
     capsys.readouterr()
     assert main(["evaluate", str(run)]) == 1
     assert "run `train` first" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# cold start: scipy is loaded by `train` alone
+
+
+def scipy_modules_after(code, cwd):
+    """The scipy modules a fresh interpreter holds after running ``code``."""
+    src = str(Path(tscausal.__file__).resolve().parents[1])
+    code += "\nimport sys; print('scipy:', *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         cwd=cwd, capture_output=True, text=True, check=True).stdout
+    return out.splitlines()[-1].split()[1:]
+
+
+@pytest.mark.parametrize("module", ["tscausal", "tscausal.cli"])
+def test_import_loads_no_scipy(tmp_path, module):
+    assert scipy_modules_after(f"import {module}", tmp_path) == []
+
+
+def test_only_train_loads_scipy(tmp_path):
+    (tmp_path / "config.json").write_text(json.dumps({**TINY, "model": "fft_chaosfex"}))
+    steps = {
+        "generate+featurize": [["generate", "--config", "config.json", "--out", "run"],
+                               ["featurize", "run"]],
+        "train": [["train", "run"]],
+        "evaluate": [["evaluate", "run"]],
+    }
+    loaded = {}
+    for name, argvs in steps.items():
+        code = "from tscausal.cli import main\n" + "".join(
+            f"assert main({argv!r}) == 0\n" for argv in argvs)
+        loaded[name] = scipy_modules_after(code, tmp_path)
+    assert loaded["generate+featurize"] == [] and loaded["evaluate"] == []
+    assert "scipy.optimize" in loaded["train"]
+    assert (tmp_path / "run" / "report.json").is_file()
 
 
 # ---------------------------------------------------------------------------

@@ -382,6 +382,56 @@ def test_feature_stage_chaos_train_rows_in_domain():
     assert out.min() >= 0.0 and out.max() <= 1.0
 
 
+FEATURE_STAGES = {
+    "raw": dict(model="raw"),
+    "fft-demeaned": dict(model="fft", demean_first=True, keep_dc=False),
+    "chaos-fitted": dict(model="fft_chaosfex"),
+    "chaos-per-instance": dict(model="fft_chaosfex", per_instance_scaling=True),
+}
+
+
+@pytest.mark.parametrize("rows", [1, pipeline.TRANSFORM_BLOCK_ROWS, pipeline.TRANSFORM_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("stage_kw", FEATURE_STAGES.values(), ids=FEATURE_STAGES)
+def test_blocked_transform_equals_a_one_shot_transform_bit_for_bit(monkeypatch, stage_kw, rows):
+    rng = np.random.default_rng(rows)
+    stage = fit_feature_stage(tiny_config(**stage_kw), rng.normal(size=(rows, 128)))
+    # a shifted set, so the fitted scaler clips
+    values = rng.normal(loc=0.5, scale=3.0, size=(rows, 128))
+    blocked = stage.transform(values)
+    monkeypatch.setattr(pipeline, "TRANSFORM_BLOCK_ROWS", rows)
+    one_shot = stage.transform(values)
+    assert blocked.shape == one_shot.shape and blocked.shape[0] == rows
+    np.testing.assert_array_equal(blocked.view(np.uint64), one_shot.view(np.uint64))
+
+
+def test_a_transform_error_names_the_block_of_the_offending_row():
+    rng = np.random.default_rng(6)
+    stage = fit_feature_stage(tiny_config(model="fft_chaosfex"), rng.normal(size=(8, 128)))
+    block = pipeline.TRANSFORM_BLOCK_ROWS
+    values = rng.normal(size=(block + 30, 128))
+    values[block + 24] = 1e308  # finite, but its spectrum holds inf and nan
+    with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match=rf"in the block from row {block}: stimulus out of .* at row 24,"):
+        stage.transform(values)
+
+
+@pytest.mark.parametrize("per_instance", [False, True], ids=["fitted", "per-instance"])
+def test_transform_peak_memory_stays_below_1_5x_its_output(per_instance):
+    # the spectra, scaling and firing transients are a block's, not the
+    # set's; in one shot the traced peak was 5.25x the output
+    config = tiny_config(model="fft_chaosfex", length=256, per_instance_scaling=per_instance)
+    values = np.random.default_rng(5).normal(size=(4096, 256))
+    stage = fit_feature_stage(config, values)
+    firing_table(config.gls)
+    tracemalloc.start()
+    try:
+        out = stage.transform(values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * out.nbytes, f"traced peak is {peak / out.nbytes:.2f}x the output"
+
+
 # ---------------------------------------------------------------------------
 # experiments
 
