@@ -39,8 +39,6 @@ from .seriesgen import (
 )
 from .spectral import (
     MinMaxScaler,
-    Spectrum,
-    amplitude_spectrum,
     amplitude_spectra,
     apply_scaler,
     demean,
@@ -65,9 +63,7 @@ __all__ = [
     "MinMaxScaler",
     "ProcessSpec",
     "RECIPES",
-    "Spectrum",
     "amplitude_spectra",
-    "amplitude_spectrum",
     "apply_scaler",
     "build_dataset",
     "demean",

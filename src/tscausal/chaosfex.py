@@ -162,7 +162,8 @@ def fire_batch(
     ``firing_table(params)``.
     """
     s = np.asarray(stimuli, dtype=np.float64).ravel()
-    if s.size and (not np.all(np.isfinite(s)) or s.min() < 0 or s.max() >= 1):
+    # NaN fails both comparisons, and +-inf fails one
+    if s.size and not (s.min() >= 0 and s.max() < 1):
         bad = int(np.argmax(~((s >= 0) & (s < 1))))
         raise ValueError(f"stimulus must lie in [0, 1), got {s[bad]} at index {bad}")
 
@@ -178,8 +179,8 @@ def extract_ttss(
     """TTSS feature for every entry of a feature matrix, shape preserved.
 
     Entry (i, j) is ``fire(matrix[i, j], params).ttss``. Entries must already
-    lie in [0, 1) (the upstream scaler guarantees this); the first offending
-    entry, if any, is reported by position.
+    lie in [0, 1) (the upstream scaler guarantees this); ``fire_batch``
+    checks them, and the first offending entry is reported by position.
 
     ``threads`` is ignored: a table lookup leaves nothing to parallelise. It
     is still accepted because the benchmark tracer (``bench/layertrace.py``)
@@ -188,11 +189,9 @@ def extract_ttss(
     x = np.asarray(matrix, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got shape {x.shape}")
-    ok = np.isfinite(x) & (x >= 0) & (x < 1)
-    if not ok.all():
-        i, j = np.argwhere(~ok)[0]
-        raise ValueError(
-            f"stimulus out of [0, 1) at row {i}, column {j}: {x[i, j]}"
-        )
-    _, ttss, _ = fire_batch(x.ravel(), params)
+    try:
+        _, ttss, _ = fire_batch(x.ravel(), params)
+    except ValueError:
+        i, j = np.argwhere(~((x >= 0) & (x < 1)))[0]
+        raise ValueError(f"stimulus out of [0, 1) at row {i}, column {j}: {x[i, j]}") from None
     return ttss.reshape(x.shape)

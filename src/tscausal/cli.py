@@ -132,7 +132,8 @@ def cmd_featurize(args) -> int:
         datasets.append(pipeline.load_dataset(d, pipeline.dataset_source(config, recipe)))
     named = pipeline.assemble_sets(config, datasets[0], datasets[1:])
     del datasets  # ``named`` now holds the only reference to each set's values
-    stage = pipeline.fit_feature_stage(config, named[0][1])
+    with pipeline.in_stage("featurize", named[0][0]):
+        stage = pipeline.fit_feature_stage(config, named[0][1])
 
     feat_root = run_dir / "features"
     manifest_path = feat_root / "manifest.json"
@@ -143,7 +144,8 @@ def cmd_featurize(args) -> int:
         name, values, labels = named.pop(0)
         set_dir = feat_root / slug
         set_dir.mkdir(parents=True, exist_ok=True)
-        features = stage.transform(values)
+        with pipeline.in_stage("featurize", name):
+            features = stage.transform(values)
         del values
         artifacts.save_array(set_dir / "features.npy", features)
         artifacts.save_array(set_dir / "labels.npy", labels)

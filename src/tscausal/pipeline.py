@@ -428,7 +428,8 @@ def config_fingerprint(config: ExperimentConfig) -> str:
 
 
 @contextmanager
-def _stage(stage: str, dataset: str):
+def in_stage(stage: str, dataset: str):
+    """Re-raise any error as a RuntimeError that names the stage and the set."""
     try:
         yield
     except Exception as exc:
@@ -456,7 +457,7 @@ def build_all_datasets(config: ExperimentConfig) -> tuple[Dataset, list[Dataset]
     """The training-recipe dataset plus one dataset per test recipe."""
     sets = []
     for recipe in (config.train_recipe, *config.test_recipes):
-        with _stage("generate", recipe.name):
+        with in_stage("generate", recipe.name):
             n = dataset_source(config, recipe)["n_per_class"]
             sets.append(build_dataset(recipe, n, config.length, config.master_seed))
     return sets[0], sets[1:]
@@ -494,18 +495,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     t0 = time.perf_counter()
     named = assemble_sets(config, train_set, test_sets)
     del train_set, test_sets  # ``named`` now holds the only reference to each set's values
-    with _stage("featurize", named[0][0]):
+    with in_stage("featurize", named[0][0]):
         feature_stage = fit_feature_stage(config, named[0][1])
     named_features = []
     while named:
         name, values, labels = named.pop(0)
-        with _stage("featurize", name):
+        with in_stage("featurize", name):
             named_features.append((name, feature_stage.transform(values), labels))
         del values
     timings["featurize"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    with _stage("train", named_features[0][0]):
+    with in_stage("train", named_features[0][0]):
         model = classify.train_lr(
             named_features[0][1],
             named_features[0][2],
@@ -517,7 +518,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     t0 = time.perf_counter()
     rows = []
     for name, feats, labels in named_features:
-        with _stage("evaluate", name):
+        with in_stage("evaluate", name):
             pred, _ = classify.predict(model, feats)
             rows.append(ReportRow(dataset=name, report=classify.evaluate(pred, labels)))
     timings["evaluate"] = time.perf_counter() - t0

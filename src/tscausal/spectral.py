@@ -14,40 +14,26 @@ import numpy as np
 DEFAULT_HEADROOM = 1e-6
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """One-sided amplitude spectrum of a real-valued series."""
-
-    amplitudes: np.ndarray = field(repr=False)
-    source_length: int
-
-    def __post_init__(self):
-        n = self.source_length
-        if self.amplitudes.shape != (n // 2 + 1,):
-            raise ValueError(
-                f"expected {n // 2 + 1} bins for source length {n}, "
-                f"got {self.amplitudes.shape}"
-            )
-
-
-def amplitude_spectrum(series: np.ndarray) -> Spectrum:
-    """One-sided DFT amplitude spectrum of a real series (FFT-based)."""
-    x = np.asarray(series, dtype=np.float64)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("series must be 1-D with at least 2 points")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("series contains non-finite values")
-    return Spectrum(amplitudes=np.abs(np.fft.rfft(x)), source_length=x.size)
-
-
 def amplitude_spectra(matrix: np.ndarray) -> np.ndarray:
-    """Row-wise amplitude spectra of a stack of equal-length series."""
+    """Row-wise one-sided DFT amplitude spectra of a stack of equal-length series.
+
+    A non-finite value in a series makes its DC bin non-finite, so the check
+    on the spectra refuses non-finite series and also finite ones whose
+    transform overflows; the error names the first such row.
+    """
     x = np.asarray(matrix, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] < 2:
         raise ValueError("matrix must be 2-D with at least 2 columns")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("matrix contains non-finite values")
-    return np.abs(np.fft.rfft(x, axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = np.abs(np.fft.rfft(x, axis=1))
+    finite = np.isfinite(amps).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(
+            f"non-finite amplitude spectrum at row {row}: the series holds a "
+            "non-finite value or values too large to transform"
+        )
+    return amps
 
 
 def demean(series: np.ndarray) -> np.ndarray:
@@ -91,12 +77,7 @@ def apply_scaler(scaler: MinMaxScaler, matrix: np.ndarray) -> np.ndarray:
             f"matrix has {x.shape[-1] if x.ndim else 0} features, "
             f"scaler was fitted on {scaler.minimum.size}"
         )
-    span = scaler.maximum - scaler.minimum
-    out = np.zeros_like(x)
-    ok = span > 0
-    out[:, ok] = (x[:, ok] - scaler.minimum[ok]) / span[ok]
-    np.clip(out, 0.0, 1.0 - scaler.headroom, out=out)
-    return out
+    return _minmax(x, scaler.minimum, scaler.maximum, scaler.headroom)
 
 
 def scale_per_instance(matrix: np.ndarray, headroom: float = DEFAULT_HEADROOM) -> np.ndarray:
@@ -104,9 +85,15 @@ def scale_per_instance(matrix: np.ndarray, headroom: float = DEFAULT_HEADROOM) -
     x = np.asarray(matrix, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("matrix must be 2-D")
-    lo = x.min(axis=1, keepdims=True)
-    span = x.max(axis=1, keepdims=True) - lo
-    out = np.zeros_like(x)
-    ok = (span > 0).ravel()
-    out[ok] = (x[ok] - lo[ok]) / span[ok]
-    return np.clip(out, 0.0, 1.0 - headroom)
+    return _minmax(x, x.min(axis=1, keepdims=True), x.max(axis=1, keepdims=True), headroom)
+
+
+def _minmax(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, headroom: float) -> np.ndarray:
+    """``(x - lo) / (hi - lo)`` where the span is positive and 0 elsewhere,
+    clipped to [0, 1 - headroom]; the bounds broadcast against ``x``, per
+    column for a fitted scaler and per row for per-instance scaling."""
+    span = hi - lo
+    ok = span > 0
+    out = np.subtract(x, lo, out=np.zeros_like(x), where=ok)
+    np.divide(out, span, out=out, where=ok)
+    return np.clip(out, 0.0, 1.0 - headroom, out=out)

@@ -156,6 +156,24 @@ def test_featurize_names_a_key_missing_from_a_dataset_manifest(tmp_path, tiny_co
     assert f"error [featurize]: {path}: missing key 'length'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", ["fft", "fft_chaosfex"])
+def test_featurize_names_the_set_and_row_whose_spectrum_is_not_finite(tmp_path, capsys, model):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**TINY, "model": model, "test_recipes": ["shift-II"]}))
+    run = tmp_path / "run"
+    assert main(["generate", "--config", str(config_path), "--out", str(run)]) == 0
+    path = run / "datasets" / "shift-II" / "values.npy"
+    values = np.load(path)
+    values[3] = 1e308  # finite, but its spectrum overflows
+    np.save(path, values)
+    capsys.readouterr()
+    assert main(["featurize", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert "error [featurize]: featurize stage failed on 'shift-II': " in err
+    assert "non-finite amplitude spectrum at row 3:" in err
+    assert not (run / "features" / "manifest.json").exists()
+
+
 def test_evaluate_names_a_key_missing_from_the_features_manifest(tmp_path, tiny_config_path, capsys):
     run = run_chain(tmp_path, tiny_config_path, capsys)
     path = run / "features" / "manifest.json"

@@ -410,9 +410,25 @@ def test_a_transform_error_names_the_block_of_the_offending_row():
     block = pipeline.TRANSFORM_BLOCK_ROWS
     values = rng.normal(size=(block + 30, 128))
     values[block + 24] = 1e308  # finite, but its spectrum holds inf and nan
-    with np.errstate(all="ignore"), pytest.raises(
-            ValueError, match=rf"in the block from row {block}: stimulus out of .* at row 24,"):
+    with pytest.raises(
+            ValueError, match=rf"in the block from row {block}: non-finite amplitude spectrum at row 24\b"):
         stage.transform(values)
+
+
+@pytest.mark.parametrize("per_instance", [False, True], ids=["fitted", "per-instance"])
+def test_both_chaosfex_stages_refuse_a_row_whose_spectrum_overflows(per_instance):
+    # per-instance scaling (the table3 preset) once turned such a row into
+    # constant features without an error
+    config = tiny_config(model="fft_chaosfex", per_instance_scaling=per_instance)
+    rng = np.random.default_rng(8)
+    stage = fit_feature_stage(config, rng.normal(size=(8, 128)))
+    values = rng.normal(size=(10, 128))
+    values[4] = 1e308
+    with pytest.raises(ValueError, match=r"non-finite amplitude spectrum at row 4\b"):
+        stage.transform(values)
+    if not per_instance:
+        with pytest.raises(ValueError, match=r"non-finite amplitude spectrum at row 4\b"):
+            fit_feature_stage(config, values)
 
 
 @pytest.mark.parametrize("per_instance", [False, True], ids=["fitted", "per-instance"])

@@ -1,4 +1,7 @@
+import warnings
+
 import hypothesis
+import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -7,9 +10,7 @@ from helpers import naive_dft_amplitudes
 from tscausal.spectral import (
     DEFAULT_HEADROOM,
     MinMaxScaler,
-    Spectrum,
     amplitude_spectra,
-    amplitude_spectrum,
     apply_scaler,
     demean,
     fit_scaler,
@@ -26,37 +27,33 @@ finite_arrays = st.lists(
 
 
 def test_spectrum_matches_naive_dft():
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        x = rng.normal(size=64)
-        np.testing.assert_allclose(
-            amplitude_spectrum(x).amplitudes, naive_dft_amplitudes(x),
-            rtol=0, atol=1e-9,
-        )
+    m = np.random.default_rng(0).normal(size=(5, 64))
+    amps = amplitude_spectra(m)
+    for x, row in zip(m, amps):
+        np.testing.assert_allclose(row, naive_dft_amplitudes(x), rtol=0, atol=1e-9)
 
 
 def test_spectrum_bin_count_and_source_length():
-    spec = amplitude_spectrum(np.arange(2000.0))
-    assert spec.amplitudes.shape == (1001,)
-    assert spec.source_length == 2000
+    assert amplitude_spectra(np.ones((3, 2000))).shape == (3, 1001)
+    assert amplitude_spectra(np.ones((3, 2001))).shape == (3, 1001)
 
 
 def test_constant_series_has_only_dc():
-    amps = amplitude_spectrum(np.full(64, 3.0)).amplitudes
+    amps = amplitude_spectra(np.full((1, 64), 3.0))[0]
     assert amps[0] == pytest.approx(64 * 3.0)
     np.testing.assert_allclose(amps[1:], 0.0, atol=1e-12)
 
 
 def test_impulse_has_flat_spectrum():
-    x = np.zeros(64)
-    x[0] = 1.0
-    np.testing.assert_allclose(amplitude_spectrum(x).amplitudes, 1.0, atol=1e-12)
+    x = np.zeros((1, 64))
+    x[0, 0] = 1.0
+    np.testing.assert_allclose(amplitude_spectra(x), 1.0, atol=1e-12)
 
 
 def test_pure_sine_concentrates_in_one_bin():
     n, k = 256, 17
     x = np.sin(2 * np.pi * k * np.arange(n) / n)
-    amps = amplitude_spectrum(x).amplitudes
+    amps = amplitude_spectra(x[None])[0]
     assert int(np.argmax(amps)) == k
     assert amps[k] == pytest.approx(n / 2)
     mask = np.ones(amps.size, dtype=bool)
@@ -67,7 +64,7 @@ def test_pure_sine_concentrates_in_one_bin():
 @hypothesis.given(finite_arrays)
 def test_parseval_identity(x):
     # sum x^2 == (|X0|^2 + 2 sum |Xk|^2 - [n even] |X_{n/2}|^2) / n
-    amps = amplitude_spectrum(x).amplitudes
+    amps = amplitude_spectra(x[None])[0]
     n = x.size
     power = amps[0] ** 2 + 2 * np.sum(amps[1:] ** 2)
     if n % 2 == 0:
@@ -77,33 +74,33 @@ def test_parseval_identity(x):
 
 
 def test_spectrum_rejects_bad_input():
-    with pytest.raises(ValueError):
-        amplitude_spectrum(np.array([1.0]))
-    with pytest.raises(ValueError):
-        amplitude_spectrum(np.array([1.0, np.nan]))
-    with pytest.raises(ValueError):
-        amplitude_spectrum(np.ones((3, 4)))
-
-
-def test_spectrum_shape_guard():
-    with pytest.raises(ValueError):
-        Spectrum(amplitudes=np.ones(5), source_length=64)
-
-
-def test_batch_matches_single_rows():
-    rng = np.random.default_rng(1)
-    m = rng.normal(size=(6, 100))
-    batch = amplitude_spectra(m)
-    assert batch.shape == (6, 51)
-    for i in range(6):
-        np.testing.assert_array_equal(batch[i], amplitude_spectrum(m[i]).amplitudes)
+    for shape in [(8,), (3, 1), (2, 3, 4)]:
+        with pytest.raises(ValueError, match="2-D with at least 2 columns"):
+            amplitude_spectra(np.ones(shape))
 
 
 def test_batch_rejects_bad_input():
-    with pytest.raises(ValueError):
-        amplitude_spectra(np.ones(8))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="row 0"):
         amplitude_spectra(np.full((2, 3), np.inf))
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [{5: np.nan}, {5: np.inf}, {5: -np.inf}, {5: np.inf, 9: -np.inf},
+     dict.fromkeys(range(64), 1e308)],
+    ids=["nan", "inf", "-inf", "inf-and-minus-inf", "finite-1e308-row"],
+)
+def test_a_row_with_a_non_finite_spectrum_is_refused_by_name(entries):
+    # a non-finite input value makes its row's DC bin non-finite, so the
+    # check on the spectra refuses everything a check on the series would,
+    # and also a finite row whose transform overflows
+    m = np.random.default_rng(4).normal(size=(5, 64))
+    for column, value in entries.items():
+        m[3, column] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"non-finite amplitude spectrum at row 3\b"):
+            amplitude_spectra(m)
 
 
 def test_demean_removes_dc_bin():
@@ -194,3 +191,19 @@ def test_scale_per_instance_constant_row_is_zero():
 def test_scale_per_instance_requires_matrix():
     with pytest.raises(ValueError):
         scale_per_instance(np.ones(4))
+
+
+@hypothesis.given(
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.integers(1, 12)),
+        elements=st.one_of(st.floats(min_value=-1e9, max_value=1e9), st.sampled_from([0.0, 2.5])),
+    )
+)
+def test_per_instance_scaling_is_a_fitted_scaler_on_each_row(m):
+    # one min-max kernel behind both entry points: bit-identical results
+    out = scale_per_instance(m)
+    for i in range(m.shape[0]):
+        column = m[i][:, None]
+        fitted = apply_scaler(fit_scaler(column), column).ravel()
+        np.testing.assert_array_equal(out[i].view(np.uint64), fitted.view(np.uint64))
