@@ -196,7 +196,8 @@ def cmd_evaluate(args) -> int:
     rows = []
     for entry in manifest["sets"]:
         features, labels = _load_feature_set(run_dir, entry)
-        pred, _ = classify.predict(model, features)
+        with pipeline.in_stage("evaluate", entry["name"]):
+            pred, _ = classify.predict(model, features)
         rows.append(pipeline.ReportRow(dataset=entry["name"], report=classify.evaluate(pred, labels)))
     report = pipeline.ExperimentReport(config=config, rows=tuple(rows))
     out_dir = Path(args.out) if args.out else run_dir

@@ -381,11 +381,16 @@ class FeatureStage:
 
 
 def _unscaled_features(config: ExperimentConfig, values: np.ndarray) -> np.ndarray:
-    """Raw values or amplitude spectra, before any scaling into the neuron domain."""
+    """Raw values or amplitude spectra, before any scaling into the neuron
+    domain; a row with a non-finite value is refused by its index."""
     if config.demean_first:
         values = spectral.demean(values)
     if config.model == "raw":
-        return np.asarray(values, dtype=np.float64)
+        values = np.asarray(values, dtype=np.float64)
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"non-finite series value at row {int(np.argmin(finite))}")
+        return values
     amps = spectral.amplitude_spectra(values)
     return amps if config.keep_dc else amps[:, 1:]
 

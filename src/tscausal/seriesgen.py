@@ -14,6 +14,7 @@ matrix with the labels, specs and seeds of its rows.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -207,6 +208,44 @@ def _arma_batch(specs: list[ProcessSpec], rngs: list[np.random.Generator],
     return values
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity, or the machine's
+    core count where the platform reports no affinity."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fractionally_integrate(out: np.ndarray, idx: list[int], d: list[float],
+                            core: np.ndarray) -> None:
+    """Write row ``idx[j]`` of ``out``: column j of the time-major ``core``
+    convolved with the fractional integration weights of ``d[j]``, truncated
+    at the series start.
+
+    Each series keeps its own ``np.convolve``, since a batched one would sum
+    in another order. The rows run in one contiguous chunk per usable core,
+    on threads that end before this returns; ``np.convolve`` releases the
+    GIL, and the chunking changes no bit.
+    """
+    length = out.shape[1]
+    weights = fractional_integration_weights(d, length)
+
+    def rows(a: int, b: int) -> None:
+        for i, w, x in zip(idx[a:b], weights[a:b], core.T[a:b]):
+            out[i] = np.convolve(w, x)[:length]
+
+    workers = min(_usable_cores(), len(idx))
+    if workers == 1:
+        rows(0, len(idx))
+        return
+    # imported here, so that importing the package does not load it
+    from concurrent.futures import ThreadPoolExecutor
+
+    cuts = [len(idx) * w // workers for w in range(workers + 1)]
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(rows, cuts[:-1], cuts[1:]))
+
+
 def generate_many(specs: Sequence[ProcessSpec], seeds: Sequence[int]) -> np.ndarray:
     """Simulate ``specs[i]`` from the generator seeded by ``seeds[i]``, for every i.
 
@@ -216,7 +255,8 @@ def generate_many(specs: Sequence[ProcessSpec], seeds: Sequence[int]) -> np.ndar
     values. Causal kinds run the AR/ARMA recursion, one vectorised time loop
     per group of specs sharing a kind and their term counts, written straight
     into the group's rows; ARFIMA then convolves each core with its
-    fractional integration weights, truncated at the series start.
+    fractional integration weights, truncated at the series start, on
+    one thread per usable core.
     """
     if len(specs) != len(seeds):
         raise ValueError(f"got {len(specs)} specs but {len(seeds)} seeds")
@@ -240,10 +280,7 @@ def generate_many(specs: Sequence[ProcessSpec], seeds: Sequence[int]) -> np.ndar
                 out[i] = rng.uniform(s.uniform_lo, s.uniform_hi, length)
         elif kind == Kind.ARFIMA:
             core = _arma_batch(batch, rngs, length, n_ar, n_ma)
-            # one convolution per series: a batched one would sum in another order
-            weights = fractional_integration_weights([s.d for s in batch], length)
-            for i, w, x in zip(idx, weights, core.T):
-                out[i] = np.convolve(w, x)[:length]
+            _fractionally_integrate(out, idx, [s.d for s in batch], core)
         else:
             out[idx] = _arma_batch(batch, rngs, length, n_ar, n_ma).T
     finite = np.isfinite(out).all(axis=1)

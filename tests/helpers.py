@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately slow and simple: direct DFT summation,
-exact rational arithmetic for the chaotic map, brute-force grid search for
+exact rational arithmetic for the chaotic map, binary search for the
+firing-table segment of a stimulus, brute-force grid search for
 the classifier, closed-form gamma ratios for the fractional weights, and a
 per-series scalar recursion for the simulated processes. None of it shares
 code with the library under test.
@@ -61,6 +62,12 @@ def rational_fire(stimulus: float, q: float, b: float, eps: float, max_len: int)
             count += 1
         y = rational_gls_step(y, b)
     return max_len, count / max_len, True
+
+
+def table_segment(edges: np.ndarray, stimuli) -> np.ndarray:
+    """Index k of the firing-table segment ``edges[k] <= s < edges[k + 1]``
+    of each stimulus, by binary search over the sorted edges."""
+    return np.searchsorted(edges, stimuli, side="right") - 1
 
 
 def _softplus(z: float) -> float:

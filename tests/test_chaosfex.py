@@ -10,14 +10,16 @@ import numpy as np
 import pytest
 
 import tscausal
-from helpers import rational_fire, rational_gls_step
+from helpers import rational_fire, rational_gls_step, table_segment
 from tscausal.chaosfex import (
+    CELL_EDGES,
     GlsParams,
     extract_ttss,
     fire,
     fire_batch,
     firing_table,
     gls_map,
+    lookup_grid,
     trajectory,
 )
 
@@ -168,6 +170,9 @@ TABLE_PARAMS = {
     "small-eps": GlsParams(eps=1e-5, max_len=100),
     "stuck-at-zero": GlsParams(q=0.0, max_len=100),
     "stuck-at-minus-zero": GlsParams(q=-0.0, max_len=20),
+    # an orbit creeping up from near 0 puts an edge at each iterate + eps, and
+    # all 300 of them inside the first grid cell
+    "crowded-cell": GlsParams(q=1e-8, b=0.99, eps=1e-6, max_len=300),
 }
 
 
@@ -185,6 +190,48 @@ def test_fire_batch_is_exact_at_every_table_breakpoint(params):
         ), s
     if params is TABLE_PARAMS["timeouts"]:
         assert timed_out.any()
+
+
+def lookup_probes(params, extra=()):
+    """Every grid cell boundary and table edge with their neighbouring
+    doubles, plus ``extra``: the stimuli in [0, 1) where a lookup can slip."""
+    edges = firing_table(params)[0]
+    size = lookup_grid(params)[0].size
+    exact = np.concatenate([np.arange(size) / size, edges])
+    s = np.concatenate([exact, np.nextafter(exact, -1.0), np.nextafter(exact, 2.0), extra])
+    return s[(s >= 0.0) & (s < 1.0)]
+
+
+def assert_lookup_equals_binary_search(stimuli, params):
+    edges, firing_time, ttss = firing_table(params)
+    k = table_segment(edges, stimuli)
+    n, got, timed_out = fire_batch(stimuli, params)
+    assert np.array_equal(n, firing_time[k])
+    assert np.array_equal(got.view(np.uint64), ttss[k].view(np.uint64))
+    assert np.array_equal(timed_out, firing_time[k] == params.max_len)
+
+
+@pytest.mark.parametrize("params", TABLE_PARAMS.values(), ids=TABLE_PARAMS.keys())
+def test_grid_lookup_equals_binary_search_at_every_cell_boundary_and_edge(params):
+    random = np.random.default_rng(11).random(10**6)
+    assert_lookup_equals_binary_search(lookup_probes(params, random), params)
+
+
+def test_lookup_grid_cells_are_a_power_of_two_and_cover_both_depths():
+    for params in TABLE_PARAMS.values():
+        segments = firing_table(params)[0].size
+        base, inner, crowded = lookup_grid(params)
+        size = base.size
+        assert size & (size - 1) == 0
+        assert max(4096, 4 * segments) <= size < 2 * max(4096, 4 * segments)
+        assert inner.shape[1] == size and inner.shape[0] <= CELL_EDGES
+        assert not any(a.flags.writeable for a in (base, inner, crowded))
+    # a cell holding two edges is resolved by the grid, one holding more than
+    # CELL_EDGES by bisection
+    _, inner, crowded = lookup_grid(TABLE_PARAMS["small-eps"])
+    assert inner.shape[0] >= 2 and np.isfinite(inner[1]).any() and not crowded.any()
+    _, inner, crowded = lookup_grid(TABLE_PARAMS["crowded-cell"])
+    assert inner.shape[0] == CELL_EDGES and crowded.any()
 
 
 def test_firing_table_segments_are_distinct_and_start_at_zero():
@@ -213,13 +260,20 @@ def test_fire_batch_matches_fire_for_any_params(params, stimuli):
         assert (n[i], ttss[i], timed_out[i]) == (r.firing_time, r.ttss, r.timed_out)
 
 
+@hypothesis.given(gls_params, st.lists(unit, max_size=50))
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.example(TABLE_PARAMS["crowded-cell"], [])
+def test_grid_lookup_equals_binary_search_for_any_params(params, stimuli):
+    assert_lookup_equals_binary_search(lookup_probes(params, stimuli), params)
+
+
 def test_import_builds_no_firing_table():
     src = str(Path(tscausal.__file__).resolve().parents[1])
-    code = ("import tscausal; from tscausal.chaosfex import firing_table; "
-            "print(firing_table.cache_info().currsize)")
+    code = ("import tscausal; from tscausal.chaosfex import firing_table, lookup_grid; "
+            "print(firing_table.cache_info().currsize, lookup_grid.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "0"
+    assert out.split() == ["0", "0"]
 
 
 def test_fire_batch_rejects_bad_stimuli():

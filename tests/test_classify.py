@@ -201,6 +201,16 @@ def test_the_tie_rule_check_catches_labels_taken_from_numpy_probabilities():
     assert -6 * 2.0**-54 in wrong
 
 
+@pytest.mark.parametrize("row", [[np.nan, 1.0], [np.inf, np.inf]], ids=["nan", "inf-minus-inf"])
+def test_predict_refuses_a_nan_margin_by_row(row):
+    model = LrModel(weights=np.array([1.0, -1.0]), bias=0.0, hyper=DEFAULT_LR,
+                    converged=True, final_loss=0.0)
+    features = np.zeros((5, 2))
+    features[3] = row
+    with pytest.raises(ValueError, match="NaN margin at row 3"):
+        predict(model, features)
+
+
 def test_predict_checks_dimension():
     model = LrModel(weights=np.zeros(2), bias=0.0, hyper=DEFAULT_LR,
                     converged=True, final_loss=0.0)

@@ -174,6 +174,37 @@ def test_featurize_names_the_set_and_row_whose_spectrum_is_not_finite(tmp_path, 
     assert not (run / "features" / "manifest.json").exists()
 
 
+def test_featurize_names_the_set_and_row_of_a_non_finite_raw_value(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**TINY, "model": "raw", "test_recipes": ["shift-II"]}))
+    run = tmp_path / "run"
+    assert main(["generate", "--config", str(config_path), "--out", str(run)]) == 0
+    path = run / "datasets" / "shift-II" / "values.npy"
+    values = np.load(path)
+    values[3] = np.nan
+    np.save(path, values)
+    capsys.readouterr()
+    assert main(["featurize", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert "error [featurize]: featurize stage failed on 'shift-II': " in err
+    assert "non-finite series value at row 3" in err
+    assert not (run / "features" / "manifest.json").exists()
+
+
+def test_evaluate_names_the_set_and_row_of_a_nan_margin(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**TINY, "model": "raw", "test_recipes": ["shift-II"]}))
+    run = run_chain(tmp_path, config_path, capsys)
+    path = next((run / "features").glob("*shift-II*")) / "features.npy"
+    features = np.load(path)
+    features[3, 5] = np.nan
+    np.save(path, features)
+    assert main(["evaluate", str(run), "--out", str(tmp_path / "again")]) == 1
+    err = capsys.readouterr().err
+    assert "error [evaluate]: evaluate stage failed on 'shift-II': NaN margin at row 3" in err
+    assert not (tmp_path / "again" / "report.json").exists()
+
+
 def test_evaluate_names_a_key_missing_from_the_features_manifest(tmp_path, tiny_config_path, capsys):
     run = run_chain(tmp_path, tiny_config_path, capsys)
     path = run / "features" / "manifest.json"
@@ -220,13 +251,15 @@ def test_evaluate_before_train_fails_cleanly(tmp_path, tiny_config_path, capsys)
 
 
 # ---------------------------------------------------------------------------
-# cold start: scipy is loaded by `train` alone
+# cold start: scipy is loaded by `train` alone, and concurrent.futures by the
+# simulation of more than one ARFIMA series on more than one core
 
 
-def scipy_modules_after(code, cwd):
-    """The scipy modules a fresh interpreter holds after running ``code``."""
+def modules_after(code, cwd, package="scipy"):
+    """The modules of ``package`` a fresh interpreter holds after running ``code``."""
     src = str(Path(tscausal.__file__).resolve().parents[1])
-    code += "\nimport sys; print('scipy:', *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code += ("\nimport sys; print('loaded:', *sorted(m for m in sys.modules "
+             f"if m.split('.')[0] == {package!r}))")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          cwd=cwd, capture_output=True, text=True, check=True).stdout
     return out.splitlines()[-1].split()[1:]
@@ -234,7 +267,8 @@ def scipy_modules_after(code, cwd):
 
 @pytest.mark.parametrize("module", ["tscausal", "tscausal.cli"])
 def test_import_loads_no_scipy(tmp_path, module):
-    assert scipy_modules_after(f"import {module}", tmp_path) == []
+    assert modules_after(f"import {module}", tmp_path) == []
+    assert modules_after(f"import {module}", tmp_path, "concurrent") == []
 
 
 def test_only_train_loads_scipy(tmp_path):
@@ -249,7 +283,7 @@ def test_only_train_loads_scipy(tmp_path):
     for name, argvs in steps.items():
         code = "from tscausal.cli import main\n" + "".join(
             f"assert main({argv!r}) == 0\n" for argv in argvs)
-        loaded[name] = scipy_modules_after(code, tmp_path)
+        loaded[name] = modules_after(code, tmp_path)
     assert loaded["generate+featurize"] == [] and loaded["evaluate"] == []
     assert "scipy.optimize" in loaded["train"]
     assert (tmp_path / "run" / "report.json").is_file()

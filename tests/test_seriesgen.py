@@ -1,5 +1,8 @@
+import concurrent.futures
 import math
+import os
 import re
+import threading
 
 import hypothesis
 import hypothesis.strategies as st
@@ -7,6 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import gamma_ratio_weights, lag_autocorr, scalar_series
+from tscausal import seriesgen
 from tscausal.seriesgen import (
     CAUSAL,
     NON_CAUSAL,
@@ -430,3 +434,64 @@ def test_build_dataset_shaped_batch_equals_the_oracle():
                           ma_terms=((0, 1.0), (21 - lag, 0.8)), d=lag / 50 - 0.2,
                           noise_variance=0.01) for lag in (3, 18)]
     assert_matches_oracle(batch, list(range(100, 100 + len(batch))))
+
+
+# ---------------------------------------------------------------------------
+# ARFIMA convolutions, one chunk of rows per usable core
+
+
+def arfima_batch(rows):
+    """``rows`` ARFIMA specs of one batch group, each with its own lags and d,
+    each followed by an AR spec, so that the group's rows are not adjacent."""
+    batch = []
+    for r in range(rows):
+        batch.append(ProcessSpec(kind=Kind.ARFIMA, length=500, ar_terms=((1 + r % 5, 0.85),),
+                                 ma_terms=((0, 1.0), (3 + r, 0.8)), d=r / rows - 0.45,
+                                 noise_variance=0.01))
+        batch.append(ar_spec(length=500))
+    return batch
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_arfima_chunking_changes_no_bit(monkeypatch, rows):
+    # 1 and 2 rows: fewer rows than 3 workers; 5: an odd batch
+    batch = arfima_batch(rows)
+    seeds = list(range(50, 50 + len(batch)))
+    got = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(seriesgen, "_usable_cores", lambda: workers)
+        got[workers] = bits(generate_many(batch, seeds))
+    assert np.array_equal(got[1], got[2]) and np.array_equal(got[1], got[3])
+    for row, spec, seed in zip(got[1], batch, seeds):
+        assert np.array_equal(row, bits(scalar_series(spec, seed)))
+
+
+@pytest.mark.parametrize("cores, rows, chunks", [
+    (1, 5, None), (2, 5, [(0, 2), (2, 5)]), (3, 5, [(0, 1), (1, 3), (3, 5)]),
+    (3, 2, [(0, 1), (1, 2)]), (4, 1, None),
+])
+def test_arfima_rows_run_in_one_contiguous_chunk_per_usable_core(monkeypatch, cores, rows, chunks):
+    pools = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def map(self, fn, *bounds):
+            # holding the pool keeps the threads of one left open alive
+            pools.append((self, list(zip(*bounds))))
+            return super().map(fn, *bounds)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(seriesgen, "_usable_cores", lambda: cores)
+    before = threading.active_count()
+    generate_many(arfima_batch(rows), range(2 * rows))
+    assert threading.active_count() == before
+    # one worker runs in the calling thread, with no pool
+    expected = [] if chunks is None else [(len(chunks), chunks)]
+    assert [(pool._max_workers, bounds) for pool, bounds in pools] == expected
+
+
+def test_usable_cores_are_the_affinity_or_else_the_core_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert seriesgen._usable_cores() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 7)
+    assert seriesgen._usable_cores() == 7
