@@ -141,8 +141,9 @@ def predict(model: LrModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarra
     least 0.5 (ties go to class 1); it is read off the margin against
     ``CLASS1_MIN_MARGIN``, never off the probabilities. The probabilities come
     from ``numpy.exp`` and can differ from ``expit``'s in the last bits. A
-    row whose margin is NaN has no label and is refused by its index; a
-    margin of +-inf takes ``expit``'s label like any other.
+    row whose margin is NaN, or +-inf from features that are all finite
+    (an overflowed weighted sum), has no label and is refused by its index;
+    a margin of +-inf from an infinite feature takes ``expit``'s label.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.weights.size:
@@ -150,11 +151,15 @@ def predict(model: LrModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarra
             f"feature dimension {x.shape[-1] if x.ndim == 2 else x.shape} does not "
             f"match model dimension {model.weights.size}"
         )
-    with np.errstate(invalid="ignore"):  # a NaN margin is refused below
+    with np.errstate(invalid="ignore", over="ignore"):  # such margins are refused below
         margins = x @ model.weights + model.bias
-    nan = np.isnan(margins)
-    if nan.any():
-        raise ValueError(f"NaN margin at row {int(np.argmax(nan))}: its features hold a NaN "
+    refused = np.isnan(margins)
+    inf = np.flatnonzero(np.isinf(margins))
+    refused[inf] = np.isfinite(x[inf]).all(axis=1)
+    if refused.any():
+        row = int(np.argmax(refused))
+        kind = "NaN" if np.isnan(margins[row]) else "infinite"
+        raise ValueError(f"{kind} margin at row {row}: its features hold a NaN "
                          "or overflow the weighted sum")
     with np.errstate(over="ignore"):  # a margin below about -709 has probability 0
         probs = 1.0 / (1.0 + np.exp(-margins))

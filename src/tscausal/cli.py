@@ -84,10 +84,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _set_slugs(config: pipeline.ExperimentConfig) -> list[str]:
-    return ["train-split", "held-out", *(r.name for r in config.test_recipes)]
-
-
 def _features_manifest(run_dir: Path) -> dict:
     """The features manifest; its first set is the training split."""
     path = run_dir / "features" / "manifest.json"
@@ -130,23 +126,17 @@ def cmd_featurize(args) -> int:
         if not d.is_dir():
             raise FileNotFoundError(f"missing dataset directory: {d} (run `generate` first)")
         datasets.append(pipeline.load_dataset(d, pipeline.dataset_source(config, recipe)))
-    named = pipeline.assemble_sets(config, datasets[0], datasets[1:])
-    del datasets  # ``named`` now holds the only reference to each set's values
-    with pipeline.in_stage("featurize", named[0][0]):
-        stage = pipeline.fit_feature_stage(config, named[0][1])
+    sets = pipeline.featurize_sets(config, datasets[0], datasets[1:])
+    del datasets  # ``sets`` now holds the only reference to each dataset
 
     feat_root = run_dir / "features"
     manifest_path = feat_root / "manifest.json"
     # no manifest may point at feature sets that are being replaced
     manifest_path.unlink(missing_ok=True)
     sets_meta = []
-    for slug in _set_slugs(config):
-        name, values, labels = named.pop(0)
+    for name, slug, features, labels in sets:
         set_dir = feat_root / slug
         set_dir.mkdir(parents=True, exist_ok=True)
-        with pipeline.in_stage("featurize", name):
-            features = stage.transform(values)
-        del values
         artifacts.save_array(set_dir / "features.npy", features)
         artifacts.save_array(set_dir / "labels.npy", labels)
         sets_meta.append({"name": name, "dir": slug, "shape": list(features.shape)})
@@ -165,10 +155,9 @@ def cmd_train(args) -> int:
     run_dir = Path(args.run_dir)
     manifest = _features_manifest(run_dir)
     config = pipeline.config_from_dict(manifest["config"])
-    features, labels = _load_feature_set(run_dir, manifest["sets"][0])
-    model = classify.train_lr(
-        features, labels, config.lr_hyper, fingerprint=pipeline.config_fingerprint(config)
-    )
+    entry = manifest["sets"][0]
+    features, labels = _load_feature_set(run_dir, entry)
+    model = pipeline.train_model(config, entry["name"], features, labels)
     out_path = Path(args.model_out) if args.model_out else run_dir / "model.json"
     classify.save_model(model, out_path)
     print(
@@ -192,14 +181,12 @@ def cmd_evaluate(args) -> int:
             f"model {model_path} was trained under config fingerprint {model.fingerprint}, "
             f"but the features were made under {expected}; run `train` again"
         )
-
-    rows = []
-    for entry in manifest["sets"]:
-        features, labels = _load_feature_set(run_dir, entry)
-        with pipeline.in_stage("evaluate", entry["name"]):
-            pred, _ = classify.predict(model, features)
-        rows.append(pipeline.ReportRow(dataset=entry["name"], report=classify.evaluate(pred, labels)))
-    report = pipeline.ExperimentReport(config=config, rows=tuple(rows))
+    # a set's files are read before its stage starts, so load errors name the file alone
+    rows = tuple(
+        pipeline.score_set(model, entry["name"], *_load_feature_set(run_dir, entry))
+        for entry in manifest["sets"]
+    )
+    report = pipeline.ExperimentReport(config=config, rows=rows)
     out_dir = Path(args.out) if args.out else run_dir
     pipeline.write_report(report, out_dir)
     print(pipeline.report_to_text(report), end="")

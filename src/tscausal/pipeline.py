@@ -27,7 +27,7 @@ from .artifacts import (  # noqa: F401 -- the CLI calls these through pipeline
     write_text,
 )
 from .chaosfex import GlsParams, extract_ttss
-from .classify import CHAOSFEX_LR, DEFAULT_LR, ClassReport, LrHyper
+from .classify import CHAOSFEX_LR, DEFAULT_LR, ClassReport, LrHyper, LrModel
 from .codec import DecodeError, from_doc, to_doc
 from .seriesgen import (
     CAUSAL_KINDS,
@@ -490,45 +490,52 @@ def assemble_sets(
     return named
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Train the configured model and evaluate it on every configured set."""
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    train_set, test_sets = build_all_datasets(config)
-    timings["generate"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
+def featurize_sets(config: ExperimentConfig, train_set: Dataset, test_sets: list[Dataset]):
+    """Yield (display name, run-dir slug, features, labels) for each set of
+    ``assemble_sets`` in turn, with the feature stage fitted on the train
+    split. A set's values are dropped before the next set is transformed."""
     named = assemble_sets(config, train_set, test_sets)
     del train_set, test_sets  # ``named`` now holds the only reference to each set's values
     with in_stage("featurize", named[0][0]):
-        feature_stage = fit_feature_stage(config, named[0][1])
-    named_features = []
-    while named:
+        stage = fit_feature_stage(config, named[0][1])
+    for slug in ["train-split", "held-out", *(r.name for r in config.test_recipes)]:
         name, values, labels = named.pop(0)
         with in_stage("featurize", name):
-            named_features.append((name, feature_stage.transform(values), labels))
+            features = stage.transform(values)
         del values
-    timings["featurize"] = time.perf_counter() - t0
+        yield name, slug, features, labels
 
-    t0 = time.perf_counter()
-    with in_stage("train", named_features[0][0]):
-        model = classify.train_lr(
-            named_features[0][1],
-            named_features[0][2],
-            config.lr_hyper,
-            fingerprint=config_fingerprint(config),
-        )
-    timings["train"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    rows = []
-    for name, feats, labels in named_features:
-        with in_stage("evaluate", name):
-            pred, _ = classify.predict(model, feats)
-            rows.append(ReportRow(dataset=name, report=classify.evaluate(pred, labels)))
-    timings["evaluate"] = time.perf_counter() - t0
+def train_model(config: ExperimentConfig, name: str, features: np.ndarray,
+                labels: np.ndarray) -> LrModel:
+    """The classifier fitted on set ``name``, stamped with the config fingerprint."""
+    with in_stage("train", name):
+        return classify.train_lr(features, labels, config.lr_hyper,
+                                 fingerprint=config_fingerprint(config))
 
-    return ExperimentReport(config=config, rows=tuple(rows), timings=timings)
+
+def score_set(model: LrModel, name: str, features: np.ndarray,
+              labels: np.ndarray) -> ReportRow:
+    """Set ``name``'s report row: ``model``'s predictions scored against ``labels``."""
+    with in_stage("evaluate", name):
+        pred, _ = classify.predict(model, features)
+        return ReportRow(dataset=name, report=classify.evaluate(pred, labels))
+
+
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+    """Train the configured model and evaluate it on every configured set."""
+    clock = time.perf_counter
+    t0 = clock()
+    # no reference to the datasets stays here, so each is freed once featurized
+    sets = featurize_sets(config, *build_all_datasets(config))
+    t1 = clock()
+    featurized = [(name, features, labels) for name, _, features, labels in sets]
+    t2 = clock()
+    model = train_model(config, *featurized[0])
+    t3 = clock()
+    rows = tuple(score_set(model, *s) for s in featurized)
+    timings = {"generate": t1 - t0, "featurize": t2 - t1, "train": t3 - t2, "evaluate": clock() - t3}
+    return ExperimentReport(config=config, rows=rows, timings=timings)
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,19 @@ def test_predict_refuses_a_nan_margin_by_row(row):
         predict(model, features)
 
 
+@pytest.mark.parametrize("weights", [[4.0, -4.0], [1.0, 1.0], [-1.0, -1.0]])
+@pytest.mark.parametrize("rows", [1, 5])
+def test_predict_refuses_an_overflowed_margin_of_finite_features_by_row(weights, rows):
+    # x @ w overflows to +-inf (which sign depends on the matmul kernel) where
+    # the exact margin is 0, 2e308 or -2e308
+    model = LrModel(weights=np.array(weights), bias=0.0, hyper=DEFAULT_LR,
+                    converged=True, final_loss=0.0)
+    features = np.zeros((rows, 2))
+    features[rows - 1] = [1e308, 1e308]
+    with pytest.raises(ValueError, match=rf"infinite margin at row {rows - 1}\b"):
+        predict(model, features)
+
+
 def test_predict_checks_dimension():
     model = LrModel(weights=np.zeros(2), bias=0.0, hyper=DEFAULT_LR,
                     converged=True, final_loss=0.0)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import tscausal
-from tscausal import pipeline
+from tscausal import classify, pipeline
 from tscausal.cli import build_parser, main
 
 TINY = {
@@ -205,6 +205,39 @@ def test_evaluate_names_the_set_and_row_of_a_nan_margin(tmp_path, capsys):
     assert not (tmp_path / "again" / "report.json").exists()
 
 
+def test_evaluate_names_the_set_and_row_of_an_overflowed_margin(tmp_path, capsys):
+    # a finite row of 1e308 passes the raw feature stage, but its weighted sum
+    # overflows to an infinite margin that no label can be read off
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**TINY, "model": "raw", "test_recipes": ["shift-II"]}))
+    run = tmp_path / "run"
+    assert main(["generate", "--config", str(config_path), "--out", str(run)]) == 0
+    path = run / "datasets" / "shift-II" / "values.npy"
+    values = np.load(path)
+    values[3] = 1e308
+    np.save(path, values)
+    for step in (["featurize", str(run)], ["train", str(run)]):
+        assert main(step) == 0, capsys.readouterr().err
+    capsys.readouterr()
+    assert main(["evaluate", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert "error [evaluate]: evaluate stage failed on 'shift-II': infinite margin at row 3" in err
+    assert not (run / "report.json").exists()
+
+
+def test_train_names_its_stage_and_set(tmp_path, tiny_config_path, capsys):
+    run = tmp_path / "run"
+    assert main(["generate", "--config", str(tiny_config_path), "--out", str(run)]) == 0
+    assert main(["featurize", str(run)]) == 0
+    path = run / "features" / "train-split" / "labels.npy"
+    np.save(path, np.zeros_like(np.load(path)))
+    capsys.readouterr()
+    assert main(["train", str(run)]) == 1
+    assert ("error [train]: train stage failed on 'AR-train (train split)': "
+            "training data contains a single class") in capsys.readouterr().err
+    assert not (run / "model.json").exists()
+
+
 def test_evaluate_names_a_key_missing_from_the_features_manifest(tmp_path, tiny_config_path, capsys):
     run = run_chain(tmp_path, tiny_config_path, capsys)
     path = run / "features" / "manifest.json"
@@ -311,6 +344,32 @@ def test_chain_matches_in_process_run(tmp_path, tiny_config_path, capsys):
     config = pipeline.config_from_dict(json.loads(tiny_config_path.read_text()))
     direct = pipeline.report_to_dict(pipeline.run_experiment(config))
     assert chained == direct
+
+
+@pytest.mark.parametrize("per_instance", [False, True], ids=["fitted", "per-instance"])
+def test_chain_artifacts_equal_the_stage_functions_bit_for_bit(tmp_path, capsys, per_instance):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(
+        {**TINY, "model": "fft_chaosfex", "per_instance_scaling": per_instance}))
+    run = run_chain(tmp_path, config_path, capsys)
+    config = pipeline.config_from_dict(json.loads(config_path.read_text()))
+    featurized, names = [], []
+    for name, slug, features, labels in pipeline.featurize_sets(
+            config, *pipeline.build_all_datasets(config)):
+        set_dir = run / "features" / slug
+        np.testing.assert_array_equal(np.load(set_dir / "features.npy").view(np.uint64),
+                                      features.view(np.uint64))
+        np.testing.assert_array_equal(np.load(set_dir / "labels.npy"), labels)
+        featurized.append((name, features, labels))
+        names.append({"name": name, "dir": slug})
+    manifest = json.loads((run / "features" / "manifest.json").read_text())
+    assert [{k: s[k] for k in ("name", "dir")} for s in manifest["sets"]] == names
+    model = pipeline.train_model(config, *featurized[0])
+    classify.save_model(model, tmp_path / "direct-model.json")
+    assert (run / "model.json").read_bytes() == (tmp_path / "direct-model.json").read_bytes()
+    rows = tuple(pipeline.score_set(model, *s) for s in featurized)
+    report = pipeline.ExperimentReport(config=config, rows=rows)
+    assert json.loads((run / "report.json").read_text()) == pipeline.report_to_dict(report)
 
 
 def test_seed_override_changes_generated_data(tmp_path, tiny_config_path, capsys):
