@@ -7,9 +7,10 @@ renamed into place, so a command that fails or is killed leaves no partial
 file under a final name. There is no fsync, so this guards against a failing
 process, not against power loss.
 
-Dataset and features manifests carry ``ARTIFACT_SCHEMA_VERSION``. Version 1
-was the CSV layout; run directories written in it are refused and must be
-generated again. Reports carry ``pipeline.SCHEMA_VERSION`` instead.
+Manifests are dataclasses written by ``codec.to_doc`` and read, as
+``model.json`` is, by ``read_document``; they carry ``ARTIFACT_SCHEMA_VERSION``.
+Version 1 was the CSV layout; run directories written in it are refused and
+must be generated again. Reports carry ``pipeline.SCHEMA_VERSION`` instead.
 """
 
 from __future__ import annotations
@@ -17,15 +18,18 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
 
 import numpy as np
 
-from .codec import DecodeError, from_doc, to_doc
+from .codec import from_doc, to_doc
 from .seriesgen import GENERATOR_NAME, Dataset, ProcessSpec
 
 ARTIFACT_SCHEMA_VERSION = 2
+# the features directories of the train recipe's two splits, in this order
+SPLIT_SLUGS = ("train-split", "held-out")
 
 
 # ---------------------------------------------------------------------------
@@ -90,34 +94,80 @@ def read_json_object(path: str | Path) -> dict:
     return doc
 
 
-def read_manifest(
-    path: Path, keys: tuple[str, ...], entry_keys: tuple[str, tuple[str, ...]]
-) -> dict:
-    """The JSON object in ``path``. A schema version other than this
-    release's, or a missing key, is a ValueError naming the file and the key.
-    ``entry_keys = (name, required)`` names the list of entries among ``keys``
-    and the keys each of its objects must have."""
-    manifest = read_json_object(path)
-    version = manifest.get("schema_version")
-    if version != ARTIFACT_SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: unsupported schema version {version!r} (this release reads "
-            f"{ARTIFACT_SCHEMA_VERSION}, the .npy layout); run `generate` again"
-        )
-    for key in keys:
-        if key not in manifest:
-            raise ValueError(f"{path}: missing key {key!r}")
-    name, required = entry_keys
-    entries = manifest[name]
-    if not isinstance(entries, list):
-        raise ValueError(f"{path}: {name!r} must be a list")
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ValueError(f"{path}: '{name}[{i}]' must be an object")
-        for key in required:
-            if key not in entry:
-                raise ValueError(f"{path}: missing key '{name}[{i}].{key}'")
-    return manifest
+# ---------------------------------------------------------------------------
+# manifests
+
+
+def read_document(path: str | Path, cls, version: int):
+    """The ``cls`` that ``from_doc`` decodes from the JSON file ``path``, whose
+    ``schema_version`` must be ``version``; any fault is a ValueError naming the file."""
+    doc = read_json_object(path)
+    found = doc.pop("schema_version", None)
+    if type(found) is not int or found != version:
+        raise ValueError(f"{path}: unsupported schema version {found!r} (this release "
+                         f"reads {version}); run `generate` again")
+    try:
+        return from_doc(cls, doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class SeriesEntry:
+    """One row of a dataset: ``spec`` simulated from ``seed``."""
+
+    label: int
+    seed: int
+    spec: ProcessSpec
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.label != self.spec.label:
+            raise ValueError(f"label is {self.label}, but its {self.spec.kind.value} spec "
+                             f"has label {self.spec.label}")
+
+
+@dataclass(frozen=True)
+class DatasetManifest:
+    """A dataset's ``manifest.json``; ``source`` is what generated it (``dataset_source``)."""
+
+    generator: str
+    source: dict | None
+    length: int
+    series: tuple[SeriesEntry, ...]
+
+    def __post_init__(self):
+        for i, entry in enumerate(self.series):
+            if entry.spec.length != self.length:
+                raise ValueError(f"'series[{i}].spec.length' is {entry.spec.length}, but the "
+                                 f"dataset's length is {self.length}")
+
+
+@dataclass(frozen=True)
+class FeatureSet:
+    """A features-manifest set: its display name, ``features/`` subdirectory and shape."""
+
+    name: str
+    dir: str
+    shape: tuple[int, int]
+
+    def __post_init__(self):
+        if min(self.shape) < 0:
+            raise ValueError(f"shape must be non-negative, got {list(self.shape)}")
+
+
+@dataclass(frozen=True)
+class FeaturesManifest:
+    """``features/manifest.json``: the resolved config and every set, train split first."""
+
+    model: str
+    config: dict
+    sets: tuple[FeatureSet, ...]
+
+    def __post_init__(self):
+        if not self.sets or self.sets[0].dir != SPLIT_SLUGS[0]:
+            raise ValueError("the first of 'sets' must be the train-split set")
 
 
 # ---------------------------------------------------------------------------
@@ -125,11 +175,8 @@ def read_manifest(
 
 
 def persist_dataset(dataset: Dataset, dir_path: str | Path, source: dict | None = None) -> None:
-    """Write ``values.npy`` (one series per row), then ``manifest.json``.
-
-    ``source`` records what generated the dataset (``pipeline.dataset_source``);
-    ``load_dataset`` can hold a config to it.
-    """
+    """Write ``values.npy`` (one series per row), then ``manifest.json``, whose
+    ``source`` ``load_dataset`` can hold a config to."""
     if not dataset.specs:
         raise ValueError("refusing to persist an empty dataset")
     out = Path(dir_path)
@@ -138,17 +185,10 @@ def persist_dataset(dataset: Dataset, dir_path: str | Path, source: dict | None 
     # no manifest may point at values that are being replaced
     manifest_path.unlink(missing_ok=True)
     save_array(out / "values.npy", dataset.values)
-    manifest = {
-        "schema_version": ARTIFACT_SCHEMA_VERSION,
-        "generator": GENERATOR_NAME,
-        "source": source,
-        "length": dataset.values.shape[1],
-        "series": [
-            {"label": label, "seed": seed, "spec": to_doc(spec)}
-            for label, seed, spec in zip(dataset.labels.tolist(), dataset.seeds, dataset.specs)
-        ],
-    }
-    write_text(manifest_path, json.dumps(manifest, indent=2) + "\n")
+    series = tuple(SeriesEntry(s.label, seed, s) for seed, s in zip(dataset.seeds, dataset.specs))
+    manifest = DatasetManifest(GENERATOR_NAME, source, dataset.values.shape[1], series)
+    doc = {"schema_version": ARTIFACT_SCHEMA_VERSION, **to_doc(manifest)}
+    write_text(manifest_path, json.dumps(doc, indent=2) + "\n")
 
 
 def _first_difference(got, want, key: str = "") -> tuple[str, object, object] | None:
@@ -185,12 +225,10 @@ def load_dataset(dir_path: str | Path, source: dict | None = None) -> Dataset:
     manifest_path = src / "manifest.json"
     if not manifest_path.is_file():
         raise FileNotFoundError(f"missing dataset manifest: {manifest_path}")
-    manifest = read_manifest(
-        manifest_path, ("source", "series", "length"), ("series", ("label", "seed", "spec"))
-    )
-    series, length = manifest["series"], manifest["length"]
+    manifest = read_document(manifest_path, DatasetManifest, ARTIFACT_SCHEMA_VERSION)
+    series = manifest.series
     if source is not None:
-        _check_source(manifest_path, manifest["source"], source)
+        _check_source(manifest_path, manifest.source, source)
         n, recipe = source["n_per_class"], source["recipe"]
         classes = sum(recipe[family] is not None for family in ("causal", "noncausal"))
         if len(series) != n * classes:
@@ -200,32 +238,9 @@ def load_dataset(dir_path: str | Path, source: dict | None = None) -> Dataset:
             )
     values_path = src / "values.npy"
     values = load_array(values_path, np.float64, 2)
-    if not series or values.shape != (len(series), length):
+    if not series or values.shape != (len(series), manifest.length):
         raise ValueError(
             f"{values_path}: corrupt dataset: {values.shape[0]}x{values.shape[1]} values for "
-            f"{len(series)} manifest entries of length {length}"
+            f"{len(series)} manifest entries of length {manifest.length}"
         )
-    specs = []
-    for i, entry in enumerate(series):
-        try:
-            spec = from_doc(ProcessSpec, entry["spec"], f"series[{i}].spec")
-        except DecodeError as exc:
-            raise ValueError(f"{manifest_path}: {exc}") from exc
-        if spec.length != length:
-            raise ValueError(
-                f"{manifest_path}: 'series[{i}].spec.length' is {spec.length}, but the "
-                f"dataset's length is {length}"
-            )
-        label, seed = entry["label"], entry["seed"]
-        if type(label) is not int or label != spec.label:
-            raise ValueError(
-                f"{manifest_path}: 'series[{i}].label' is {label!r}, but its "
-                f"{spec.kind.value} spec has label {spec.label}"
-            )
-        if type(seed) is not int or seed < 0:
-            raise ValueError(
-                f"{manifest_path}: 'series[{i}].seed' must be a non-negative integer, "
-                f"got {seed!r}"
-            )
-        specs.append(spec)
-    return Dataset(values, tuple(specs), tuple(entry["seed"] for entry in series))
+    return Dataset(values, tuple(e.spec for e in series), tuple(e.seed for e in series))

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import read_json_object, write_text
-from .codec import DecodeError, from_doc, to_doc
+from .artifacts import read_document, write_text
+from .codec import to_doc
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -207,11 +207,4 @@ def save_model(model: LrModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> LrModel:
     """The model ``save_model`` wrote to ``path``; a fault is a ValueError naming the file."""
-    doc = read_json_object(path)
-    version = doc.pop("schema_version", None)
-    if version != MODEL_SCHEMA_VERSION:
-        raise ValueError(f"{path}: unsupported model schema version: {version!r}")
-    try:
-        return from_doc(LrModel, doc)
-    except DecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return read_document(path, LrModel, MODEL_SCHEMA_VERSION)

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts, classify, pipeline, spectral
+from .codec import to_doc
 from .seriesgen import Kind, ProcessSpec, generate_many
 
 
@@ -45,7 +46,8 @@ def _write_config_echo(config: pipeline.ExperimentConfig, run_dir: Path) -> None
     run_dir.mkdir(parents=True, exist_ok=True)
     artifacts.write_text(
         run_dir / "config.json",
-        json.dumps(pipeline.config_to_dict(config), indent=2, sort_keys=True) + "\n",
+        # ``lr`` as given, so that `featurize --model` resolves it for its own model
+        json.dumps(to_doc(config), indent=2, sort_keys=True) + "\n",
     )
 
 
@@ -74,6 +76,8 @@ def cmd_generate(args) -> int:
     config = _apply_overrides(_load_config(args.config), args)
     run_dir = _run_dir(args.out, config.master_seed, args.run_name)
     train_set, test_sets = pipeline.build_all_datasets(config)
+    # features made from the datasets being replaced must not be trained on
+    (run_dir / "features" / "manifest.json").unlink(missing_ok=True)
     _write_config_echo(config, run_dir)
     recipes = (config.train_recipe, *config.test_recipes)
     for recipe, dataset in zip(recipes, (train_set, *test_sets)):
@@ -84,29 +88,20 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _features_manifest(run_dir: Path) -> dict:
-    """The features manifest; its first set is the training split."""
+def _features_manifest(run_dir: Path) -> artifacts.FeaturesManifest:
     path = run_dir / "features" / "manifest.json"
     if not path.is_file():
         raise FileNotFoundError(f"missing features manifest: {path} (run `featurize` first)")
-    manifest = artifacts.read_manifest(path, ("config", "sets"), ("sets", ("name", "dir", "shape")))
-    for i, entry in enumerate(manifest["sets"]):
-        shape = entry["shape"]
-        if not (isinstance(shape, list) and len(shape) == 2
-                and all(type(n) is int and n >= 0 for n in shape)):
-            raise ValueError(f"{path}: 'sets[{i}].shape' must be two non-negative integers, "
-                             f"got {shape!r}")
-    if not manifest["sets"] or manifest["sets"][0]["dir"] != "train-split":
-        raise ValueError(f"{path}: the first of 'sets' must be the train-split set")
-    return manifest
+    return artifacts.read_document(path, artifacts.FeaturesManifest,
+                                   artifacts.ARTIFACT_SCHEMA_VERSION)
 
 
-def _load_feature_set(run_dir: Path, entry: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Features and labels of one features-manifest ``sets`` entry."""
-    set_dir = run_dir / "features" / entry["dir"]
+def _load_feature_set(run_dir: Path, entry: artifacts.FeatureSet) -> tuple[np.ndarray, np.ndarray]:
+    """Features and labels of one features-manifest set."""
+    set_dir = run_dir / "features" / entry.dir
     features = artifacts.load_array(set_dir / "features.npy", np.float64, 2)
     labels = artifacts.load_array(set_dir / "labels.npy", np.int64, 1)
-    rows, columns = entry["shape"]
+    rows, columns = entry.shape
     if features.shape != (rows, columns) or labels.shape != (rows,):
         raise ValueError(
             f"{set_dir}: corrupt feature set: {features.shape[0]}x{features.shape[1]} features "
@@ -139,14 +134,11 @@ def cmd_featurize(args) -> int:
         set_dir.mkdir(parents=True, exist_ok=True)
         artifacts.save_array(set_dir / "features.npy", features)
         artifacts.save_array(set_dir / "labels.npy", labels)
-        sets_meta.append({"name": name, "dir": slug, "shape": list(features.shape)})
-    manifest = {
-        "schema_version": artifacts.ARTIFACT_SCHEMA_VERSION,
-        "model": config.model,
-        "config": pipeline.config_to_dict(config),
-        "sets": sets_meta,
-    }
-    artifacts.write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        sets_meta.append(artifacts.FeatureSet(name, slug, features.shape))
+    manifest = artifacts.FeaturesManifest(config.model, pipeline.config_to_dict(config),
+                                          tuple(sets_meta))
+    doc = {"schema_version": artifacts.ARTIFACT_SCHEMA_VERSION, **to_doc(manifest)}
+    artifacts.write_text(manifest_path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(sets_meta)} feature sets ({config.model}) under {feat_root}")
     return 0
 
@@ -154,10 +146,10 @@ def cmd_featurize(args) -> int:
 def cmd_train(args) -> int:
     run_dir = Path(args.run_dir)
     manifest = _features_manifest(run_dir)
-    config = pipeline.config_from_dict(manifest["config"])
-    entry = manifest["sets"][0]
+    config = pipeline.config_from_dict(manifest.config)
+    entry = manifest.sets[0]
     features, labels = _load_feature_set(run_dir, entry)
-    model = pipeline.train_model(config, entry["name"], features, labels)
+    model = pipeline.train_model(config, entry.name, features, labels)
     out_path = Path(args.model_out) if args.model_out else run_dir / "model.json"
     classify.save_model(model, out_path)
     print(
@@ -170,7 +162,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     run_dir = Path(args.run_dir)
     manifest = _features_manifest(run_dir)
-    config = pipeline.config_from_dict(manifest["config"])
+    config = pipeline.config_from_dict(manifest.config)
     model_path = Path(args.model_path) if args.model_path else run_dir / "model.json"
     if not model_path.is_file():
         raise FileNotFoundError(f"missing model file: {model_path} (run `train` first)")
@@ -183,8 +175,8 @@ def cmd_evaluate(args) -> int:
         )
     # a set's files are read before its stage starts, so load errors name the file alone
     rows = tuple(
-        pipeline.score_set(model, entry["name"], *_load_feature_set(run_dir, entry))
-        for entry in manifest["sets"]
+        pipeline.score_set(model, entry.name, *_load_feature_set(run_dir, entry))
+        for entry in manifest.sets
     )
     report = pipeline.ExperimentReport(config=config, rows=rows)
     out_dir = Path(args.out) if args.out else run_dir
@@ -263,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("featurize", help="extract features for every dataset in a run directory")
     p.add_argument("run_dir", help="run directory produced by `generate`")
     p.add_argument("--config", help="config JSON (default: <run_dir>/config.json)")
-    p.add_argument("--model", help="override the feature pipeline (raw, fft, fft_chaosfex)")
+    p.add_argument("--model", type=str.lower, choices=pipeline.MODEL_ALIASES, metavar="NAME",
+                   help="override the feature pipeline (raw, fft, fft_chaosfex)")
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train", help="train the classifier on the train-split features")

@@ -2,7 +2,7 @@
 
 ``to_doc`` encodes a dataclass as a dict in field order, an enum as its
 value, and a tuple or array as a list. ``from_doc`` decodes from the field
-annotations and rejects unknown or missing keys and wrong JSON types, naming
+annotations and rejects unknown keys, absent required ones and wrong JSON types, naming
 the dotted key path. Nothing is coerced: no string is read as a number, no
 float is truncated to an int, only ``true``/``false`` are booleans, and no
 number may be NaN or infinite; an integer is accepted where a float is

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import classify, spectral
 from .artifacts import (  # noqa: F401 -- the CLI calls these through pipeline
+    SPLIT_SLUGS,
     load_dataset,
     persist_dataset,
     write_text,
@@ -139,6 +140,10 @@ class DatasetRecipe:
     def __post_init__(self):
         if self.causal is None and self.noncausal is None:
             raise ValueError(f"recipe {self.name!r} defines no generator family")
+        # the name is a run-directory path component
+        if self.name in ("", ".", "..") or "/" in self.name or "\\" in self.name:
+            raise ValueError(f"recipe name {self.name!r} must not be empty, '.' or '..', "
+                             "nor contain '/' or '\\'")
 
     @classmethod
     def from_name(cls, name: str) -> DatasetRecipe:
@@ -281,9 +286,16 @@ class ExperimentConfig:
             )
         if not 0 < self.headroom < 0.1:
             raise ValueError(f"headroom must lie in (0, 0.1), got {self.headroom}")
+        if self.train_recipe.causal is None or self.train_recipe.noncausal is None:
+            raise ValueError(f"train_recipe {self.train_recipe.name!r} must define both a causal "
+                             "and a noncausal family, one per class")
         names = [self.train_recipe.name, *(r.name for r in self.test_recipes)]
         if len(set(names)) != len(names):
             raise ValueError(f"recipe names must be unique within a config, got {names}")
+        for i, recipe in enumerate(self.test_recipes):
+            if recipe.name in SPLIT_SLUGS:
+                raise ValueError(f"test_recipes[{i}].name {recipe.name!r} is the features "
+                                 "directory of a train_recipe split")
         where = ["train_recipe", *(f"test_recipes[{i}]" for i in range(len(self.test_recipes)))]
         for path, recipe in zip(where, (self.train_recipe, *self.test_recipes)):
             family = recipe.causal
@@ -498,7 +510,7 @@ def featurize_sets(config: ExperimentConfig, train_set: Dataset, test_sets: list
     del train_set, test_sets  # ``named`` now holds the only reference to each set's values
     with in_stage("featurize", named[0][0]):
         stage = fit_feature_stage(config, named[0][1])
-    for slug in ["train-split", "held-out", *(r.name for r in config.test_recipes)]:
+    for slug in [*SPLIT_SLUGS, *(r.name for r in config.test_recipes)]:
         name, values, labels = named.pop(0)
         with in_stage("featurize", name):
             features = stage.transform(values)

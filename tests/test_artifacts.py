@@ -100,6 +100,40 @@ def test_load_dataset_refuses_a_truncated_values_file(tmp_path):
         load_dataset(tmp_path / "d")
 
 
+@pytest.mark.parametrize("cls, relpath, sort_keys", [
+    (artifacts.DatasetManifest, "datasets/shift-I/manifest.json", False),
+    (artifacts.FeaturesManifest, "features/manifest.json", True),
+], ids=["dataset", "features"])
+def test_a_manifest_round_trips_through_its_file(tmp_path, cls, relpath, sort_keys):
+    run = tiny_run(tmp_path)
+    assert main(["featurize", str(run)]) == 0
+    version = artifacts.ARTIFACT_SCHEMA_VERSION
+    manifest = artifacts.read_document(run / relpath, cls, version)
+    assert isinstance(manifest, cls)
+    text = json.dumps({"schema_version": version, **to_doc(manifest)}, indent=2,
+                      sort_keys=sort_keys) + "\n"
+    assert text == (run / relpath).read_text()
+    copy = tmp_path / "copy.json"
+    copy.write_text(text)
+    assert artifacts.read_document(copy, cls, version) == manifest
+
+
+@pytest.mark.parametrize("relpath, entries, step", [
+    ("datasets/AR-train/manifest.json", "series", "featurize"),
+    ("features/manifest.json", "sets", "train"),
+], ids=["dataset", "features"])
+def test_a_manifest_with_an_unknown_key_is_refused(tmp_path, capsys, relpath, entries, step):
+    run = tiny_run(tmp_path)
+    assert main(["featurize", str(run)]) == 0
+    path = run / relpath
+    manifest = json.loads(path.read_text())
+    manifest[entries][1]["note"] = "hand-edited"
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main([step, str(run)]) == 1
+    assert f"error [{step}]: {path}: unknown key '{entries}[1].note'" in capsys.readouterr().err
+
+
 def test_featurize_names_a_manifest_that_is_not_json(tmp_path, capsys):
     run = tiny_run(tmp_path)
     path = run / "datasets" / "AR-train" / "manifest.json"
@@ -162,8 +196,13 @@ def test_evaluate_refuses_features_that_disagree_with_the_manifest_shape(tmp_pat
     assert f"{path.parent}: corrupt feature set: 11x65 features and 12 labels" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("shape", [None, [3], [3, -1], [3, 1.5]])
-def test_train_refuses_a_malformed_set_shape(tmp_path, capsys, shape):
+@pytest.mark.parametrize("shape, message", [
+    (None, "key 'sets[0].shape': expected an array, got null"),
+    ([3], "key 'sets[0].shape': expected 2 items, got 1"),
+    ([3, -1], "key 'sets[0]': shape must be non-negative, got [3, -1]"),
+    ([3, 1.5], "key 'sets[0].shape[1]': expected an integer, got a number"),
+], ids=["None", "shape1", "shape2", "shape3"])
+def test_train_refuses_a_malformed_set_shape(tmp_path, capsys, shape, message):
     run = tiny_run(tmp_path)
     assert main(["featurize", str(run)]) == 0
     path = run / "features" / "manifest.json"
@@ -172,7 +211,7 @@ def test_train_refuses_a_malformed_set_shape(tmp_path, capsys, shape):
     path.write_text(json.dumps(manifest))
     capsys.readouterr()
     assert main(["train", str(run)]) == 1
-    assert f"{path}: 'sets[0].shape' must be two non-negative integers" in capsys.readouterr().err
+    assert f"error [train]: {path}: {message}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,25 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     # json reads NaN and Infinity; both used to run to a report
     ({"lr": {"c": float("nan")}}, "'lr.c': expected a finite number"),
     ({"gls": {"eps": float("inf")}}, "'gls.eps': expected a finite number"),
+    # a test recipe named after a split wrote its features over the split's
+    ({"test_recipes": [{"name": "held-out", "noncausal": {"kind": "noise_uniform"}}]},
+     "test_recipes[0].name 'held-out' is the features directory"),
+    ({"test_recipes": [{"name": "train-split", "causal": {"kind": "ar"}}]},
+     "test_recipes[0].name 'train-split' is the features directory"),
+    # recipe names are directory names under datasets/ and features/
+    ({"test_recipes": [{"name": "../../escaped", "causal": {"kind": "ar"}}]},
+     "'test_recipes[0]': recipe name '../../escaped' must not be"),
+    ({"test_recipes": [{"name": "", "causal": {"kind": "ar"}}]},
+     "'test_recipes[0]': recipe name '' must not be"),
+    ({"test_recipes": [{"name": "..", "causal": {"kind": "ar"}}]},
+     "'test_recipes[0]': recipe name '..' must not be"),
+    ({"train_recipe": {"name": "a\\b", "causal": {"kind": "ar"},
+                       "noncausal": {"kind": "noise_normal"}}},
+     "'train_recipe': recipe name 'a\\\\b' must not be"),
+    # a one-class training set used to fail only at train, with exit 1
+    ({"train_recipe": "AR100"}, "train_recipe 'AR100' must define both a causal and a noncausal"),
+    ({"train_recipe": {"name": "noise", "noncausal": {"kind": "noise_normal"}}},
+     "train_recipe 'noise' must define both a causal and a noncausal"),
 ])
 def test_bad_config_fails_at_load_naming_the_key(tmp_path, capsys, doc, key):
     bad = tmp_path / "bad.json"
@@ -153,7 +172,8 @@ def test_featurize_names_a_key_missing_from_a_dataset_manifest(tmp_path, tiny_co
     path.write_text(json.dumps(manifest))
     capsys.readouterr()
     assert main(["featurize", str(run)]) == 1
-    assert f"error [featurize]: {path}: missing key 'length'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error [featurize]: {path}: key 'length': required key is missing" in err
 
 
 @pytest.mark.parametrize("model", ["fft", "fft_chaosfex"])
@@ -245,7 +265,8 @@ def test_evaluate_names_a_key_missing_from_the_features_manifest(tmp_path, tiny_
     del manifest["sets"]
     path.write_text(json.dumps(manifest))
     assert main(["evaluate", str(run), "--out", str(tmp_path / "again")]) == 1
-    assert f"error [evaluate]: {path}: missing key 'sets'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error [evaluate]: {path}: key 'sets': required key is missing" in err
 
 
 @pytest.mark.parametrize("key", ["name", "dir"])
@@ -257,7 +278,8 @@ def test_evaluate_names_a_key_missing_from_a_features_manifest_set(
     del manifest["sets"][0][key]
     path.write_text(json.dumps(manifest))
     assert main(["evaluate", str(run), "--out", str(tmp_path / "again")]) == 1
-    assert f"error [evaluate]: {path}: missing key 'sets[0].{key}'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error [evaluate]: {path}: key 'sets[0].{key}': required key is missing" in err
 
 
 @pytest.mark.parametrize("damage, message", [
@@ -393,6 +415,41 @@ def test_model_override_at_featurize(tmp_path, tiny_config_path, capsys):
     assert manifest["model"] == "raw"
     features = np.load(run / "features" / "train-split" / "features.npy")
     assert features.shape[1] == TINY["length"]
+
+
+def test_featurize_model_override_resolves_the_hyperparameters_of_its_model(tmp_path, capsys):
+    config = {k: v for k, v in TINY.items() if k != "model"}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    run = tmp_path / "run"
+    for argv in (["generate", "--config", str(config_path), "--out", str(run)],
+                 ["featurize", str(run), "--model", "raw"], ["train", str(run)],
+                 ["evaluate", str(run)]):
+        assert main(argv) == 0, capsys.readouterr().err
+    assert json.loads((run / "config.json").read_text())["lr"] is None
+    direct = tmp_path / "direct"
+    raw = pipeline.config_from_dict({**config, "model": "raw"})
+    pipeline.write_report(pipeline.run_experiment(raw), direct)
+    assert (run / "report.json").read_bytes() == (direct / "report.json").read_bytes()
+
+
+def test_an_unknown_featurize_model_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["featurize", str(tmp_path), "--model", "bogus"])
+    assert exc.value.code == 2
+    assert "argument --model: invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_generate_invalidates_the_features_of_the_datasets_it_replaces(
+        tmp_path, tiny_config_path, capsys):
+    run = run_chain(tmp_path, tiny_config_path, capsys)
+    argv = ["generate", "--config", str(tiny_config_path), "--seed", "8", "--out", str(run)]
+    assert main(argv) == 0
+    assert not (run / "features" / "manifest.json").exists()
+    capsys.readouterr()
+    for step in ("train", "evaluate"):
+        assert main([step, str(run)]) == 1
+        assert "(run `featurize` first)" in capsys.readouterr().err
 
 
 def test_evaluate_refuses_a_model_trained_for_other_features(tmp_path, capsys):

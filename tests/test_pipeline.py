@@ -315,8 +315,11 @@ def test_config_from_dict_is_strict_and_names_the_key(doc, message):
 
 
 def test_config_length_check_skips_ma_lags_of_pure_ar():
-    ar = DatasetRecipe("short-ar", causal=CausalFamily(Kind.AR, lag_hi=8, ma_lag_hi=50))
-    arma = DatasetRecipe("short-arma", causal=CausalFamily(Kind.ARMA, lag_hi=8, ma_lag_hi=50))
+    noise = NoiseFamily(Kind.NOISE_NORMAL)
+    ar = DatasetRecipe("short-ar", causal=CausalFamily(Kind.AR, lag_hi=8, ma_lag_hi=50),
+                       noncausal=noise)
+    arma = DatasetRecipe("short-arma", causal=CausalFamily(Kind.ARMA, lag_hi=8, ma_lag_hi=50),
+                         noncausal=noise)
     assert tiny_config(length=32, train_recipe=ar, test_recipes=()).length == 32
     with pytest.raises(ValueError, match=re.escape("train_recipe.causal.ma_lag_hi 50 exceeds")):
         tiny_config(length=32, train_recipe=arma, test_recipes=())
@@ -686,29 +689,38 @@ def test_load_dataset_refuses_a_spec_that_breaks_a_process_rule(tmp_path):
         load_dataset(tmp_path / "d")
 
 
-@pytest.mark.parametrize("label", [7, 0, "1", 1.0, True])
-def test_load_dataset_refuses_a_label_that_disagrees_with_its_spec(tmp_path, label):
+@pytest.mark.parametrize("label, message", [
+    (7, "key 'series[1]': label is 7, but its ar spec has label 1"),
+    (0, "key 'series[1]': label is 0, but its ar spec has label 1"),
+    ("1", "key 'series[1].label': expected an integer, got a string"),
+    (1.0, "key 'series[1].label': expected an integer, got a number"),
+    (True, "key 'series[1].label': expected an integer, got a boolean"),
+], ids=["7", "0", "1", "1.0", "True"])
+def test_load_dataset_refuses_a_label_that_disagrees_with_its_spec(tmp_path, label, message):
     data = build_dataset(AR100, n_per_class=2, length=128, master_seed=5)
     persist_dataset(data, tmp_path / "d")
     path = tmp_path / "d" / "manifest.json"
     manifest = json.loads(path.read_text())
     manifest["series"][1]["label"] = label
     path.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match=re.escape(
-            f"{path}: 'series[1].label' is {label!r}, but its ar spec has label 1")):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         load_dataset(tmp_path / "d")
 
 
-@pytest.mark.parametrize("seed", [1.7, "12", True, -1])
-def test_load_dataset_refuses_a_seed_that_is_not_a_non_negative_integer(tmp_path, seed):
+@pytest.mark.parametrize("seed, message", [
+    (1.7, "key 'series[1].seed': expected an integer, got a number"),
+    ("12", "key 'series[1].seed': expected an integer, got a string"),
+    (True, "key 'series[1].seed': expected an integer, got a boolean"),
+    (-1, "key 'series[1]': seed must be non-negative, got -1"),
+], ids=["1.7", "12", "True", "-1"])
+def test_load_dataset_refuses_a_seed_that_is_not_a_non_negative_integer(tmp_path, seed, message):
     data = build_dataset(AR100, n_per_class=2, length=128, master_seed=5)
     persist_dataset(data, tmp_path / "d")
     path = tmp_path / "d" / "manifest.json"
     manifest = json.loads(path.read_text())
     manifest["series"][1]["seed"] = seed
     path.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match=re.escape(
-            f"{path}: 'series[1].seed' must be a non-negative integer, got {seed!r}")):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         load_dataset(tmp_path / "d")
 
 
@@ -723,7 +735,8 @@ def test_load_dataset_names_a_missing_manifest_key(tmp_path, key):
     else:
         del manifest[key]
     path.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match=re.escape(f"{path}: missing key '{key}'")):
+    message = f"{path}: key '{key}': required key is missing"
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_dataset(tmp_path / "d")
 
 
