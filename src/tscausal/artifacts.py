@@ -36,6 +36,14 @@ SPLIT_SLUGS = ("train-split", "held-out")
 # files
 
 
+def check_entry_name(name: str, what: str) -> None:
+    """Refuse ``name`` as a run-directory path component unless it names an
+    entry of its parent directory; ``what`` says what it names."""
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ValueError(f"{what} {name!r} must not be empty, '.' or '..', "
+                         "nor contain '/' or '\\'")
+
+
 def atomic_write(path: str | Path, write: Callable[[IO[bytes]], object]) -> None:
     """Call ``write`` on a temporary sibling of ``path``, then rename it to
     ``path``. If anything fails, the sibling is removed and ``path`` is left
@@ -153,6 +161,7 @@ class FeatureSet:
     shape: tuple[int, int]
 
     def __post_init__(self):
+        check_entry_name(self.dir, "dir")
         if min(self.shape) < 0:
             raise ValueError(f"shape must be non-negative, got {list(self.shape)}")
 
@@ -216,27 +225,37 @@ def _check_source(path: Path, recorded, expected: dict) -> None:
         )
 
 
-def load_dataset(dir_path: str | Path, source: dict | None = None) -> Dataset:
-    """The dataset ``persist_dataset`` wrote to ``dir_path``. With ``source``,
+def read_dataset_manifest(dir_path: str | Path, source: dict | None = None) -> DatasetManifest:
+    """The manifest ``persist_dataset`` wrote to ``dir_path``. With ``source``,
     a dataset generated otherwise is refused, naming the first key that
     differs and both values, and so is one whose series count is not
     ``n_per_class`` per class of the source's recipe."""
-    src = Path(dir_path)
-    manifest_path = src / "manifest.json"
+    manifest_path = Path(dir_path) / "manifest.json"
     if not manifest_path.is_file():
         raise FileNotFoundError(f"missing dataset manifest: {manifest_path}")
     manifest = read_document(manifest_path, DatasetManifest, ARTIFACT_SCHEMA_VERSION)
-    series = manifest.series
     if source is not None:
         _check_source(manifest_path, manifest.source, source)
         n, recipe = source["n_per_class"], source["recipe"]
         classes = sum(recipe[family] is not None for family in ("causal", "noncausal"))
-        if len(series) != n * classes:
+        if len(manifest.series) != n * classes:
             raise ValueError(
-                f"{manifest_path}: holds {len(series)} series, but the config's n_per_class "
-                f"{n} over {classes} class(es) gives {n * classes}; run `generate` again"
+                f"{manifest_path}: holds {len(manifest.series)} series, but the config's "
+                f"n_per_class {n} over {classes} class(es) gives {n * classes}; "
+                "run `generate` again"
             )
-    values_path = src / "values.npy"
+    return manifest
+
+
+def load_dataset(dir_path: str | Path, source: dict | None = None,
+                 manifest: DatasetManifest | None = None) -> Dataset:
+    """The dataset ``persist_dataset`` wrote to ``dir_path``, refused as
+    ``read_dataset_manifest`` refuses it; ``manifest``, if the caller has
+    already read it that way, is not read again."""
+    if manifest is None:
+        manifest = read_dataset_manifest(dir_path, source)
+    series = manifest.series
+    values_path = Path(dir_path) / "values.npy"
     values = load_array(values_path, np.float64, 2)
     if not series or values.shape != (len(series), manifest.length):
         raise ValueError(

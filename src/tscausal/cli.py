@@ -75,16 +75,22 @@ def _apply_overrides(config: pipeline.ExperimentConfig, args) -> pipeline.Experi
 def cmd_generate(args) -> int:
     config = _apply_overrides(_load_config(args.config), args)
     run_dir = _run_dir(args.out, config.master_seed, args.run_name)
-    train_set, test_sets = pipeline.build_all_datasets(config)
-    # features made from the datasets being replaced must not be trained on
-    (run_dir / "features" / "manifest.json").unlink(missing_ok=True)
+    # nothing made from the datasets being replaced may outlive them, even
+    # if generation fails part-way
+    for stale in ("features/manifest.json", "model.json", "report.json", "report.txt"):
+        (run_dir / stale).unlink(missing_ok=True)
     _write_config_echo(config, run_dir)
-    recipes = (config.train_recipe, *config.test_recipes)
-    for recipe, dataset in zip(recipes, (train_set, *test_sets)):
-        pipeline.persist_dataset(
-            dataset, run_dir / "datasets" / recipe.name, pipeline.dataset_source(config, recipe)
-        )
-    print(f"wrote {1 + len(test_sets)} datasets under {run_dir / 'datasets'}")
+
+    def persist(recipe: pipeline.DatasetRecipe, dataset) -> None:
+        pipeline.persist_dataset(dataset, run_dir / "datasets" / recipe.name,
+                                 pipeline.dataset_source(config, recipe))
+
+    train_set, test_sets = pipeline.build_all_datasets(config)
+    persist(config.train_recipe, train_set)
+    del train_set
+    for recipe in config.test_recipes:
+        persist(recipe, next(test_sets))  # written before the next is built
+    print(f"wrote {1 + len(config.test_recipes)} datasets under {run_dir / 'datasets'}")
     return 0
 
 
@@ -115,19 +121,26 @@ def cmd_featurize(args) -> int:
     config_path = args.config if args.config else run_dir / "config.json"
     config = _apply_overrides(_load_config(config_path), args)
 
-    datasets = []
+    # every dataset is checked against the config before any feature set
+    # is replaced; only the values wait until their set's turn comes
+    manifests = {}
     for recipe in (config.train_recipe, *config.test_recipes):
         d = run_dir / "datasets" / recipe.name
         if not d.is_dir():
             raise FileNotFoundError(f"missing dataset directory: {d} (run `generate` first)")
-        datasets.append(pipeline.load_dataset(d, pipeline.dataset_source(config, recipe)))
-    sets = pipeline.featurize_sets(config, datasets[0], datasets[1:])
-    del datasets  # ``sets`` now holds the only reference to each dataset
+        manifests[recipe.name] = pipeline.read_dataset_manifest(
+            d, pipeline.dataset_source(config, recipe))
+
+    def load(recipe: pipeline.DatasetRecipe):
+        return pipeline.load_dataset(run_dir / "datasets" / recipe.name,
+                                     manifest=manifests.pop(recipe.name))
 
     feat_root = run_dir / "features"
     manifest_path = feat_root / "manifest.json"
     # no manifest may point at feature sets that are being replaced
     manifest_path.unlink(missing_ok=True)
+    sets = pipeline.featurize_sets(config, load(config.train_recipe),
+                                   map(load, config.test_recipes))
     sets_meta = []
     for name, slug, features, labels in sets:
         set_dir = feat_root / slug
@@ -135,6 +148,7 @@ def cmd_featurize(args) -> int:
         artifacts.save_array(set_dir / "features.npy", features)
         artifacts.save_array(set_dir / "labels.npy", labels)
         sets_meta.append(artifacts.FeatureSet(name, slug, features.shape))
+        del features  # before the next set is loaded
     manifest = artifacts.FeaturesManifest(config.model, pipeline.config_to_dict(config),
                                           tuple(sets_meta))
     doc = {"schema_version": artifacts.ARTIFACT_SCHEMA_VERSION, **to_doc(manifest)}

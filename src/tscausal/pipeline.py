@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,8 +26,10 @@ from .artifacts import (  # noqa: F401 -- the CLI calls these through pipeline
     SPLIT_SLUGS,
     load_dataset,
     persist_dataset,
+    read_dataset_manifest,
     write_text,
 )
+from .artifacts import check_entry_name
 from .chaosfex import GlsParams, extract_ttss
 from .classify import CHAOSFEX_LR, DEFAULT_LR, ClassReport, LrHyper, LrModel
 from .codec import DecodeError, from_doc, to_doc
@@ -140,10 +143,7 @@ class DatasetRecipe:
     def __post_init__(self):
         if self.causal is None and self.noncausal is None:
             raise ValueError(f"recipe {self.name!r} defines no generator family")
-        # the name is a run-directory path component
-        if self.name in ("", ".", "..") or "/" in self.name or "\\" in self.name:
-            raise ValueError(f"recipe name {self.name!r} must not be empty, '.' or '..', "
-                             "nor contain '/' or '\\'")
+        check_entry_name(self.name, "recipe name")
 
     @classmethod
     def from_name(cls, name: str) -> DatasetRecipe:
@@ -470,52 +470,71 @@ def dataset_source(config: ExperimentConfig, recipe: DatasetRecipe) -> dict:
     }
 
 
-def build_all_datasets(config: ExperimentConfig) -> tuple[Dataset, list[Dataset]]:
-    """The training-recipe dataset plus one dataset per test recipe."""
-    sets = []
-    for recipe in (config.train_recipe, *config.test_recipes):
-        with in_stage("generate", recipe.name):
-            n = dataset_source(config, recipe)["n_per_class"]
-            sets.append(build_dataset(recipe, n, config.length, config.master_seed))
-    return sets[0], sets[1:]
+def _build(config: ExperimentConfig, recipe: DatasetRecipe) -> Dataset:
+    with in_stage("generate", recipe.name):
+        n = dataset_source(config, recipe)["n_per_class"]
+        return build_dataset(recipe, n, config.length, config.master_seed)
+
+
+def build_all_datasets(config: ExperimentConfig) -> tuple[Dataset, Iterator[Dataset]]:
+    """The training-recipe dataset, built now, and an iterator that builds
+    each test recipe's dataset only when it is asked for, so that a caller
+    that drops each dataset before asking for the next never holds two."""
+    return _build(config, config.train_recipe), (_build(config, r) for r in config.test_recipes)
 
 
 def assemble_sets(
     config: ExperimentConfig,
     train_set: Dataset,
-    test_sets: list[Dataset],
-) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    test_sets: Iterable[Dataset],
+) -> Iterator[tuple[str, np.ndarray, np.ndarray]]:
     """(display name, values, labels) rows: train split, held-out, then tests.
 
-    Only the training dataset is indexed (copied) into its two splits; each
-    test set passes its own matrices. The split is a pure function of the
-    configuration, so regenerated and reloaded datasets partition identically.
+    Only the training dataset is indexed (copied) into its two splits, at
+    once; each test set passes its own matrices and is taken from
+    ``test_sets`` only when its row is asked for. The split is a pure
+    function of the configuration, so regenerated and reloaded datasets
+    partition identically.
     """
     values, labels = train_set.values, train_set.labels
     train_idx, heldout_idx = split_indices(config, labels)
-    named = [
+    splits = [
         (f"{config.train_recipe.name} (train split)", values[train_idx], labels[train_idx]),
         (f"{config.train_recipe.name} (held-out)", values[heldout_idx], labels[heldout_idx]),
     ]
-    for recipe, dataset in zip(config.test_recipes, test_sets):
-        named.append((recipe.name, dataset.values, dataset.labels))
-    return named
+    return _rows(splits, config.test_recipes, iter(test_sets))
 
 
-def featurize_sets(config: ExperimentConfig, train_set: Dataset, test_sets: list[Dataset]):
+def _rows(splits: list, recipes: tuple[DatasetRecipe, ...], test_sets: Iterator[Dataset]):
+    # each row leaves this frame as it is yielded; no ``zip`` over the test
+    # sets, whose reused result tuple would hold a set while the next is made
+    while splits:
+        yield splits.pop(0)
+    for recipe in recipes:
+        dataset = next(test_sets)
+        yield recipe.name, dataset.values, dataset.labels
+        del dataset
+
+
+def featurize_sets(config: ExperimentConfig, train_set: Dataset, test_sets: Iterable[Dataset]):
     """Yield (display name, run-dir slug, features, labels) for each set of
     ``assemble_sets`` in turn, with the feature stage fitted on the train
-    split. A set's values are dropped before the next set is transformed."""
-    named = assemble_sets(config, train_set, test_sets)
-    del train_set, test_sets  # ``named`` now holds the only reference to each set's values
-    with in_stage("featurize", named[0][0]):
-        stage = fit_feature_stage(config, named[0][1])
-    for slug in [*SPLIT_SLUGS, *(r.name for r in config.test_recipes)]:
-        name, values, labels = named.pop(0)
+    split. Each set is taken, and each test set made, only when its turn
+    comes, and nothing of a set stays here once it is yielded: a caller that
+    drops each set's features before asking for the next never holds two
+    sets at once."""
+    rows = assemble_sets(config, train_set, test_sets)
+    del train_set, test_sets  # ``rows`` now holds the only reference to each set
+    stage = None
+    for slug in (*SPLIT_SLUGS, *(r.name for r in config.test_recipes)):
+        name, values, labels = next(rows)
         with in_stage("featurize", name):
+            if stage is None:  # the first row is the train split
+                stage = fit_feature_stage(config, values)
             features = stage.transform(values)
         del values
         yield name, slug, features, labels
+        del features
 
 
 def train_model(config: ExperimentConfig, name: str, features: np.ndarray,
@@ -535,19 +554,45 @@ def score_set(model: LrModel, name: str, features: np.ndarray,
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Train the configured model and evaluate it on every configured set."""
+    """Train the configured model and evaluate it on every configured set.
+
+    Sets stream through the stages one at a time: the model is trained on
+    the first set featurized, the train split, and every set is scored as
+    soon as it is featurized and then dropped, so no two datasets and no two
+    sets' features are alive at once. Each timing sums its stage over the sets.
+    """
     clock = time.perf_counter
-    t0 = clock()
-    # no reference to the datasets stays here, so each is freed once featurized
-    sets = featurize_sets(config, *build_all_datasets(config))
-    t1 = clock()
-    featurized = [(name, features, labels) for name, _, features, labels in sets]
-    t2 = clock()
-    model = train_model(config, *featurized[0])
-    t3 = clock()
-    rows = tuple(score_set(model, *s) for s in featurized)
-    timings = {"generate": t1 - t0, "featurize": t2 - t1, "train": t3 - t2, "evaluate": clock() - t3}
-    return ExperimentReport(config=config, rows=rows, timings=timings)
+    timings = dict.fromkeys(("generate", "featurize", "train", "evaluate"), 0.0)
+    start = clock()
+    train_set, test_sets = build_all_datasets(config)
+    timings["generate"] = clock() - start
+    sets = featurize_sets(config, train_set, _timed(test_sets, timings, "generate"))
+    del train_set, test_sets  # ``sets`` now holds the only reference to each dataset
+    model, rows = None, []
+    for name, _, features, labels in sets:
+        if model is None:  # the first set is the train split
+            t = clock()
+            model = train_model(config, name, features, labels)
+            timings["train"] = clock() - t
+        t = clock()
+        rows.append(score_set(model, name, features, labels))
+        timings["evaluate"] += clock() - t
+        del features  # before the next set is featurized
+    # featurize is what the other stages leave of the run
+    timings["featurize"] = clock() - start - sum(timings.values())
+    return ExperimentReport(config=config, rows=tuple(rows), timings=timings)
+
+
+def _timed(items: Iterator, timings: dict[str, float], stage: str) -> Iterator:
+    """``items``, adding the time each one takes to make to ``timings[stage]``."""
+    while True:
+        t = time.perf_counter()
+        item = next(items, None)
+        timings[stage] += time.perf_counter() - t
+        if item is None:
+            return
+        yield item
+        del item  # the caller holds the only reference while it uses the item
 
 
 # ---------------------------------------------------------------------------

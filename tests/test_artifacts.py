@@ -333,6 +333,20 @@ def test_featurize_refuses_a_dataset_trimmed_below_its_config(tmp_path, capsys):
     assert not (run / "features").exists()
 
 
+def test_a_featurize_refused_by_a_test_dataset_leaves_the_runs_features_in_place(
+        tmp_path, capsys):
+    run = tiny_run(tmp_path)
+    assert main(["featurize", str(run)]) == 0
+    before = {p: p.read_bytes() for p in (run / "features").rglob("*") if p.is_file()}
+    config = tmp_path / "other.json"
+    config.write_text(json.dumps({**TINY, "n_test_per_class": TINY["n_test_per_class"] + 1}))
+    capsys.readouterr()
+    assert main(["featurize", str(run), "--config", str(config)]) == 1
+    assert "dataset was generated with n_per_class" in capsys.readouterr().err
+    after = {p: p.read_bytes() for p in (run / "features").rglob("*") if p.is_file()}
+    assert after == before
+
+
 def test_featurize_refuses_a_spec_length_that_is_not_the_dataset_length(tmp_path, capsys):
     run = tiny_run(tmp_path)
     path = run / "datasets" / "shift-I" / "manifest.json"

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import tscausal
+from lifetimes import watch_sets
 from tscausal import classify, pipeline
 from tscausal.cli import build_parser, main
 
@@ -282,6 +284,22 @@ def test_evaluate_names_a_key_missing_from_a_features_manifest_set(
     assert f"error [evaluate]: {path}: key 'sets[0].{key}': required key is missing" in err
 
 
+@pytest.mark.parametrize("bad", ["../../other/features/shift-I", "..", ".", ""])
+def test_evaluate_refuses_a_features_manifest_set_outside_its_directory(
+        tmp_path, tiny_config_path, capsys, bad):
+    run = run_chain(tmp_path, tiny_config_path, capsys)
+    # another run's features, which an unchecked dir would reach
+    shutil.copytree(run / "features" / "shift-I", tmp_path / "other" / "features" / "shift-I")
+    path = run / "features" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["sets"][2]["dir"] = bad
+    path.write_text(json.dumps(manifest))
+    assert main(["evaluate", str(run), "--out", str(tmp_path / "again")]) == 1
+    err = capsys.readouterr().err
+    assert f"error [evaluate]: {path}: key 'sets[2]': dir {bad!r} must not be empty" in err
+    assert not (tmp_path / "again" / "report.json").exists()
+
+
 @pytest.mark.parametrize("damage, message", [
     (lambda text: text[:40], "invalid JSON at line"),
     (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "bias"}),
@@ -394,6 +412,32 @@ def test_chain_artifacts_equal_the_stage_functions_bit_for_bit(tmp_path, capsys,
     assert json.loads((run / "report.json").read_text()) == pipeline.report_to_dict(report)
 
 
+@pytest.fixture
+def four_set_config_path(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**TINY, "test_recipes": ["shift-I", "shift-II", "AR100"]}))
+    return path
+
+
+def test_generate_holds_one_dataset_at_a_time(tmp_path, four_set_config_path, capsys,
+                                              monkeypatch):
+    argv = ["generate", "--config", str(four_set_config_path), "--out", str(tmp_path / "run")]
+    with watch_sets(monkeypatch, "build_dataset") as watch:
+        assert main(argv) == 0, capsys.readouterr().err
+    assert len(watch.datasets) == 4 and not watch.live_datasets()
+
+
+def test_featurize_holds_one_dataset_and_one_set_of_features_at_a_time(
+        tmp_path, four_set_config_path, capsys, monkeypatch):
+    run = tmp_path / "run"
+    assert main(["generate", "--config", str(four_set_config_path), "--out", str(run)]) == 0
+    with watch_sets(monkeypatch, "load_dataset") as watch:
+        assert main(["featurize", str(run)]) == 0, capsys.readouterr().err
+    # the train dataset makes two sets, the train split and the held-out set
+    assert len(watch.datasets) == 4 and len(watch.features) == 5
+    assert not watch.live_datasets() and not watch.live_features()
+
+
 def test_seed_override_changes_generated_data(tmp_path, tiny_config_path, capsys):
     run_a = tmp_path / "a"
     run_b = tmp_path / "b"
@@ -450,6 +494,25 @@ def test_generate_invalidates_the_features_of_the_datasets_it_replaces(
     for step in ("train", "evaluate"):
         assert main([step, str(run)]) == 1
         assert "(run `featurize` first)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["completes", "fails-part-way"])
+def test_generate_removes_the_model_and_report_of_the_datasets_it_replaces(
+        tmp_path, tiny_config_path, capsys, monkeypatch, fails):
+    run = run_chain(tmp_path, tiny_config_path, capsys)
+    if fails:
+        build = pipeline.build_dataset
+
+        def build_the_train_set_only(recipe, *args):
+            if recipe.name != "AR-train":
+                raise ValueError("out of memory")
+            return build(recipe, *args)
+
+        monkeypatch.setattr(pipeline, "build_dataset", build_the_train_set_only)
+    argv = ["generate", "--config", str(tiny_config_path), "--seed", "8", "--out", str(run)]
+    assert main(argv) == (1 if fails else 0)
+    for name in ("features/manifest.json", "model.json", "report.json", "report.txt"):
+        assert not (run / name).exists(), name
 
 
 def test_evaluate_refuses_a_model_trained_for_other_features(tmp_path, capsys):

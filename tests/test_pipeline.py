@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lifetimes import watch_sets
 from tscausal.chaosfex import GlsParams, firing_table
 from tscausal.classify import CHAOSFEX_LR, DEFAULT_LR, LrHyper
 from tscausal import pipeline
@@ -468,7 +469,7 @@ def test_split_indices_uses_train_recipe_and_seed():
 def test_assemble_sets_names_and_shapes():
     cfg = tiny_config()
     train_set, test_sets = build_all_datasets(cfg)
-    named = assemble_sets(cfg, train_set, test_sets)
+    named = list(assemble_sets(cfg, train_set, test_sets))
     names = [n for n, _, _ in named]
     assert names == ["AR-train (train split)", "AR-train (held-out)", "shift-I"]
     train_values = named[0][1]
@@ -528,6 +529,15 @@ def test_test_sets_reach_the_feature_stage_without_a_copy(monkeypatch):
     assert len(built) == 3 and len(seen) == 4
     for dataset, values in zip(built[1:], seen[2:]):
         assert np.shares_memory(values, dataset.values)
+
+
+def test_run_experiment_holds_one_dataset_and_one_set_of_features_at_a_time(monkeypatch):
+    config = tiny_config(test_recipes=(SHIFT_I, SHIFT_II, AR100))
+    with watch_sets(monkeypatch, "build_dataset") as watch:
+        run_experiment(config)
+    # the train dataset makes two sets, the train split and the held-out set
+    assert len(watch.datasets) == 4 and len(watch.features) == 5
+    assert not watch.live_datasets() and not watch.live_features()
 
 
 def test_run_experiment_peak_memory_stays_below_1_75x_its_datasets():
