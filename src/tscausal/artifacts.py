@@ -185,7 +185,7 @@ class FeaturesManifest:
 
 def persist_dataset(dataset: Dataset, dir_path: str | Path, source: dict | None = None) -> None:
     """Write ``values.npy`` (one series per row), then ``manifest.json``, whose
-    ``source`` ``load_dataset`` can hold a config to."""
+    ``source`` ``read_dataset_manifest`` can hold a config to."""
     if not dataset.specs:
         raise ValueError("refusing to persist an empty dataset")
     out = Path(dir_path)
@@ -247,13 +247,12 @@ def read_dataset_manifest(dir_path: str | Path, source: dict | None = None) -> D
     return manifest
 
 
-def load_dataset(dir_path: str | Path, source: dict | None = None,
-                 manifest: DatasetManifest | None = None) -> Dataset:
-    """The dataset ``persist_dataset`` wrote to ``dir_path``, refused as
-    ``read_dataset_manifest`` refuses it; ``manifest``, if the caller has
-    already read it that way, is not read again."""
+def load_dataset(dir_path: str | Path, manifest: DatasetManifest | None = None) -> Dataset:
+    """The dataset ``persist_dataset`` wrote to ``dir_path``; ``manifest``,
+    if the caller has already read it with ``read_dataset_manifest``, is not
+    read again."""
     if manifest is None:
-        manifest = read_dataset_manifest(dir_path, source)
+        manifest = read_dataset_manifest(dir_path)
     series = manifest.series
     values_path = Path(dir_path) / "values.npy"
     values = load_array(values_path, np.float64, 2)

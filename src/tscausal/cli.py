@@ -80,16 +80,11 @@ def cmd_generate(args) -> int:
     for stale in ("features/manifest.json", "model.json", "report.json", "report.txt"):
         (run_dir / stale).unlink(missing_ok=True)
     _write_config_echo(config, run_dir)
-
-    def persist(recipe: pipeline.DatasetRecipe, dataset) -> None:
-        pipeline.persist_dataset(dataset, run_dir / "datasets" / recipe.name,
+    for recipe in (config.train_recipe, *config.test_recipes):
+        # each dataset is written before the next is made
+        pipeline.persist_dataset(pipeline.make_dataset(config, recipe),
+                                 run_dir / "datasets" / recipe.name,
                                  pipeline.dataset_source(config, recipe))
-
-    train_set, test_sets = pipeline.build_all_datasets(config)
-    persist(config.train_recipe, train_set)
-    del train_set
-    for recipe in config.test_recipes:
-        persist(recipe, next(test_sets))  # written before the next is built
     print(f"wrote {1 + len(config.test_recipes)} datasets under {run_dir / 'datasets'}")
     return 0
 
@@ -128,7 +123,7 @@ def cmd_featurize(args) -> int:
         d = run_dir / "datasets" / recipe.name
         if not d.is_dir():
             raise FileNotFoundError(f"missing dataset directory: {d} (run `generate` first)")
-        manifests[recipe.name] = pipeline.read_dataset_manifest(
+        manifests[recipe.name] = artifacts.read_dataset_manifest(
             d, pipeline.dataset_source(config, recipe))
 
     def load(recipe: pipeline.DatasetRecipe):
@@ -139,10 +134,8 @@ def cmd_featurize(args) -> int:
     manifest_path = feat_root / "manifest.json"
     # no manifest may point at feature sets that are being replaced
     manifest_path.unlink(missing_ok=True)
-    sets = pipeline.featurize_sets(config, load(config.train_recipe),
-                                   map(load, config.test_recipes))
     sets_meta = []
-    for name, slug, features, labels in sets:
+    for name, slug, features, labels in pipeline.featurize_sets(config, load):
         set_dir = feat_root / slug
         set_dir.mkdir(parents=True, exist_ok=True)
         artifacts.save_array(set_dir / "features.npy", features)

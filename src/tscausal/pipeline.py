@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +26,6 @@ from .artifacts import (  # noqa: F401 -- the CLI calls these through pipeline
     SPLIT_SLUGS,
     load_dataset,
     persist_dataset,
-    read_dataset_manifest,
     write_text,
 )
 from .artifacts import check_entry_name
@@ -470,64 +469,47 @@ def dataset_source(config: ExperimentConfig, recipe: DatasetRecipe) -> dict:
     }
 
 
-def _build(config: ExperimentConfig, recipe: DatasetRecipe) -> Dataset:
+def make_dataset(config: ExperimentConfig, recipe: DatasetRecipe) -> Dataset:
+    """``recipe``'s dataset as ``config`` sizes and seeds it; an error names the recipe."""
     with in_stage("generate", recipe.name):
         n = dataset_source(config, recipe)["n_per_class"]
         return build_dataset(recipe, n, config.length, config.master_seed)
 
 
-def build_all_datasets(config: ExperimentConfig) -> tuple[Dataset, Iterator[Dataset]]:
-    """The training-recipe dataset, built now, and an iterator that builds
-    each test recipe's dataset only when it is asked for, so that a caller
-    that drops each dataset before asking for the next never holds two."""
-    return _build(config, config.train_recipe), (_build(config, r) for r in config.test_recipes)
-
-
-def assemble_sets(
-    config: ExperimentConfig,
-    train_set: Dataset,
-    test_sets: Iterable[Dataset],
-) -> Iterator[tuple[str, np.ndarray, np.ndarray]]:
-    """(display name, values, labels) rows: train split, held-out, then tests.
-
-    Only the training dataset is indexed (copied) into its two splits, at
-    once; each test set passes its own matrices and is taken from
-    ``test_sets`` only when its row is asked for. The split is a pure
-    function of the configuration, so regenerated and reloaded datasets
-    partition identically.
-    """
+def assemble_sets(config: ExperimentConfig,
+                  train_set: Dataset) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """The (display name, values, labels) rows of the training dataset's two
+    splits, train split first, each indexed (copied) out of ``train_set``.
+    The split is a pure function of the configuration, so regenerated and
+    reloaded datasets partition identically."""
     values, labels = train_set.values, train_set.labels
     train_idx, heldout_idx = split_indices(config, labels)
-    splits = [
+    return [
         (f"{config.train_recipe.name} (train split)", values[train_idx], labels[train_idx]),
         (f"{config.train_recipe.name} (held-out)", values[heldout_idx], labels[heldout_idx]),
     ]
-    return _rows(splits, config.test_recipes, iter(test_sets))
 
 
-def _rows(splits: list, recipes: tuple[DatasetRecipe, ...], test_sets: Iterator[Dataset]):
-    # each row leaves this frame as it is yielded; no ``zip`` over the test
-    # sets, whose reused result tuple would hold a set while the next is made
-    while splits:
-        yield splits.pop(0)
-    for recipe in recipes:
-        dataset = next(test_sets)
-        yield recipe.name, dataset.values, dataset.labels
-        del dataset
-
-
-def featurize_sets(config: ExperimentConfig, train_set: Dataset, test_sets: Iterable[Dataset]):
-    """Yield (display name, run-dir slug, features, labels) for each set of
-    ``assemble_sets`` in turn, with the feature stage fitted on the train
-    split. Each set is taken, and each test set made, only when its turn
+def featurize_sets(config: ExperimentConfig, dataset_for: Callable[[DatasetRecipe], Dataset]):
+    """Yield (display name, run-dir slug, features, labels) for the train
+    split, the held-out split and each test recipe in turn, with the feature
+    stage fitted on the train split. ``dataset_for(recipe)`` makes a recipe's
+    dataset; it is called for each test recipe only when its set's turn
     comes, and nothing of a set stays here once it is yielded: a caller that
     drops each set's features before asking for the next never holds two
     sets at once."""
-    rows = assemble_sets(config, train_set, test_sets)
-    del train_set, test_sets  # ``rows`` now holds the only reference to each set
+    splits = assemble_sets(config, dataset_for(config.train_recipe))
+    tests = {r.name: r for r in config.test_recipes}
     stage = None
-    for slug in (*SPLIT_SLUGS, *(r.name for r in config.test_recipes)):
-        name, values, labels = next(rows)
+    # no ``zip`` over made datasets: its reused result tuple would hold a
+    # set while the next is made
+    for slug in (*SPLIT_SLUGS, *tests):
+        if splits:
+            name, values, labels = splits.pop(0)
+        else:
+            dataset = dataset_for(tests[slug])
+            name, values, labels = slug, dataset.values, dataset.labels
+            del dataset
         with in_stage("featurize", name):
             if stage is None:  # the first row is the train split
                 stage = fit_feature_stage(config, values)
@@ -563,13 +545,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """
     clock = time.perf_counter
     timings = dict.fromkeys(("generate", "featurize", "train", "evaluate"), 0.0)
+
+    def dataset_for(recipe: DatasetRecipe) -> Dataset:
+        t = clock()
+        dataset = make_dataset(config, recipe)
+        timings["generate"] += clock() - t
+        return dataset
+
     start = clock()
-    train_set, test_sets = build_all_datasets(config)
-    timings["generate"] = clock() - start
-    sets = featurize_sets(config, train_set, _timed(test_sets, timings, "generate"))
-    del train_set, test_sets  # ``sets`` now holds the only reference to each dataset
     model, rows = None, []
-    for name, _, features, labels in sets:
+    for name, _, features, labels in featurize_sets(config, dataset_for):
         if model is None:  # the first set is the train split
             t = clock()
             model = train_model(config, name, features, labels)
@@ -581,18 +566,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     # featurize is what the other stages leave of the run
     timings["featurize"] = clock() - start - sum(timings.values())
     return ExperimentReport(config=config, rows=tuple(rows), timings=timings)
-
-
-def _timed(items: Iterator, timings: dict[str, float], stage: str) -> Iterator:
-    """``items``, adding the time each one takes to make to ``timings[stage]``."""
-    while True:
-        t = time.perf_counter()
-        item = next(items, None)
-        timings[stage] += time.perf_counter() - t
-        if item is None:
-            return
-        yield item
-        del item  # the caller holds the only reference while it uses the item
 
 
 # ---------------------------------------------------------------------------

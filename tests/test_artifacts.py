@@ -359,7 +359,7 @@ def test_featurize_refuses_a_spec_length_that_is_not_the_dataset_length(tmp_path
     assert f"{path}: 'series[4].spec.length' is 300, but the dataset's length is 128" in err
 
 
-def test_load_dataset_refuses_a_dataset_without_a_source(tmp_path):
+def test_read_dataset_manifest_refuses_a_dataset_without_a_source(tmp_path):
     persist_dataset(build_dataset(AR100, n_per_class=2, length=128, master_seed=5), tmp_path / "d")
     with pytest.raises(ValueError, match="records no generating config"):
-        load_dataset(tmp_path / "d", source={"master_seed": 5})
+        artifacts.read_dataset_manifest(tmp_path / "d", source={"master_seed": 5})

@@ -1,5 +1,7 @@
+import functools
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -395,7 +397,7 @@ def test_chain_artifacts_equal_the_stage_functions_bit_for_bit(tmp_path, capsys,
     config = pipeline.config_from_dict(json.loads(config_path.read_text()))
     featurized, names = [], []
     for name, slug, features, labels in pipeline.featurize_sets(
-            config, *pipeline.build_all_datasets(config)):
+            config, functools.partial(pipeline.make_dataset, config)):
         set_dir = run / "features" / slug
         np.testing.assert_array_equal(np.load(set_dir / "features.npy").view(np.uint64),
                                       features.view(np.uint64))
@@ -513,6 +515,14 @@ def test_generate_removes_the_model_and_report_of_the_datasets_it_replaces(
     assert main(argv) == (1 if fails else 0)
     for name in ("features/manifest.json", "model.json", "report.json", "report.txt"):
         assert not (run / name).exists(), name
+    if fails:
+        failure = "generate stage failed on 'shift-I': out of memory"
+        assert f"error [generate]: {failure}" in capsys.readouterr().err
+        train_manifest = json.loads((run / "datasets" / "AR-train" / "manifest.json").read_text())
+        assert train_manifest["source"]["master_seed"] == 8
+        config = pipeline.config_from_dict(json.loads(tiny_config_path.read_text()))
+        with pytest.raises(RuntimeError, match=re.escape(failure)):
+            pipeline.run_experiment(config)
 
 
 def test_evaluate_refuses_a_model_trained_for_other_features(tmp_path, capsys):

@@ -25,7 +25,6 @@ from tscausal.pipeline import (
     FeatureStage,
     NoiseFamily,
     assemble_sets,
-    build_all_datasets,
     build_dataset,
     canonical_model,
     config_fingerprint,
@@ -36,6 +35,7 @@ from tscausal.pipeline import (
     emit_plot_data,
     fit_feature_stage,
     load_dataset,
+    make_dataset,
     persist_dataset,
     report_to_dict,
     report_to_text,
@@ -468,16 +468,15 @@ def test_split_indices_uses_train_recipe_and_seed():
 
 def test_assemble_sets_names_and_shapes():
     cfg = tiny_config()
-    train_set, test_sets = build_all_datasets(cfg)
-    named = list(assemble_sets(cfg, train_set, test_sets))
+    named = assemble_sets(cfg, make_dataset(cfg, cfg.train_recipe))
     names = [n for n, _, _ in named]
-    assert names == ["AR-train (train split)", "AR-train (held-out)", "shift-I"]
+    assert names == ["AR-train (train split)", "AR-train (held-out)"]
     train_values = named[0][1]
     held_values = named[1][1]
     # 70:30 of 12 per class
     assert train_values.shape == (16, 128)
     assert held_values.shape == (8, 128)
-    assert named[2][1].shape == (12, 128)
+    assert make_dataset(cfg, SHIFT_I).values.shape == (12, 128)
 
 
 def test_run_experiment_report_layout():
