@@ -126,8 +126,8 @@ def scalar_series(spec, seed: int) -> np.ndarray:
     kinds draw ``start`` (the largest lag) initial values and then the noise
     sequence from the same generator, add each step's terms to a literal 0.0
     in the spec's order, and ARFIMA convolves that core with weights from
-    w[j] = w[j-1] * (j - 1 + d) / j. Non-finite values are returned, not
-    refused.
+    w[j] = w[j-1] * (j - 1 + d) / j by ``exact_convolution``. Non-finite
+    values are returned, not refused.
     """
     rng = np.random.default_rng(seed)
     kind = spec.kind.value
@@ -154,8 +154,44 @@ def scalar_series(spec, seed: int) -> np.ndarray:
         w = [1.0]
         for j in range(1, spec.length):
             w.append(w[j - 1] * (j - 1 + spec.d) / j)
-        values = np.convolve(np.array(w), values)[: spec.length]
+        values = exact_convolution(w, values)
     return values
+
+
+def exact_convolution(w, x) -> np.ndarray:
+    """The first ``len(x)`` outputs of the convolution of ``w`` with ``x``,
+    each the exact sum of its exact products, rounded once.
+
+    Each product w[j] * x[t - j] is held exactly as its rounded value plus
+    Dekker's error term, from Veltkamp's split of both factors into halves
+    of 26 bits, and one ``math.fsum`` per output rounds the sum of all of
+    them. Products must neither overflow nor underflow; an output whose
+    terms are not finite, or whose sum overflows, is their plain sum.
+    """
+    w, x = np.asarray(w, dtype=np.float64), np.asarray(x, dtype=np.float64)
+    (wh, wl), (xh, xl) = _split(w), _split(x)
+    out = np.empty(len(x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(len(x)):
+            n = min(t + 1, len(w))
+            past = slice(t, t - n if t >= n else None, -1)  # x[t], ..., x[t - n + 1]
+            p = w[:n] * x[past]
+            err = (((wh[:n] * xh[past] - p) + wh[:n] * xl[past] + wl[:n] * xh[past])
+                   + wl[:n] * xl[past])
+            terms = p.tolist() + err.tolist()
+            try:
+                out[t] = math.fsum(terms)
+            except (OverflowError, ValueError):
+                out[t] = sum(terms)
+    return out
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Veltkamp: a == hi + lo exactly, each half with at most 26 significant bits
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = 134217729.0 * a  # 2**27 + 1
+        hi = c - (c - a)
+    return hi, a - hi
 
 
 def lag_autocorr(series, lag: int) -> float:

@@ -326,8 +326,7 @@ def test_evaluate_before_train_fails_cleanly(tmp_path, tiny_config_path, capsys)
 
 
 # ---------------------------------------------------------------------------
-# cold start: scipy is loaded by `train` alone, and concurrent.futures by the
-# simulation of more than one ARFIMA series on more than one core
+# cold start: scipy is loaded by `train` alone, and no step loads concurrent.futures
 
 
 def modules_after(code, cwd, package="scipy"):

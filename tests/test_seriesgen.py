@@ -1,15 +1,13 @@
-import concurrent.futures
+import dataclasses
 import math
-import os
 import re
-import threading
 
 import hypothesis
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from helpers import gamma_ratio_weights, lag_autocorr, scalar_series
+from helpers import exact_convolution, gamma_ratio_weights, lag_autocorr, scalar_series
 from tscausal import seriesgen
 from tscausal.seriesgen import (
     CAUSAL,
@@ -265,6 +263,24 @@ def test_arfima_long_memory_slows_autocorr_decay():
     assert far > near + 0.1
 
 
+def convolution_bound(w, x):
+    """How far an ARFIMA row may lie from the exact convolution of its
+    weights ``w`` with its core ``x``, in any output: 64 eps ||w||_2 ||x||_2.
+
+    A size-N FFT convolution errs normwise by a small multiple of
+    log2(N) eps ||w||_2 ||x||_2, 12 eps times the norms at N = 4096; by
+    Cauchy-Schwarz a direct sum errs per output by at most n eps ||w||_2
+    ||x||_2, far less in practice, since its rounding errors have mixed
+    signs. A circular wrap-around errs by a whole term.
+    """
+    return 64 * np.finfo(np.float64).eps * np.linalg.norm(w) * np.linalg.norm(x)
+
+
+def core_of(spec):
+    """The ARMA spec whose series, from the same seed, is the core of an ARFIMA spec."""
+    return dataclasses.replace(spec, kind=Kind.ARMA, d=0.0)
+
+
 def test_arfima_matches_manual_convolution():
     spec = ProcessSpec(kind=Kind.ARFIMA, length=300, ma_terms=((0, 1.0),),
                        noise_variance=1.0, d=0.3)
@@ -272,7 +288,28 @@ def test_arfima_matches_manual_convolution():
     rng = np.random.default_rng(9)
     eps = rng.normal(0.0, 1.0, 300)
     w = fractional_integration_weights(0.3, 300)
-    np.testing.assert_array_equal(got, np.convolve(w, eps)[:300])
+    assert np.abs(got - exact_convolution(w, eps)).max() <= convolution_bound(w, eps)
+
+
+# 2,000 values, as the recipes draw them, and 1,025, whose full convolution
+# of 2,049 values is one longer than a transform of 2,048 could hold
+@pytest.mark.parametrize("length, ds", [
+    (2000, np.linspace(-0.49, 0.49, 16)),
+    (1025, [-0.49, -0.2, 0.3, 0.49]),
+])
+def test_fft_and_direct_convolutions_meet_the_exact_bound(length, ds):
+    specs = [ProcessSpec(kind=Kind.ARFIMA, length=length, ar_terms=((1 + r % 7, 0.8),),
+                         ma_terms=((0, 1.0), (2 + r % 3, 0.5)), d=d, noise_variance=0.01)
+             for r, d in enumerate(ds)]
+    seeds = range(300, 300 + len(specs))
+    got = generate_many(specs, seeds)
+    cores = generate_many([core_of(s) for s in specs], seeds)
+    for row, spec, core in zip(got, specs, cores):
+        w = fractional_integration_weights(spec.d, length)
+        exact = exact_convolution(w, core)
+        bound = convolution_bound(w, core)
+        assert np.abs(row - exact).max() <= bound
+        assert np.abs(np.convolve(w, core)[:length] - exact).max() <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +404,19 @@ def bits(values):
 
 
 def assert_matches_oracle(batch, seeds):
+    """Every row of the batch equals the scalar oracle's series bit for bit,
+    except ARFIMA rows, which lie within ``convolution_bound`` of it."""
     got = generate_many(batch, seeds)
     assert got.shape == (len(batch), batch[0].length)
     assert not got.flags.writeable
     for row, spec, seed in zip(got, batch, seeds):
-        assert np.array_equal(bits(row), bits(scalar_series(spec, seed)))
+        want = scalar_series(spec, seed)
+        if spec.kind == Kind.ARFIMA:
+            w = fractional_integration_weights(spec.d, spec.length)
+            bound = convolution_bound(w, scalar_series(core_of(spec), seed))
+            assert np.abs(row - want).max() <= bound
+        else:
+            assert np.array_equal(bits(row), bits(want))
 
 
 # each batch shares one length, as generate_many requires
@@ -437,7 +482,23 @@ def test_build_dataset_shaped_batch_equals_the_oracle():
 
 
 # ---------------------------------------------------------------------------
-# ARFIMA convolutions, one chunk of rows per usable core
+# ARFIMA convolutions, FFT_BLOCK_ROWS rows at a time
+
+
+def test_arfima_rows_do_not_depend_on_their_batch():
+    # FFT_BLOCK_ROWS + 3 rows at offsets 0 and 5 move every row within its
+    # block, and put some rows on either side of a block edge
+    rows = seriesgen.FFT_BLOCK_ROWS + 3
+    pool = [ProcessSpec(kind=Kind.ARFIMA, length=300, ar_terms=((1 + r % 5, 0.85),),
+                        ma_terms=((0, 1.0), (3 + r % 11, 0.8)),
+                        d=0.0 if r == 7 else 0.98 * r / (rows + 4) - 0.49, noise_variance=0.01)
+            for r in range(rows + 5)]
+    seeds = list(range(50, 50 + len(pool)))
+    alone = np.array([bits(generate(spec, seed)) for spec, seed in zip(pool, seeds)])
+    assert np.array_equal(bits(generate_many(pool[::-1], seeds[::-1]))[::-1], alone)
+    for offset in (0, 5):
+        got = generate_many(pool[offset:offset + rows], seeds[offset:offset + rows])
+        assert np.array_equal(bits(got), alone[offset:offset + rows])
 
 
 def arfima_batch(rows):
@@ -454,44 +515,13 @@ def arfima_batch(rows):
 
 @pytest.mark.parametrize("rows", [1, 2, 5])
 def test_arfima_chunking_changes_no_bit(monkeypatch, rows):
-    # 1 and 2 rows: fewer rows than 3 workers; 5: an odd batch
+    # 1 and 2 rows: fewer rows than a block of 3; 5: a last block cut short
     batch = arfima_batch(rows)
     seeds = list(range(50, 50 + len(batch)))
     got = {}
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(seriesgen, "_usable_cores", lambda: workers)
-        got[workers] = bits(generate_many(batch, seeds))
+    for block_rows in (1, 2, 3):
+        monkeypatch.setattr(seriesgen, "FFT_BLOCK_ROWS", block_rows)
+        got[block_rows] = bits(generate_many(batch, seeds))
     assert np.array_equal(got[1], got[2]) and np.array_equal(got[1], got[3])
     for row, spec, seed in zip(got[1], batch, seeds):
-        assert np.array_equal(row, bits(scalar_series(spec, seed)))
-
-
-@pytest.mark.parametrize("cores, rows, chunks", [
-    (1, 5, None), (2, 5, [(0, 2), (2, 5)]), (3, 5, [(0, 1), (1, 3), (3, 5)]),
-    (3, 2, [(0, 1), (1, 2)]), (4, 1, None),
-])
-def test_arfima_rows_run_in_one_contiguous_chunk_per_usable_core(monkeypatch, cores, rows, chunks):
-    pools = []
-
-    class Pool(concurrent.futures.ThreadPoolExecutor):
-        def map(self, fn, *bounds):
-            # holding the pool keeps the threads of one left open alive
-            pools.append((self, list(zip(*bounds))))
-            return super().map(fn, *bounds)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
-    monkeypatch.setattr(seriesgen, "_usable_cores", lambda: cores)
-    before = threading.active_count()
-    generate_many(arfima_batch(rows), range(2 * rows))
-    assert threading.active_count() == before
-    # one worker runs in the calling thread, with no pool
-    expected = [] if chunks is None else [(len(chunks), chunks)]
-    assert [(pool._max_workers, bounds) for pool, bounds in pools] == expected
-
-
-def test_usable_cores_are_the_affinity_or_else_the_core_count(monkeypatch):
-    if hasattr(os, "sched_getaffinity"):
-        assert seriesgen._usable_cores() == len(os.sched_getaffinity(0))
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 7)
-    assert seriesgen._usable_cores() == 7
+        assert np.array_equal(row, bits(generate(spec, seed)))
