@@ -1,5 +1,5 @@
-"""Run-directory artifacts: the one path that writes and reads the files of a
-run directory.
+"""Run-directory artifacts: the one module that names, writes, reads and
+deletes the files of a run directory, bar the reports ``pipeline.write_report`` writes.
 
 Arrays are NumPy ``.npy`` files (NEP 1). They hold the raw bits, so every
 value round-trips exactly. Every file is written to a hidden sibling and then
@@ -7,8 +7,8 @@ renamed into place, so a command that fails or is killed leaves no partial
 file under a final name. There is no fsync, so this guards against a failing
 process, not against power loss.
 
-Manifests are dataclasses written by ``codec.to_doc`` and read, as
-``model.json`` is, by ``read_document``; they carry ``ARTIFACT_SCHEMA_VERSION``.
+Manifests and ``model.json`` are dataclasses written by ``write_document``
+and read by ``read_document``; manifests carry ``ARTIFACT_SCHEMA_VERSION``.
 Version 1 was the CSV layout; run directories written in it are refused and
 must be generated again. Reports carry ``pipeline.SCHEMA_VERSION`` instead.
 """
@@ -30,6 +30,7 @@ from .seriesgen import GENERATOR_NAME, Dataset, ProcessSpec
 ARTIFACT_SCHEMA_VERSION = 2
 # the features directories of the train recipe's two splits, in this order
 SPLIT_SLUGS = ("train-split", "held-out")
+CONFIG_FILE, MODEL_FILE = "config.json", "model.json"
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +91,19 @@ def load_array(path: str | Path, dtype: type, ndim: int) -> np.ndarray:
     return array
 
 
+def write_config(run_dir: str | Path, config) -> None:
+    """Write ``config`` to the run's ``config.json``, keys sorted. Its ``lr``
+    stays as given, so that `featurize --model` resolves it for its own model."""
+    Path(run_dir).mkdir(parents=True, exist_ok=True)
+    write_text(Path(run_dir) / CONFIG_FILE, json.dumps(to_doc(config), indent=2, sort_keys=True) + "\n")
+
+
+def invalidate_features(run_dir: str | Path) -> None:
+    """Delete what was made from ``run_dir``'s features, so none of it outlives them."""
+    for name in ("features/manifest.json", MODEL_FILE, "report.json", "report.txt"):
+        (Path(run_dir) / name).unlink(missing_ok=True)
+
+
 def read_json_object(path: str | Path) -> dict:
     """The JSON object in ``path``; anything else is a ValueError naming the file."""
     try:
@@ -104,6 +118,13 @@ def read_json_object(path: str | Path) -> dict:
 
 # ---------------------------------------------------------------------------
 # manifests
+
+
+def write_document(path: str | Path, obj, version: int) -> None:
+    """Write the dataclass ``obj`` as the JSON file ``path``, keys in field
+    order after its ``schema_version``; ``read_document`` reads it back."""
+    doc = {"schema_version": version, **to_doc(obj)}
+    write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 def read_document(path: str | Path, cls, version: int):
@@ -146,6 +167,9 @@ class DatasetManifest:
     series: tuple[SeriesEntry, ...]
 
     def __post_init__(self):
+        if self.generator != GENERATOR_NAME:
+            raise ValueError(f"dataset was generated by {self.generator!r}, but this release "
+                             f"generates with {GENERATOR_NAME!r}; run `generate` again")
         for i, entry in enumerate(self.series):
             if entry.spec.length != self.length:
                 raise ValueError(f"'series[{i}].spec.length' is {entry.spec.length}, but the "
@@ -183,6 +207,10 @@ class FeaturesManifest:
 # datasets
 
 
+def dataset_dir(run_dir: str | Path, name: str) -> Path:
+    return Path(run_dir) / "datasets" / name
+
+
 def persist_dataset(dataset: Dataset, dir_path: str | Path, source: dict | None = None) -> None:
     """Write ``values.npy`` (one series per row), then ``manifest.json``, whose
     ``source`` ``read_dataset_manifest`` can hold a config to."""
@@ -196,8 +224,7 @@ def persist_dataset(dataset: Dataset, dir_path: str | Path, source: dict | None 
     save_array(out / "values.npy", dataset.values)
     series = tuple(SeriesEntry(s.label, seed, s) for seed, s in zip(dataset.seeds, dataset.specs))
     manifest = DatasetManifest(GENERATOR_NAME, source, dataset.values.shape[1], series)
-    doc = {"schema_version": ARTIFACT_SCHEMA_VERSION, **to_doc(manifest)}
-    write_text(manifest_path, json.dumps(doc, indent=2) + "\n")
+    write_document(manifest_path, manifest, ARTIFACT_SCHEMA_VERSION)
 
 
 def _first_difference(got, want, key: str = "") -> tuple[str, object, object] | None:
@@ -232,7 +259,7 @@ def read_dataset_manifest(dir_path: str | Path, source: dict | None = None) -> D
     ``n_per_class`` per class of the source's recipe."""
     manifest_path = Path(dir_path) / "manifest.json"
     if not manifest_path.is_file():
-        raise FileNotFoundError(f"missing dataset manifest: {manifest_path}")
+        raise FileNotFoundError(f"missing dataset manifest: {manifest_path} (run `generate` first)")
     manifest = read_document(manifest_path, DatasetManifest, ARTIFACT_SCHEMA_VERSION)
     if source is not None:
         _check_source(manifest_path, manifest.source, source)
@@ -262,3 +289,45 @@ def load_dataset(dir_path: str | Path, manifest: DatasetManifest | None = None) 
             f"{len(series)} manifest entries of length {manifest.length}"
         )
     return Dataset(values, tuple(e.spec for e in series), tuple(e.seed for e in series))
+
+
+# ---------------------------------------------------------------------------
+# feature sets
+
+
+def persist_features(run_dir: str | Path, model: str, config: dict, sets) -> FeaturesManifest:
+    """Write each (name, slug, features, labels) of ``sets`` to ``features/<slug>/``,
+    dropping it before the next is made, then the manifest of ``model`` and ``config``."""
+    root = Path(run_dir) / "features"
+    entries = []
+    for name, slug, features, labels in sets:
+        (root / slug).mkdir(parents=True, exist_ok=True)
+        save_array(root / slug / "features.npy", features)
+        save_array(root / slug / "labels.npy", labels)
+        entries.append(FeatureSet(name, slug, features.shape))
+        del features
+    manifest = FeaturesManifest(model, config, tuple(entries))
+    write_document(root / "manifest.json", manifest, ARTIFACT_SCHEMA_VERSION)
+    return manifest
+
+
+def read_features_manifest(run_dir: str | Path) -> FeaturesManifest:
+    """The manifest ``persist_features`` wrote to ``run_dir``."""
+    path = Path(run_dir) / "features" / "manifest.json"
+    if not path.is_file():
+        raise FileNotFoundError(f"missing features manifest: {path} (run `featurize` first)")
+    return read_document(path, FeaturesManifest, ARTIFACT_SCHEMA_VERSION)
+
+
+def load_feature_set(run_dir: str | Path, entry: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
+    """The features and labels of one set of ``run_dir``'s features manifest."""
+    set_dir = Path(run_dir) / "features" / entry.dir
+    features = load_array(set_dir / "features.npy", np.float64, 2)
+    labels = load_array(set_dir / "labels.npy", np.int64, 1)
+    rows, columns = entry.shape
+    if features.shape != (rows, columns) or labels.shape != (rows,):
+        raise ValueError(
+            f"{set_dir}: corrupt feature set: {features.shape[0]}x{features.shape[1]} features "
+            f"and {labels.size} labels for a manifest shape of {rows}x{columns}"
+        )
+    return features, labels

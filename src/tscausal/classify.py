@@ -12,14 +12,12 @@ featurizing and evaluating never pay for loading it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import read_document, write_text
-from .codec import to_doc
+from .artifacts import read_document, write_document
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -201,10 +199,11 @@ def evaluate(pred_labels: np.ndarray, true_labels: np.ndarray) -> ClassReport:
 
 
 def save_model(model: LrModel, path: str | Path) -> None:
-    doc = {"schema_version": MODEL_SCHEMA_VERSION, **to_doc(model)}
-    write_text(path, json.dumps(doc, indent=2) + "\n")
+    write_document(path, model, MODEL_SCHEMA_VERSION)
 
 
 def load_model(path: str | Path) -> LrModel:
     """The model ``save_model`` wrote to ``path``; a fault is a ValueError naming the file."""
+    if not Path(path).is_file():
+        raise FileNotFoundError(f"missing model file: {path} (run `train` first)")
     return read_document(path, LrModel, MODEL_SCHEMA_VERSION)

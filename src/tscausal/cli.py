@@ -2,16 +2,15 @@
 
 Six subcommands: ``generate``, ``featurize``, ``train``, ``evaluate``,
 ``reproduce``, ``plot``. The first four compose through a run directory
-(datasets, then features, then a model, then a report); ``reproduce`` runs
-one of the bundled experiment presets end to end and must produce the same
-metrics as the chained form. Exit codes: 0 success, 1 runtime failure,
-2 usage or config error.
+(datasets, then features, then a model, then a report), whose files
+``artifacts`` alone names, writes and deletes; they call the stage functions
+``reproduce`` calls, so both forms give the same bits. Exit codes: 0
+success, 1 runtime failure, 2 usage or config error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from dataclasses import replace
@@ -20,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts, classify, pipeline, spectral
-from .codec import to_doc
 from .seriesgen import Kind, ProcessSpec, generate_many
 
 
@@ -40,15 +38,6 @@ def _load_config(path: str | Path) -> pipeline.ExperimentConfig:
         return pipeline.config_from_dict(doc)
     except ValueError as exc:
         raise ConfigError(f"{p}: {exc}") from exc
-
-
-def _write_config_echo(config: pipeline.ExperimentConfig, run_dir: Path) -> None:
-    run_dir.mkdir(parents=True, exist_ok=True)
-    artifacts.write_text(
-        run_dir / "config.json",
-        # ``lr`` as given, so that `featurize --model` resolves it for its own model
-        json.dumps(to_doc(config), indent=2, sort_keys=True) + "\n",
-    )
 
 
 def _run_dir(out: str | None, seed: int, run_name: str | None) -> Path:
@@ -75,89 +64,48 @@ def _apply_overrides(config: pipeline.ExperimentConfig, args) -> pipeline.Experi
 def cmd_generate(args) -> int:
     config = _apply_overrides(_load_config(args.config), args)
     run_dir = _run_dir(args.out, config.master_seed, args.run_name)
-    # nothing made from the datasets being replaced may outlive them, even
-    # if generation fails part-way
-    for stale in ("features/manifest.json", "model.json", "report.json", "report.txt"):
-        (run_dir / stale).unlink(missing_ok=True)
-    _write_config_echo(config, run_dir)
+    artifacts.invalidate_features(run_dir)
+    artifacts.write_config(run_dir, config)
     for recipe in (config.train_recipe, *config.test_recipes):
         # each dataset is written before the next is made
         pipeline.persist_dataset(pipeline.make_dataset(config, recipe),
-                                 run_dir / "datasets" / recipe.name,
+                                 artifacts.dataset_dir(run_dir, recipe.name),
                                  pipeline.dataset_source(config, recipe))
-    print(f"wrote {1 + len(config.test_recipes)} datasets under {run_dir / 'datasets'}")
+    print(f"wrote {1 + len(config.test_recipes)} datasets under {run_dir}")
     return 0
-
-
-def _features_manifest(run_dir: Path) -> artifacts.FeaturesManifest:
-    path = run_dir / "features" / "manifest.json"
-    if not path.is_file():
-        raise FileNotFoundError(f"missing features manifest: {path} (run `featurize` first)")
-    return artifacts.read_document(path, artifacts.FeaturesManifest,
-                                   artifacts.ARTIFACT_SCHEMA_VERSION)
-
-
-def _load_feature_set(run_dir: Path, entry: artifacts.FeatureSet) -> tuple[np.ndarray, np.ndarray]:
-    """Features and labels of one features-manifest set."""
-    set_dir = run_dir / "features" / entry.dir
-    features = artifacts.load_array(set_dir / "features.npy", np.float64, 2)
-    labels = artifacts.load_array(set_dir / "labels.npy", np.int64, 1)
-    rows, columns = entry.shape
-    if features.shape != (rows, columns) or labels.shape != (rows,):
-        raise ValueError(
-            f"{set_dir}: corrupt feature set: {features.shape[0]}x{features.shape[1]} features "
-            f"and {labels.size} labels for a manifest shape of {rows}x{columns}"
-        )
-    return features, labels
 
 
 def cmd_featurize(args) -> int:
     run_dir = Path(args.run_dir)
-    config_path = args.config if args.config else run_dir / "config.json"
-    config = _apply_overrides(_load_config(config_path), args)
+    config = _apply_overrides(_load_config(args.config or run_dir / artifacts.CONFIG_FILE), args)
 
-    # every dataset is checked against the config before any feature set
-    # is replaced; only the values wait until their set's turn comes
-    manifests = {}
-    for recipe in (config.train_recipe, *config.test_recipes):
-        d = run_dir / "datasets" / recipe.name
-        if not d.is_dir():
-            raise FileNotFoundError(f"missing dataset directory: {d} (run `generate` first)")
-        manifests[recipe.name] = artifacts.read_dataset_manifest(
-            d, pipeline.dataset_source(config, recipe))
+    # every dataset is checked against the config before anything of the run
+    # is deleted; only the values wait until their set's turn comes
+    manifests = {
+        recipe.name: artifacts.read_dataset_manifest(artifacts.dataset_dir(run_dir, recipe.name),
+                                                     pipeline.dataset_source(config, recipe))
+        for recipe in (config.train_recipe, *config.test_recipes)
+    }
 
     def load(recipe: pipeline.DatasetRecipe):
-        return pipeline.load_dataset(run_dir / "datasets" / recipe.name,
+        return pipeline.load_dataset(artifacts.dataset_dir(run_dir, recipe.name),
                                      manifest=manifests.pop(recipe.name))
 
-    feat_root = run_dir / "features"
-    manifest_path = feat_root / "manifest.json"
-    # no manifest may point at feature sets that are being replaced
-    manifest_path.unlink(missing_ok=True)
-    sets_meta = []
-    for name, slug, features, labels in pipeline.featurize_sets(config, load):
-        set_dir = feat_root / slug
-        set_dir.mkdir(parents=True, exist_ok=True)
-        artifacts.save_array(set_dir / "features.npy", features)
-        artifacts.save_array(set_dir / "labels.npy", labels)
-        sets_meta.append(artifacts.FeatureSet(name, slug, features.shape))
-        del features  # before the next set is loaded
-    manifest = artifacts.FeaturesManifest(config.model, pipeline.config_to_dict(config),
-                                          tuple(sets_meta))
-    doc = {"schema_version": artifacts.ARTIFACT_SCHEMA_VERSION, **to_doc(manifest)}
-    artifacts.write_text(manifest_path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(sets_meta)} feature sets ({config.model}) under {feat_root}")
+    artifacts.invalidate_features(run_dir)
+    manifest = artifacts.persist_features(run_dir, config.model, pipeline.config_to_dict(config),
+                                          pipeline.featurize_sets(config, load))
+    print(f"wrote {len(manifest.sets)} feature sets ({config.model}) under {run_dir}")
     return 0
 
 
 def cmd_train(args) -> int:
     run_dir = Path(args.run_dir)
-    manifest = _features_manifest(run_dir)
+    manifest = artifacts.read_features_manifest(run_dir)
     config = pipeline.config_from_dict(manifest.config)
     entry = manifest.sets[0]
-    features, labels = _load_feature_set(run_dir, entry)
+    features, labels = artifacts.load_feature_set(run_dir, entry)
     model = pipeline.train_model(config, entry.name, features, labels)
-    out_path = Path(args.model_out) if args.model_out else run_dir / "model.json"
+    out_path = Path(args.model_out) if args.model_out else run_dir / artifacts.MODEL_FILE
     classify.save_model(model, out_path)
     print(
         f"trained {config.model} model on {labels.size} instances: "
@@ -168,11 +116,9 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     run_dir = Path(args.run_dir)
-    manifest = _features_manifest(run_dir)
+    manifest = artifacts.read_features_manifest(run_dir)
     config = pipeline.config_from_dict(manifest.config)
-    model_path = Path(args.model_path) if args.model_path else run_dir / "model.json"
-    if not model_path.is_file():
-        raise FileNotFoundError(f"missing model file: {model_path} (run `train` first)")
+    model_path = Path(args.model_path) if args.model_path else run_dir / artifacts.MODEL_FILE
     model = classify.load_model(model_path)
     expected = pipeline.config_fingerprint(config)
     if model.fingerprint != expected:
@@ -182,7 +128,7 @@ def cmd_evaluate(args) -> int:
         )
     # a set's files are read before its stage starts, so load errors name the file alone
     rows = tuple(
-        pipeline.score_set(model, entry.name, *_load_feature_set(run_dir, entry))
+        pipeline.score_set(model, entry.name, *artifacts.load_feature_set(run_dir, entry))
         for entry in manifest.sets
     )
     report = pipeline.ExperimentReport(config=config, rows=rows)
@@ -196,7 +142,7 @@ def cmd_reproduce(args) -> int:
     config = pipeline.table_config(args.table, scale=args.scale, seed=args.seed)
     run_dir = _run_dir(args.out, config.master_seed, args.run_name)
     report = pipeline.run_experiment(config)
-    _write_config_echo(config, run_dir)
+    artifacts.write_config(run_dir, config)
     pipeline.write_report(report, run_dir)
     print(pipeline.report_to_text(report), end="")
     print(f"report written to {run_dir}")

@@ -22,13 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import classify, spectral
-from .artifacts import (  # noqa: F401 -- the CLI calls these through pipeline
-    SPLIT_SLUGS,
-    load_dataset,
-    persist_dataset,
-    write_text,
-)
-from .artifacts import check_entry_name
+from .artifacts import SPLIT_SLUGS, check_entry_name, write_text
+from .artifacts import load_dataset, persist_dataset  # noqa: F401 -- the CLI calls them through pipeline
 from .chaosfex import GlsParams, extract_ttss
 from .classify import CHAOSFEX_LR, DEFAULT_LR, ClassReport, LrHyper, LrModel
 from .codec import DecodeError, from_doc, to_doc

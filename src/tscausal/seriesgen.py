@@ -219,7 +219,8 @@ def _fractionally_integrate(out: np.ndarray, idx: list[int], d: list[float],
 
     The convolution is a product of real FFTs (Jensen and Nielsen, J. Time
     Series Analysis, 2014), O(n log n) per series where the direct sum is
-    O(n^2). The transform size is the least power of two at or above
+    O(n^2); each output lies within 64 eps ||w||_2 ||core||_2 of the exact
+    sum. The transform size is the least power of two at or above
     2 * length - 1, the length of the full linear convolution, so no output
     wraps around. Each row is transformed on its own, so its bits do not
     depend on the rest of the batch; rows go ``FFT_BLOCK_ROWS`` at a time,

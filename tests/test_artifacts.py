@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from tscausal import artifacts
+from tscausal.classify import MODEL_SCHEMA_VERSION, LrModel
 from tscausal.cli import main
 from tscausal.codec import to_doc
 from tscausal.pipeline import AR100, AR_TRAIN, build_dataset, load_dataset, persist_dataset
+from tscausal.seriesgen import GENERATOR_NAME
 
 TINY = {
     "master_seed": 7,
@@ -100,22 +102,22 @@ def test_load_dataset_refuses_a_truncated_values_file(tmp_path):
         load_dataset(tmp_path / "d")
 
 
-@pytest.mark.parametrize("cls, relpath, sort_keys", [
-    (artifacts.DatasetManifest, "datasets/shift-I/manifest.json", False),
-    (artifacts.FeaturesManifest, "features/manifest.json", True),
-], ids=["dataset", "features"])
-def test_a_manifest_round_trips_through_its_file(tmp_path, cls, relpath, sort_keys):
+@pytest.mark.parametrize("cls, relpath, version", [
+    (artifacts.DatasetManifest, "datasets/shift-I/manifest.json", artifacts.ARTIFACT_SCHEMA_VERSION),
+    (artifacts.FeaturesManifest, "features/manifest.json", artifacts.ARTIFACT_SCHEMA_VERSION),
+    (LrModel, "model.json", MODEL_SCHEMA_VERSION),
+], ids=["dataset", "features", "model"])
+def test_a_manifest_round_trips_through_its_file(tmp_path, cls, relpath, version):
     run = tiny_run(tmp_path)
-    assert main(["featurize", str(run)]) == 0
-    version = artifacts.ARTIFACT_SCHEMA_VERSION
-    manifest = artifacts.read_document(run / relpath, cls, version)
-    assert isinstance(manifest, cls)
-    text = json.dumps({"schema_version": version, **to_doc(manifest)}, indent=2,
-                      sort_keys=sort_keys) + "\n"
-    assert text == (run / relpath).read_text()
+    for step in ("featurize", "train"):
+        assert main([step, str(run)]) == 0
+    document = artifacts.read_document(run / relpath, cls, version)
+    assert isinstance(document, cls)
     copy = tmp_path / "copy.json"
-    copy.write_text(text)
-    assert artifacts.read_document(copy, cls, version) == manifest
+    artifacts.write_document(copy, document, version)
+    assert copy.read_text() == (run / relpath).read_text()
+    again = artifacts.read_document(copy, cls, version)
+    assert to_doc(again) == to_doc(document)
 
 
 @pytest.mark.parametrize("relpath, entries, step", [
@@ -270,8 +272,14 @@ def test_a_chained_run_leaves_no_temporary_files(tmp_path, capsys):
     run = tiny_run(tmp_path)
     for step in (["featurize", str(run)], ["train", str(run)], ["evaluate", str(run)]):
         assert main(step) == 0
-    assert (run / "report.json").is_file()
     assert no_temporary_files(run)
+    # README's "Run directory layout", and nothing else
+    layout = {"config.json", "features/manifest.json", "model.json", "report.json", "report.txt"}
+    layout |= {f"datasets/{name}/{file}" for name in ("AR-train", "shift-I")
+               for file in ("values.npy", "manifest.json")}
+    layout |= {f"features/{name}/{file}" for name in ("train-split", "held-out", "shift-I")
+               for file in ("features.npy", "labels.npy")}
+    assert {p.relative_to(run).as_posix() for p in run.rglob("*") if p.is_file()} == layout
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +365,20 @@ def test_featurize_refuses_a_spec_length_that_is_not_the_dataset_length(tmp_path
     assert main(["featurize", str(run)]) == 1
     err = capsys.readouterr().err
     assert f"{path}: 'series[4].spec.length' is 300, but the dataset's length is 128" in err
+
+
+def test_featurize_refuses_a_dataset_made_by_another_generator(tmp_path, capsys):
+    run = tiny_run(tmp_path)
+    path = run / "datasets" / "shift-I" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["generator"] = "numpy.random.MT19937"
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["featurize", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert (f"error [featurize]: {path}: dataset was generated by 'numpy.random.MT19937', but "
+            f"this release generates with {GENERATOR_NAME!r}; run `generate` again") in err
+    assert not (run / "features").exists()
 
 
 def test_read_dataset_manifest_refuses_a_dataset_without_a_source(tmp_path):

@@ -497,11 +497,14 @@ def test_generate_invalidates_the_features_of_the_datasets_it_replaces(
         assert "(run `featurize` first)" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("fails", [False, True], ids=["completes", "fails-part-way"])
+# featurize, like generate, deletes what was made from the features it replaces
+@pytest.mark.parametrize("step, fails", [
+    ("generate", False), ("generate", True), ("featurize", False), ("featurize", True),
+], ids=["completes", "fails-part-way", "featurize-completes", "featurize-fails-part-way"])
 def test_generate_removes_the_model_and_report_of_the_datasets_it_replaces(
-        tmp_path, tiny_config_path, capsys, monkeypatch, fails):
+        tmp_path, tiny_config_path, capsys, monkeypatch, step, fails):
     run = run_chain(tmp_path, tiny_config_path, capsys)
-    if fails:
+    if fails and step == "generate":
         build = pipeline.build_dataset
 
         def build_the_train_set_only(recipe, *args):
@@ -510,11 +513,30 @@ def test_generate_removes_the_model_and_report_of_the_datasets_it_replaces(
             return build(recipe, *args)
 
         monkeypatch.setattr(pipeline, "build_dataset", build_the_train_set_only)
-    argv = ["generate", "--config", str(tiny_config_path), "--seed", "8", "--out", str(run)]
+    elif fails:
+        load = pipeline.load_dataset
+
+        def load_the_train_set_only(dir_path, *args, **kwargs):
+            if dir_path.name != "AR-train":
+                raise OSError("disk read error")
+            return load(dir_path, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "load_dataset", load_the_train_set_only)
+    if step == "generate":
+        argv = ["generate", "--config", str(tiny_config_path), "--seed", "8", "--out", str(run)]
+    else:
+        argv = ["featurize", str(run), "--model", "raw"]
     assert main(argv) == (1 if fails else 0)
-    for name in ("features/manifest.json", "model.json", "report.json", "report.txt"):
+    for name in ("model.json", "report.json", "report.txt"):
         assert not (run / name).exists(), name
-    if fails:
+    features_manifest = run / "features" / "manifest.json"
+    if step == "featurize" and not fails:
+        assert json.loads(features_manifest.read_text())["model"] == "raw"
+    else:
+        assert not features_manifest.exists()
+    if step == "featurize" and fails:
+        assert "error [featurize]: disk read error" in capsys.readouterr().err
+    elif fails:
         failure = "generate stage failed on 'shift-I': out of memory"
         assert f"error [generate]: {failure}" in capsys.readouterr().err
         train_manifest = json.loads((run / "datasets" / "AR-train" / "manifest.json").read_text())
@@ -524,20 +546,35 @@ def test_generate_removes_the_model_and_report_of_the_datasets_it_replaces(
             pipeline.run_experiment(config)
 
 
+def test_a_featurize_refused_by_its_config_keeps_the_model_and_reports(
+        tmp_path, tiny_config_path, capsys):
+    run = run_chain(tmp_path, tiny_config_path, capsys)
+    names = ("features/manifest.json", "model.json", "report.json", "report.txt")
+    before = {name: (run / name).read_bytes() for name in names}
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**TINY, "master_seed": 8}))
+    capsys.readouterr()
+    assert main(["featurize", str(run), "--config", str(other)]) == 1
+    assert "dataset was generated with master_seed 7" in capsys.readouterr().err
+    assert {name: (run / name).read_bytes() for name in names} == before
+
+
 def test_evaluate_refuses_a_model_trained_for_other_features(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({**TINY, "model": "fft_chaosfex"}))
     run = tmp_path / "run"
+    model_path = tmp_path / "fft-model.json"
     assert main(["generate", "--config", str(config_path), "--out", str(run)]) == 0
     assert main(["featurize", str(run), "--model", "fft"]) == 0
-    assert main(["train", str(run)]) == 0
-    trained_for = json.loads((run / "model.json").read_text())["fingerprint"]
+    # outside the run directory, so the next featurize leaves it in place
+    assert main(["train", str(run), "--model-out", str(model_path)]) == 0
+    trained_for = json.loads(model_path.read_text())["fingerprint"]
     # same feature width, different pipeline
     assert main(["featurize", str(run)]) == 0
     manifest = json.loads((run / "features" / "manifest.json").read_text())
     features_for = pipeline.config_fingerprint(pipeline.config_from_dict(manifest["config"]))
     capsys.readouterr()
-    assert main(["evaluate", str(run)]) == 1
+    assert main(["evaluate", str(run), "--model-path", str(model_path)]) == 1
     err = capsys.readouterr().err
     assert trained_for != features_for
     assert trained_for in err and features_for in err
