@@ -31,6 +31,8 @@ ARTIFACT_SCHEMA_VERSION = 2
 # the features directories of the train recipe's two splits, in this order
 SPLIT_SLUGS = ("train-split", "held-out")
 CONFIG_FILE, MODEL_FILE = "config.json", "model.json"
+# a key one of two JSON objects lacks; unlike null, it equals no JSON value
+_MISSING = object()
 
 
 # ---------------------------------------------------------------------------
@@ -127,14 +129,15 @@ def write_document(path: str | Path, obj, version: int) -> None:
     write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
-def read_document(path: str | Path, cls, version: int):
+def read_document(path: str | Path, cls, version: int, command: str):
     """The ``cls`` that ``from_doc`` decodes from the JSON file ``path``, whose
-    ``schema_version`` must be ``version``; any fault is a ValueError naming the file."""
+    ``schema_version`` must be ``version``; any fault is a ValueError naming the
+    file, and another version also names ``command``, the CLI step that writes it."""
     doc = read_json_object(path)
     found = doc.pop("schema_version", None)
     if type(found) is not int or found != version:
         raise ValueError(f"{path}: unsupported schema version {found!r} (this release "
-                         f"reads {version}); run `generate` again")
+                         f"reads {version}); run `{command}` again")
     try:
         return from_doc(cls, doc)
     except ValueError as exc:
@@ -192,13 +195,16 @@ class FeatureSet:
 
 @dataclass(frozen=True)
 class FeaturesManifest:
-    """``features/manifest.json``: the resolved config and every set, train split first."""
+    """``features/manifest.json``: the resolved config, its model and every set, train split first."""
 
     model: str
     config: dict
     sets: tuple[FeatureSet, ...]
 
     def __post_init__(self):
+        if self.model != self.config.get("model"):
+            raise ValueError(f"model is {self.model!r}, but its config's model is "
+                             f"{self.config.get('model')!r}")
         if not self.sets or self.sets[0].dir != SPLIT_SLUGS[0]:
             raise ValueError("the first of 'sets' must be the train-split set")
 
@@ -229,10 +235,11 @@ def persist_dataset(dataset: Dataset, dir_path: str | Path, source: dict | None 
 
 def _first_difference(got, want, key: str = "") -> tuple[str, object, object] | None:
     """The dotted key path of the first difference between two JSON values,
-    with both values there; None if they are equal."""
+    with both values there, ``_MISSING`` for a key one lacks; None if equal."""
     if isinstance(got, dict) and isinstance(want, dict):
         for k in sorted(set(got) | set(want)):
-            found = _first_difference(got.get(k), want.get(k), f"{key}.{k}" if key else k)
+            found = _first_difference(got.get(k, _MISSING), want.get(k, _MISSING),
+                                      f"{key}.{k}" if key else k)
             if found:
                 return found
         return None
@@ -245,11 +252,10 @@ def _check_source(path: Path, recorded, expected: dict) -> None:
     # compare as JSON, the form the manifest holds
     found = _first_difference(recorded, json.loads(json.dumps(expected)))
     if found:
-        key, got, want = found
-        raise ValueError(
-            f"{path}: dataset was generated with {key} {json.dumps(got)}, but the "
-            f"config gives {key} {json.dumps(want)}; run `generate` with this config"
-        )
+        key, *values = found
+        got, want = (f"no {key}" if v is _MISSING else f"{key} {json.dumps(v)}" for v in values)
+        raise ValueError(f"{path}: dataset was generated with {got}, but the config gives "
+                         f"{want}; run `generate` with this config")
 
 
 def read_dataset_manifest(dir_path: str | Path, source: dict | None = None) -> DatasetManifest:
@@ -260,7 +266,7 @@ def read_dataset_manifest(dir_path: str | Path, source: dict | None = None) -> D
     manifest_path = Path(dir_path) / "manifest.json"
     if not manifest_path.is_file():
         raise FileNotFoundError(f"missing dataset manifest: {manifest_path} (run `generate` first)")
-    manifest = read_document(manifest_path, DatasetManifest, ARTIFACT_SCHEMA_VERSION)
+    manifest = read_document(manifest_path, DatasetManifest, ARTIFACT_SCHEMA_VERSION, "generate")
     if source is not None:
         _check_source(manifest_path, manifest.source, source)
         n, recipe = source["n_per_class"], source["recipe"]
@@ -295,9 +301,9 @@ def load_dataset(dir_path: str | Path, manifest: DatasetManifest | None = None) 
 # feature sets
 
 
-def persist_features(run_dir: str | Path, model: str, config: dict, sets) -> FeaturesManifest:
+def persist_features(run_dir: str | Path, config: dict, sets) -> FeaturesManifest:
     """Write each (name, slug, features, labels) of ``sets`` to ``features/<slug>/``,
-    dropping it before the next is made, then the manifest of ``model`` and ``config``."""
+    dropping it before the next is made, then the manifest of ``config``."""
     root = Path(run_dir) / "features"
     entries = []
     for name, slug, features, labels in sets:
@@ -306,7 +312,7 @@ def persist_features(run_dir: str | Path, model: str, config: dict, sets) -> Fea
         save_array(root / slug / "labels.npy", labels)
         entries.append(FeatureSet(name, slug, features.shape))
         del features
-    manifest = FeaturesManifest(model, config, tuple(entries))
+    manifest = FeaturesManifest(config["model"], config, tuple(entries))
     write_document(root / "manifest.json", manifest, ARTIFACT_SCHEMA_VERSION)
     return manifest
 
@@ -316,7 +322,7 @@ def read_features_manifest(run_dir: str | Path) -> FeaturesManifest:
     path = Path(run_dir) / "features" / "manifest.json"
     if not path.is_file():
         raise FileNotFoundError(f"missing features manifest: {path} (run `featurize` first)")
-    return read_document(path, FeaturesManifest, ARTIFACT_SCHEMA_VERSION)
+    return read_document(path, FeaturesManifest, ARTIFACT_SCHEMA_VERSION, "featurize")
 
 
 def load_feature_set(run_dir: str | Path, entry: FeatureSet) -> tuple[np.ndarray, np.ndarray]:

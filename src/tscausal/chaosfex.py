@@ -10,11 +10,11 @@ The orbit depends only on (q, b, max_len), so the firing time is a
 piecewise-constant function of the stimulus with at most 2 * max_len
 breakpoints. ``firing_table`` locates each breakpoint at its exact double
 once per parameter set, on first use, and ``fire_batch`` looks stimuli up
-in it through a uniform grid of power-of-two cells, which finds a
-stimulus's segment with one multiply and a few compares. The map is
-expansive, so trajectories amplify rounding differences; all arithmetic here
-is plain IEEE double precision and the lookup reproduces the scalar
-reference ``fire`` bit for bit.
+in it through a uniform grid of power-of-two cells: a stimulus's segment is
+its cell's, unless a table edge splits the cell, when bisection finds it.
+The map is expansive, so trajectories amplify rounding differences; all
+arithmetic here is plain IEEE double precision and the lookup reproduces the
+scalar reference ``fire`` bit for bit.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _ONE_BELOW = math.nextafter(1.0, 0.0)
-
-# the most table edges a lookup-grid cell holds; a stimulus in a cell holding
-# more is looked up by bisection
-CELL_EDGES = 4
 
 
 @dataclass(frozen=True)
@@ -159,39 +155,25 @@ def firing_table(params: GlsParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @functools.lru_cache(maxsize=16)
-def lookup_grid(params: GlsParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def lookup_grid(params: GlsParams) -> tuple[np.ndarray, np.ndarray]:
     """The uniform grid ``fire_batch`` finds table segments with, built once
     per parameter set.
 
     The grid has G cells, G the least power of two at least
     max(4096, 4 * segments), so cell c of a stimulus s in [0, 1) is exactly
     ``int(s * G)`` and holds exactly the s with c / G <= s < (c + 1) / G.
-    Returns read-only (base, inner, crowded):
-
-    - ``base[c]`` is the segment of c / G;
-    - ``inner[j, c]`` is the j-th table edge strictly inside cell c, or +inf
-      where the cell holds fewer; ``inner`` has as many rows as the most
-      edges a cell holds, but at most ``CELL_EDGES``;
-    - ``crowded[c]`` is whether cell c holds more than ``CELL_EDGES`` edges.
-
-    Outside crowded cells, the segment of s is ``base[c]`` plus the number of
-    ``inner[:, c]`` at or below s.
+    Returns read-only (base, split): ``base[c]`` is the segment of c / G, and
+    ``split[c]`` is whether (c + 1) / G lies in a later segment. The segment
+    never decreases with s, so every stimulus of a cell that is not split
+    lies in ``base[c]``.
     """
     edges = firing_table(params)[0]
     size = 1 << max(12, (4 * edges.size - 1).bit_length())
-    base = np.searchsorted(edges, np.arange(size) / size, side="right") - 1
-    cell = (edges * size).astype(np.intp)
-    inside = np.flatnonzero(edges != cell / size)
-    counts = np.bincount(cell[inside], minlength=size)
-    # the edges inside cell c follow edges[base[c]], its left end's segment
-    rank = inside - base[cell[inside]] - 1
-    keep = rank < CELL_EDGES
-    inner = np.full((min(int(counts.max()), CELL_EDGES), size), np.inf)
-    inner[rank[keep], cell[inside[keep]]] = edges[inside[keep]]
-    crowded = counts > CELL_EDGES
-    for a in (base, inner, crowded):
+    ends = np.searchsorted(edges, np.arange(size + 1) / size, side="right") - 1
+    base, split = ends[:-1], ends[1:] != ends[:-1]
+    for a in (base, split):
         a.setflags(write=False)
-    return base, inner, crowded
+    return base, split
 
 
 def fire_batch(
@@ -201,7 +183,8 @@ def fire_batch(
 
     Returns (firing_time, ttss, timed_out) arrays, identical to calling
     ``fire`` per element: each stimulus's segment of ``firing_table(params)``
-    is read off ``lookup_grid(params)``.
+    is its ``lookup_grid(params)`` cell's, or is found by bisection when
+    the cell is split.
     """
     s = np.asarray(stimuli, dtype=np.float64).ravel()
     # NaN fails both comparisons, and +-inf fails one
@@ -210,15 +193,12 @@ def fire_batch(
         raise ValueError(f"stimulus must lie in [0, 1), got {s[bad]} at index {bad}")
 
     edges, firing_time, ttss = firing_table(params)
-    base, inner, crowded = lookup_grid(params)
+    base, split = lookup_grid(params)
     # exact: the cell count is a power of two and 0 <= s < 1
     cell = (s * base.size).astype(np.intp)
     k = base[cell]
-    for bound in inner:
-        k += s >= bound[cell]
-    if crowded.any():
-        hit = crowded[cell]
-        k[hit] = np.searchsorted(edges, s[hit], side="right") - 1
+    hit = np.flatnonzero(split[cell])
+    k[hit] = np.searchsorted(edges, s[hit], side="right") - 1
     n = firing_time[k]
     return n, ttss[k], n == params.max_len
 

@@ -206,4 +206,4 @@ def load_model(path: str | Path) -> LrModel:
     """The model ``save_model`` wrote to ``path``; a fault is a ValueError naming the file."""
     if not Path(path).is_file():
         raise FileNotFoundError(f"missing model file: {path} (run `train` first)")
-    return read_document(path, LrModel, MODEL_SCHEMA_VERSION)
+    return read_document(path, LrModel, MODEL_SCHEMA_VERSION, "train")

@@ -92,7 +92,7 @@ def cmd_featurize(args) -> int:
                                      manifest=manifests.pop(recipe.name))
 
     artifacts.invalidate_features(run_dir)
-    manifest = artifacts.persist_features(run_dir, config.model, pipeline.config_to_dict(config),
+    manifest = artifacts.persist_features(run_dir, pipeline.config_to_dict(config),
                                           pipeline.featurize_sets(config, load))
     print(f"wrote {len(manifest.sets)} feature sets ({config.model}) under {run_dir}")
     return 0

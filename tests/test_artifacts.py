@@ -102,21 +102,23 @@ def test_load_dataset_refuses_a_truncated_values_file(tmp_path):
         load_dataset(tmp_path / "d")
 
 
-@pytest.mark.parametrize("cls, relpath, version", [
-    (artifacts.DatasetManifest, "datasets/shift-I/manifest.json", artifacts.ARTIFACT_SCHEMA_VERSION),
-    (artifacts.FeaturesManifest, "features/manifest.json", artifacts.ARTIFACT_SCHEMA_VERSION),
-    (LrModel, "model.json", MODEL_SCHEMA_VERSION),
+@pytest.mark.parametrize("cls, relpath, version, command", [
+    (artifacts.DatasetManifest, "datasets/shift-I/manifest.json", artifacts.ARTIFACT_SCHEMA_VERSION,
+     "generate"),
+    (artifacts.FeaturesManifest, "features/manifest.json", artifacts.ARTIFACT_SCHEMA_VERSION,
+     "featurize"),
+    (LrModel, "model.json", MODEL_SCHEMA_VERSION, "train"),
 ], ids=["dataset", "features", "model"])
-def test_a_manifest_round_trips_through_its_file(tmp_path, cls, relpath, version):
+def test_a_manifest_round_trips_through_its_file(tmp_path, cls, relpath, version, command):
     run = tiny_run(tmp_path)
     for step in ("featurize", "train"):
         assert main([step, str(run)]) == 0
-    document = artifacts.read_document(run / relpath, cls, version)
+    document = artifacts.read_document(run / relpath, cls, version, command)
     assert isinstance(document, cls)
     copy = tmp_path / "copy.json"
     artifacts.write_document(copy, document, version)
     assert copy.read_text() == (run / relpath).read_text()
-    again = artifacts.read_document(copy, cls, version)
+    again = artifacts.read_document(copy, cls, version, command)
     assert to_doc(again) == to_doc(document)
 
 
@@ -172,7 +174,38 @@ def test_train_refuses_an_old_features_manifest(tmp_path, capsys):
     path.write_text(json.dumps(manifest))
     capsys.readouterr()
     assert main(["train", str(run)]) == 1
-    assert f"{path}: unsupported schema version 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{path}: unsupported schema version 1" in err
+    assert "run `featurize` again" in err
+
+
+def test_evaluate_refuses_a_model_of_another_schema_version_naming_train(tmp_path, capsys):
+    run = tiny_run(tmp_path)
+    for step in (["featurize", str(run)], ["train", str(run)]):
+        assert main(step) == 0
+    path = run / "model.json"
+    model = json.loads(path.read_text())
+    model["schema_version"] = 2
+    path.write_text(json.dumps(model))
+    capsys.readouterr()
+    assert main(["evaluate", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: unsupported schema version 2 (this release reads 1); run `train` again" in err
+    assert not (run / "report.json").exists()
+
+
+def test_train_refuses_a_features_manifest_whose_model_is_not_its_configs(tmp_path, capsys):
+    run = tiny_run(tmp_path)
+    assert main(["featurize", str(run)]) == 0
+    path = run / "features" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["model"] = "raw"
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["train", str(run)]) == 1
+    assert (f"error [train]: {path}: model is 'raw', but its config's model is 'fft'"
+            in capsys.readouterr().err)
+    assert not (run / "model.json").exists()
 
 
 def test_evaluate_refuses_a_truncated_features_file(tmp_path, capsys):
@@ -314,6 +347,20 @@ def test_featurize_refuses_datasets_generated_from_another_config(
     assert f"dataset was generated with {key} {got}, but the config gives {key} {want}" in err
     assert not (default_run / "features").exists()
     assert no_temporary_files(default_run)
+
+
+def test_featurize_refuses_a_dataset_whose_source_lacks_a_key(tmp_path, capsys):
+    run = tiny_run(tmp_path, {**TINY, "test_recipes": ["AR100"]})
+    path = run / "datasets" / "AR100" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    assert manifest["source"]["recipe"]["noncausal"] is None
+    del manifest["source"]["recipe"]["noncausal"]
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["featurize", str(run)]) == 1
+    assert ("dataset was generated with no recipe.noncausal, but the config gives "
+            "recipe.noncausal null" in capsys.readouterr().err)
+    assert not (run / "features").exists()
 
 
 def test_featurize_accepts_a_config_that_changes_only_the_features(default_run, tmp_path, capsys):

@@ -12,7 +12,6 @@ import pytest
 import tscausal
 from helpers import rational_fire, rational_gls_step, table_segment
 from tscausal.chaosfex import (
-    CELL_EDGES,
     GlsParams,
     extract_ttss,
     fire,
@@ -217,21 +216,19 @@ def test_grid_lookup_equals_binary_search_at_every_cell_boundary_and_edge(params
     assert_lookup_equals_binary_search(lookup_probes(params, random), params)
 
 
-def test_lookup_grid_cells_are_a_power_of_two_and_cover_both_depths():
-    for params in TABLE_PARAMS.values():
-        segments = firing_table(params)[0].size
-        base, inner, crowded = lookup_grid(params)
-        size = base.size
-        assert size & (size - 1) == 0
-        assert max(4096, 4 * segments) <= size < 2 * max(4096, 4 * segments)
-        assert inner.shape[1] == size and inner.shape[0] <= CELL_EDGES
-        assert not any(a.flags.writeable for a in (base, inner, crowded))
-    # a cell holding two edges is resolved by the grid, one holding more than
-    # CELL_EDGES by bisection
-    _, inner, crowded = lookup_grid(TABLE_PARAMS["small-eps"])
-    assert inner.shape[0] >= 2 and np.isfinite(inner[1]).any() and not crowded.any()
-    _, inner, crowded = lookup_grid(TABLE_PARAMS["crowded-cell"])
-    assert inner.shape[0] == CELL_EDGES and crowded.any()
+@pytest.mark.parametrize("params", TABLE_PARAMS.values(), ids=TABLE_PARAMS.keys())
+def test_lookup_grid_holds_the_segment_of_each_cell_boundary(params):
+    edges = firing_table(params)[0]
+    base, split = lookup_grid(params)
+    size = base.size
+    assert size & (size - 1) == 0
+    assert max(4096, 4 * edges.size) <= size < 2 * max(4096, 4 * edges.size)
+    assert split.shape == (size,)
+    assert not base.flags.writeable and not split.flags.writeable
+    # the last cell's right end is 1.0, past every stimulus
+    ends = table_segment(edges, np.arange(size + 1) / size)
+    assert np.array_equal(base, ends[:-1])
+    assert np.array_equal(split, ends[1:] != ends[:-1])
 
 
 def test_firing_table_segments_are_distinct_and_start_at_zero():
