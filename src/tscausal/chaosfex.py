@@ -119,8 +119,8 @@ def firing_table(params: GlsParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
     Returns read-only arrays (edges, firing_time, ttss): every stimulus s with
     ``edges[k] <= s < edges[k + 1]`` fires at ``firing_time[k]`` with feature
-    ``ttss[k]``; ``edges[0]`` is 0.0 and neighbouring segments differ in
-    firing time.
+    ``ttss[k]``; ``edges[0]`` is 0.0, every edge lies below 1.0 and
+    neighbouring segments differ in firing time.
 
     ``fl(y - s)`` is monotone in s, so the stimuli within eps of iterate y
     form one run of doubles; bisection over the bit patterns of the
@@ -137,7 +137,9 @@ def firing_table(params: GlsParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     hi = _least_true(own, one, lambda s: traj - s <= -eps)
     lo, hi = lo.view(np.float64), hi.view(np.float64)
 
-    cuts = np.sort(np.concatenate(([0.0], lo, hi)))
+    # a run that reaches past every double below 1.0 ends at the 1.0 bound;
+    # it cuts off no stimulus, so it ends at the top of the table instead
+    cuts = np.sort(np.concatenate(([0.0], lo, hi[hi < 1.0])))
     cuts = cuts[np.r_[True, cuts[1:] != cuts[:-1]]]
     first = np.full(cuts.size, max_len, dtype=np.int64)
     starts, stops = np.searchsorted(cuts, lo), np.searchsorted(cuts, hi)

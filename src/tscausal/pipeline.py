@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,6 +34,8 @@ from .seriesgen import (
     ProcessSpec,
     generate,  # noqa: F401 -- bench/layertrace.py wraps pipeline.generate
     generate_many,
+    seed_words,
+    streams,
 )
 from .spectral import DEFAULT_HEADROOM, MinMaxScaler
 
@@ -208,20 +210,29 @@ def _noise_spec(family: NoiseFamily, length: int) -> ProcessSpec:
 def build_dataset(
     recipe: DatasetRecipe, n_per_class: int, length: int, master_seed: int
 ) -> Dataset:
-    """Simulate a labeled dataset: causal rows first, then non-causal rows."""
+    """Simulate a labeled dataset: causal rows first, then non-causal rows.
+
+    Row i of a class draws its spec (causal rows only) and its series seed
+    from the stream of ``np.random.default_rng(derive_seed(master_seed,
+    recipe.name, part, i))``, ``part`` being "causal" or "noncausal", through
+    one re-pointed generator per class.
+    """
     if n_per_class < 1:
         raise ValueError(f"n_per_class must be >= 1, got {n_per_class}")
+
+    def rngs(part: str) -> Iterator[np.random.Generator]:
+        return streams(seed_words(
+            [derive_seed(master_seed, recipe.name, part, i) for i in range(n_per_class)]))
+
     specs: list[ProcessSpec] = []
     seeds: list[int] = []
     if recipe.causal is not None:
-        for i in range(n_per_class):
-            rng = np.random.default_rng(derive_seed(master_seed, recipe.name, "causal", i))
+        for rng in rngs("causal"):
             specs.append(_draw_spec(recipe.causal, length, rng))
             seeds.append(int(rng.integers(0, 2**63)))
     if recipe.noncausal is not None:
         spec = _noise_spec(recipe.noncausal, length)
-        for i in range(n_per_class):
-            rng = np.random.default_rng(derive_seed(master_seed, recipe.name, "noncausal", i))
+        for rng in rngs("noncausal"):
             specs.append(spec)
             seeds.append(int(rng.integers(0, 2**63)))
     return Dataset(generate_many(specs, seeds), tuple(specs), tuple(seeds))

@@ -8,14 +8,17 @@ i.i.d. draws from a normal or uniform distribution. ``ProcessSpec`` decides
 whether a process is valid, so a bad spec fails when it is built, and
 ``generate_many`` is the one simulation entry point: each row of the matrix
 it returns is a pure function of its (spec, seed), bit-identical for the
-same inputs whatever else shares the batch. A ``Dataset`` holds such a
-matrix with the labels, specs and seeds of its rows.
+same inputs whatever else shares the batch. A seed names the stream of
+``np.random.default_rng(seed)``; ``seed_words`` and ``streams`` re-point one
+generator to each seed's stream instead of building one per series. A
+``Dataset`` holds such a matrix with the labels, specs and seeds of its rows.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -133,6 +136,74 @@ class Dataset:
         self.labels.setflags(write=False)
 
 
+# SeedSequence's hash constants; XSHIFT is half a 32-bit word
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R, _XSHIFT = 0xCA01F9DD, 0x4973F715, 16
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _hashmix(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hashmix of uint32 words with hash constant ``const``;
+    returns the hashed words and the next constant."""
+    after = const * mult & _MASK32
+    value = (value ^ np.uint32(const)) * np.uint32(after)
+    return value ^ value >> np.uint32(_XSHIFT), after
+
+
+def seed_words(seeds: Sequence[int]) -> np.ndarray:
+    """``np.random.SeedSequence(seed).generate_state(4, np.uint64)`` for each
+    seed in [0, 2**64), as the rows of an (n, 4) uint64 matrix.
+
+    A port of ``SeedSequence``'s hashmix and mix on uint32 words, vectorised
+    over all seeds (NumPy NEP 19 keeps this seeding stable): a seed below
+    2**32 mixes as one whose high word is 0, so every seed takes the
+    two-word path. A seed outside [0, 2**64) is refused with its row.
+    """
+    seeds = [operator.index(seed) for seed in seeds]
+    for row, seed in enumerate(seeds):
+        if not 0 <= seed < 1 << 64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {seed} at row {row}")
+    wide = np.array(seeds, dtype=np.uint64)
+    low, high = wide.astype(np.uint32), (wide >> np.uint64(32)).astype(np.uint32)
+    zero = np.zeros_like(low)
+    const, pool = _INIT_A, []
+    for word in (low, high, zero, zero):
+        word, const = _hashmix(word, const, _MULT_A)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const, _MULT_A)
+                mixed = np.uint32(_MIX_MULT_L) * pool[dst] - np.uint32(_MIX_MULT_R) * hashed
+                pool[dst] = mixed ^ mixed >> np.uint32(_XSHIFT)
+    const, words = _INIT_B, np.empty((len(seeds), 8), dtype="<u4")
+    for i in range(8):
+        words[:, i], const = _hashmix(pool[i % 4], const, _MULT_B)
+    # little-endian pairs of uint32 words are the four uint64 words
+    return words.view("<u8").astype(np.uint64)
+
+
+def streams(words: np.ndarray) -> Iterator[np.random.Generator]:
+    """One generator, re-pointed in turn to the stream each row of
+    ``seed_words`` starts: that of ``np.random.default_rng(seed)``. A caller
+    draws from it before it takes the next.
+
+    Setting ``bit_generator.state`` costs a fraction of building a
+    generator. The state is PCG64's seeding step (O'Neill, HMC-CS-2014-0905)
+    on Python ints: the first two words are the initial state, the last two
+    the stream; from state 0, step, add the initial state, step again.
+    """
+    rng = np.random.Generator(np.random.PCG64())
+    for row in words:
+        s_high, s_low, i_high, i_low = row.tolist()
+        inc = ((i_high << 64 | i_low) << 1 | 1) & _MASK128
+        state = ((inc + (s_high << 64 | s_low)) * _PCG64_MULT + inc) & _MASK128
+        rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                   "state": {"state": state, "inc": inc}}
+        yield rng
+
+
 def fractional_integration_weights(d: float | Sequence[float], n: int) -> np.ndarray:
     """Coefficients of the inverse fractional difference filter.
 
@@ -147,12 +218,11 @@ def fractional_integration_weights(d: float | Sequence[float], n: int) -> np.nda
         raise ValueError(f"|d| must be < 1, got {d}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    # lag-major, so each step writes one contiguous row
-    w = np.empty((n, *d.shape))
-    w[0] = 1.0
+    w = np.empty((*d.shape, n))
+    w[..., 0] = 1.0
     for j in range(1, n):
-        w[j] = w[j - 1] * (j - 1 + d) / j
-    return np.ascontiguousarray(np.moveaxis(w, 0, -1))
+        w[..., j] = w[..., j - 1] * (j - 1 + d) / j
+    return w
 
 
 def _by_position(terms: list, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -162,17 +232,22 @@ def _by_position(terms: list, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(a[0], dtype=np.intp), np.ascontiguousarray(a[1])
 
 
-def _arma_batch(specs: list[ProcessSpec], rngs: list[np.random.Generator],
-                length: int, n_ar: int, n_ma: int) -> np.ndarray:
+def _arma_batch(specs: list[ProcessSpec], rngs: Iterator[np.random.Generator],
+                values: np.ndarray, n_ar: int, n_ma: int) -> None:
     """AR/ARMA recursion for specs that share a length and their term counts,
-    as a time-major (length, k) matrix: column i is the series of specs[i].
+    written into the zeroed row-major (k, length) ``values``: row i is the
+    series of specs[i].
 
-    Row i's first ``start`` values, its largest lag, are drawn i.i.d. from
-    its noise law; each later value is its lagged terms plus fresh noise.
-    Every row keeps its own generator and draw order (initial values, then
-    the noise sequence). One time loop updates all rows at once, adding the
-    terms in each spec's order from a literal 0.0, so every value equals
-    that of a scalar recursion bit for bit; a row whose ``start`` lies ahead
+    Row i takes the next generator of ``rngs`` and draws its first
+    ``start`` values, its largest lag, i.i.d. from its noise law, then its
+    noise sequence, each written contiguously into its row. Each later value
+    is its lagged terms plus fresh noise. A value m or more steps back is
+    final once the steps before the current block are, so one iteration
+    advances every row by m, the group's least AR lag (AR100 takes 19
+    iterations for 1,900 steps). A term whose lag every row shares reads a
+    slice of columns, any other a gather. Each value adds its terms in its
+    spec's order to a literal 0.0, so it equals that of a scalar recursion
+    bit for bit; before the last row's start, a row whose start lies ahead
     keeps its initial values.
     """
     k = len(specs)
@@ -181,41 +256,49 @@ def _arma_batch(specs: list[ProcessSpec], rngs: list[np.random.Generator],
     ma_lag, ma_coef = _by_position([s.ma_terms or ((0, 1.0),) for s in specs], k, n_ma or 1)
     start = np.concatenate([ar_lag, ma_lag]).max(axis=0)
 
-    # time-major, so each step reads the last few time rows and writes one;
-    # zeros, not empty: a row whose start lies ahead reads unwritten cells,
-    # which must stay finite so that no spurious warning is raised
-    values = np.zeros((length, k))
-    eps = np.empty((length, k))
-    for col, (spec, rng, s) in enumerate(zip(specs, rngs, start)):
+    length = values.shape[1]
+    eps = np.empty((k, length))
+    for row, (spec, s) in enumerate(zip(specs, start.tolist())):
+        rng = next(rngs)
         sd = math.sqrt(spec.noise_variance)
-        values[:s, col] = rng.normal(spec.noise_mean, sd, s)
-        eps[:, col] = rng.normal(spec.noise_mean, sd, length)
+        values[row, :s] = rng.normal(spec.noise_mean, sd, s)
+        eps[row] = rng.normal(spec.noise_mean, sd, length)
 
-    # flat index of [t - lag, col] is t * k + (col - lag * k); a row whose
-    # start lies ahead may index cells before time 0, which wrap to the end
-    # of the buffer, and its result is dropped
-    cols = np.arange(k)
-    ar_off, ma_off = cols - ar_lag * k, cols - ma_lag * k
-    flat_values, flat_eps = values.reshape(-1), eps.reshape(-1)
-    for t in range(int(start.min()), length):
-        at = t * k
+    # with no AR term nothing recurs, and a block of one column keeps the
+    # temporaries small
+    step = int(ar_lag.min()) if n_ar else 1
+    # the flat index of [row, t + j - lag] is row * length - lag + j, plus t;
+    # for a row whose start lies ahead it can fall in the row before (or wrap
+    # to the last row), cells that stay finite because ``values`` came
+    # zeroed, so no spurious warning is raised, and the result is dropped
+    rows, cols = np.arange(k) * length, np.arange(step)
+    terms = []
+    for src, lags, coefs in ((values, ar_lag, ar_coef), (eps, ma_lag, ma_coef)):
+        for lag, coef in zip(lags, coefs):
+            shared = lag.min() == lag.max()
+            terms.append((src, coef[:, None], int(lag[0]),
+                          None if shared else (rows - lag)[:, None] + cols))
+    last = int(start.max())
+    t = int(start.min())
+    while t < length:
+        m = min(step, length - t)
         acc = 0.0
-        for off, coef in zip(ar_off, ar_coef):
-            acc = acc + coef * flat_values[at + off]
-        for off, coef in zip(ma_off, ma_coef):
-            acc = acc + coef * flat_eps[at + off]
-        np.copyto(values[t], acc, where=start <= t)
-    return values
+        for src, coef, lag, index in terms:
+            block = src[:, t - lag:t - lag + m] if index is None else src.take(index[:, :m] + t)
+            acc = acc + coef * block
+        if t < last:
+            np.copyto(values[:, t:t + m], acc, where=start[:, None] <= t + np.arange(m))
+        else:
+            values[:, t:t + m] = acc
+        t += m
 
 
 FFT_BLOCK_ROWS = 128
 
 
-def _fractionally_integrate(out: np.ndarray, idx: list[int], d: list[float],
-                            core: np.ndarray) -> None:
-    """Write row ``idx[j]`` of ``out``: column j of the time-major ``core``
-    convolved with the fractional integration weights of ``d[j]``, truncated
-    at the series start.
+def _fractionally_integrate(core: np.ndarray, d: list[float]) -> None:
+    """Convolve row j of ``core``, in place, with the fractional integration
+    weights of ``d[j]``, truncated at the series start.
 
     The convolution is a product of real FFTs (Jensen and Nielsen, J. Time
     Series Analysis, 2014), O(n log n) per series where the direct sum is
@@ -224,34 +307,37 @@ def _fractionally_integrate(out: np.ndarray, idx: list[int], d: list[float],
     2 * length - 1, the length of the full linear convolution, so no output
     wraps around. Each row is transformed on its own, so its bits do not
     depend on the rest of the batch; rows go ``FFT_BLOCK_ROWS`` at a time,
-    which bounds the complex spectra held at once: at 2,000 values, one
-    spectrum of a whole 1,250-row group would take 41 MB. A row whose ``d``
-    is 0 has weights [1, 0, ...], which the transform returns only to within
-    rounding, so it keeps its core as it is.
+    each block transformed before it is overwritten, which bounds the
+    complex spectra held at once: at 2,000 values, one spectrum of a whole
+    1,250-row group would take 41 MB. A row whose ``d`` is 0 has weights
+    [1, 0, ...], which the transform returns only to within rounding, so it
+    keeps its core as it is.
     """
-    length = out.shape[1]
+    length = core.shape[1]
     size = 1 << (2 * length - 2).bit_length()
     weights = fractional_integration_weights(d, length)
-    for a in range(0, len(idx), FFT_BLOCK_ROWS):
+    moved = (np.asarray(d) != 0)[:, None]
+    for a in range(0, len(d), FFT_BLOCK_ROWS):
         b = a + FFT_BLOCK_ROWS
-        spectra = np.fft.rfft(weights[a:b], size) * np.fft.rfft(core.T[a:b], size)
-        out[idx[a:b]] = np.fft.irfft(spectra, size)[:, :length]
-    for j, dj in enumerate(d):
-        if dj == 0:
-            out[idx[j]] = core[:, j]
+        spectra = np.fft.rfft(weights[a:b], size) * np.fft.rfft(core[a:b], size)
+        np.copyto(core[a:b], np.fft.irfft(spectra, size)[:, :length], where=moved[a:b])
 
 
 def generate_many(specs: Sequence[ProcessSpec], seeds: Sequence[int]) -> np.ndarray:
-    """Simulate ``specs[i]`` from the generator seeded by ``seeds[i]``, for every i.
+    """Simulate ``specs[i]`` from the stream of ``np.random.default_rng(seeds[i])``,
+    for every i.
 
     The simulation entry point. All specs share one length; row i of the
     read-only result is the series of ``specs[i]``, a pure function of its
-    own (spec, seed): batching changes no bit. Noise kinds draw i.i.d.
-    values. Causal kinds run the AR/ARMA recursion, one vectorised time loop
-    per group of specs sharing a kind and their term counts, written straight
-    into the group's rows; ARFIMA then convolves each core with its
-    fractional integration weights, truncated at the series start, by
-    FFT in blocks of rows on the calling thread.
+    own (spec, seed): batching changes no bit. One generator, local to the
+    call, is re-pointed to each seed's stream (``streams``), so no
+    series builds its own; a seed outside [0, 2**64) is refused. Noise kinds
+    draw i.i.d. values. Causal kinds run the row-major AR/ARMA recursion
+    (``_arma_batch``), one per group of specs sharing a kind and their term
+    counts, in place in the group's rows of the result when they are
+    consecutive; ARFIMA then convolves each core, in place, with its
+    fractional integration weights, truncated at the series start, by FFT in
+    blocks of rows on the calling thread.
     """
     if len(specs) != len(seeds):
         raise ValueError(f"got {len(specs)} specs but {len(seeds)} seeds")
@@ -259,25 +345,31 @@ def generate_many(specs: Sequence[ProcessSpec], seeds: Sequence[int]) -> np.ndar
     if len(lengths) != 1:
         raise ValueError(f"need specs of one length, got lengths {sorted(lengths)}")
     (length,) = lengths
+    words = seed_words(seeds)
     groups: dict[tuple[Kind, int, int], list[int]] = {}
     for i, spec in enumerate(specs):
         groups.setdefault((spec.kind, len(spec.ar_terms), len(spec.ma_terms)), []).append(i)
 
-    out = np.empty((len(specs), length))
+    out = np.zeros((len(specs), length))
+    rngs = streams(words[[i for idx in groups.values() for i in idx]])
     for (kind, n_ar, n_ma), idx in groups.items():
         batch = [specs[i] for i in idx]
-        rngs = [np.random.default_rng(seeds[i]) for i in idx]
         if kind == Kind.NOISE_NORMAL:
-            for i, s, rng in zip(idx, batch, rngs):
-                out[i] = rng.normal(s.noise_mean, math.sqrt(s.noise_variance), length)
+            for i, s in zip(idx, batch):
+                out[i] = next(rngs).normal(s.noise_mean, math.sqrt(s.noise_variance), length)
         elif kind == Kind.NOISE_UNIFORM:
-            for i, s, rng in zip(idx, batch, rngs):
-                out[i] = rng.uniform(s.uniform_lo, s.uniform_hi, length)
-        elif kind == Kind.ARFIMA:
-            core = _arma_batch(batch, rngs, length, n_ar, n_ma)
-            _fractionally_integrate(out, idx, [s.d for s in batch], core)
+            for i, s in zip(idx, batch):
+                out[i] = next(rngs).uniform(s.uniform_lo, s.uniform_hi, length)
         else:
-            out[idx] = _arma_batch(batch, rngs, length, n_ar, n_ma).T
+            # a group of consecutive rows, as build_dataset makes, is
+            # simulated in place; any other in a zeroed matrix of its own
+            whole = idx[-1] - idx[0] + 1 == len(idx)
+            values = out[idx[0]:idx[-1] + 1] if whole else np.zeros((len(idx), length))
+            _arma_batch(batch, rngs, values, n_ar, n_ma)
+            if kind == Kind.ARFIMA:
+                _fractionally_integrate(values, [s.d for s in batch])
+            if not whole:
+                out[idx] = values
     finite = np.isfinite(out).all(axis=1)
     if not finite.all():
         kind = specs[int(np.argmin(finite))].kind

@@ -3,9 +3,11 @@
 Everything here is deliberately slow and simple: direct DFT summation,
 exact rational arithmetic for the chaotic map, binary search for the
 firing-table segment of a stimulus, brute-force grid search for
-the classifier, closed-form gamma ratios for the fractional weights, and a
-per-series scalar recursion for the simulated processes. None of it shares
-code with the library under test.
+the classifier, closed-form gamma ratios for the fractional weights, a
+per-series scalar recursion for the simulated processes, and one fresh
+generator per row for a dataset's specs and seeds. None of it shares code
+with the library under test, bar the spec drawing and seed derivation of
+the dataset oracle, which define a dataset.
 """
 
 from __future__ import annotations
@@ -156,6 +158,31 @@ def scalar_series(spec, seed: int) -> np.ndarray:
             w.append(w[j - 1] * (j - 1 + spec.d) / j)
         values = exact_convolution(w, values)
     return values
+
+
+def build_dataset_oracle(recipe, n_per_class: int, length: int, master_seed: int):
+    """Specs and series seeds of ``pipeline.build_dataset``, in its row
+    order, each row from its own ``np.random.default_rng``.
+
+    Row i of a class seeds a generator with ``derive_seed(master_seed,
+    recipe.name, part, i)``, ``part`` being "causal" or "noncausal"; a causal
+    row draws its spec from it, and every row then draws its series seed.
+    """
+    from tscausal.pipeline import _draw_spec, _noise_spec, derive_seed
+
+    specs, seeds = [], []
+    if recipe.causal is not None:
+        for i in range(n_per_class):
+            rng = np.random.default_rng(derive_seed(master_seed, recipe.name, "causal", i))
+            specs.append(_draw_spec(recipe.causal, length, rng))
+            seeds.append(int(rng.integers(0, 2**63)))
+    if recipe.noncausal is not None:
+        spec = _noise_spec(recipe.noncausal, length)
+        for i in range(n_per_class):
+            rng = np.random.default_rng(derive_seed(master_seed, recipe.name, "noncausal", i))
+            specs.append(spec)
+            seeds.append(int(rng.integers(0, 2**63)))
+    return specs, seeds
 
 
 def exact_convolution(w, x) -> np.ndarray:

@@ -239,6 +239,23 @@ def test_firing_table_segments_are_distinct_and_start_at_zero():
     assert not edges.flags.writeable and not ttss.flags.writeable
 
 
+@pytest.mark.parametrize("name", ["default", "large-eps"])
+def test_firing_table_ends_below_one_and_leaves_the_last_cell_whole(name):
+    # an orbit within eps of every stimulus up to 1.0 used to end the table
+    # with an edge at exactly 1.0, a segment no stimulus reaches, which split
+    # the last grid cell
+    params = TABLE_PARAMS[name]
+    edges = firing_table(params)[0]
+    assert edges[-1] < 1.0
+    if name == "large-eps":
+        assert edges.tolist() == [0.0]
+    assert not lookup_grid(params)[1][-1]
+    top = math.nextafter(1.0, 0.0)
+    n, ttss, timed_out = fire_batch(np.array([top]), params)
+    r = fire(top, params)
+    assert (n[0], ttss[0], timed_out[0]) == (r.firing_time, r.ttss, r.timed_out)
+
+
 gls_params = st.builds(
     GlsParams,
     q=unit,

@@ -6,10 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import build_dataset_oracle, scalar_series
 from lifetimes import watch_sets
 from tscausal.chaosfex import GlsParams, firing_table
 from tscausal.classify import CHAOSFEX_LR, DEFAULT_LR, LrHyper
-from tscausal import pipeline
+from tscausal import pipeline, seriesgen
 from tscausal.codec import from_doc, to_doc
 from tscausal.pipeline import (
     AR100,
@@ -17,6 +18,7 @@ from tscausal.pipeline import (
     ARFIMA_TEST,
     ARMA_TEST,
     RECIPES,
+    SERIES_LENGTH,
     SHIFT_I,
     SHIFT_II,
     CausalFamily,
@@ -157,6 +159,23 @@ def test_build_dataset_causal_only_recipe():
     assert data.values.shape == (3, 128)
     assert all(data.labels == 1)
     assert all(spec.ar_terms[0][0] == 100 for spec in data.specs)
+
+
+@pytest.mark.parametrize("recipe", RECIPES.values(), ids=RECIPES.keys())
+def test_build_dataset_equals_its_per_series_oracle_bit_for_bit(recipe):
+    data = build_dataset(recipe, n_per_class=5, length=SERIES_LENGTH, master_seed=7)
+    specs, seeds = build_dataset_oracle(recipe, 5, SERIES_LENGTH, 7)
+    assert data.specs == tuple(specs) and data.seeds == tuple(seeds)
+    # an ARFIMA row is its scalar ARMA core, convolved as generate_many does
+    want = np.array([scalar_series(dataclasses.replace(spec, kind=Kind.ARMA, d=0.0)
+                                   if spec.kind == Kind.ARFIMA else spec, seed)
+                     for spec, seed in zip(specs, seeds)])
+    arfima = [i for i, spec in enumerate(specs) if spec.kind == Kind.ARFIMA]
+    if arfima:
+        cores = want[arfima]
+        seriesgen._fractionally_integrate(cores, [specs[i].d for i in arfima])
+        want[arfima] = cores
+    assert np.array_equal(data.values.view(np.uint64), want.view(np.uint64))
 
 
 def test_build_dataset_rejects_bad_count():

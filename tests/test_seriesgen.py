@@ -421,7 +421,7 @@ def assert_matches_oracle(batch, seeds):
 
 # each batch shares one length, as generate_many requires
 BATCHES = st.sampled_from(LENGTHS).flatmap(lambda length: st.lists(
-    st.tuples(specs(length), st.integers(0, 2**63 - 1)), min_size=1, max_size=12))
+    st.tuples(specs(length), st.integers(0, 2**64 - 1)), min_size=1, max_size=12))
 
 
 @hypothesis.given(BATCHES)
@@ -438,6 +438,14 @@ BATCHES = st.sampled_from(LENGTHS).flatmap(lambda length: st.lists(
                  ma_terms=((0, 1.0), (2, 0.3)), d=0.4), 5),
     (ProcessSpec(kind=Kind.NOISE_NORMAL, length=7), 6),
     (ProcessSpec(kind=Kind.NOISE_UNIFORM, length=7), 7),
+])
+@hypothesis.example([
+    # a shared-lag group: both rows start at 3 and advance 3 steps at a
+    # time, so the last of its 13 steps is a block cut short
+    (ProcessSpec(kind=Kind.AR, length=16, ar_terms=((3, 0.5),)), 2**64 - 1),
+    (ProcessSpec(kind=Kind.AR, length=16, ar_terms=((3, -0.9),), noise_mean=0.5), 2**32),
+    (ProcessSpec(kind=Kind.ARMA, length=16, ar_terms=((3, 0.4),),
+                 ma_terms=((0, 1.0), (5, 0.3))), 0),
 ])
 def test_generate_many_equals_the_scalar_oracle_bit_for_bit(pairs):
     batch, seeds = [list(x) for x in zip(*pairs)]
@@ -479,6 +487,48 @@ def test_build_dataset_shaped_batch_equals_the_oracle():
                           ma_terms=((0, 1.0), (21 - lag, 0.8)), d=lag / 50 - 0.2,
                           noise_variance=0.01) for lag in (3, 18)]
     assert_matches_oracle(batch, list(range(100, 100 + len(batch))))
+
+
+# ---------------------------------------------------------------------------
+# one generator, re-pointed to each seed's stream
+
+
+def assert_streams_are_default_rng(seeds):
+    """Each stream of ``streams(seed_words(seeds))`` starts in the state of
+    ``np.random.default_rng(seed)`` and draws what it draws."""
+    words = seriesgen.seed_words(seeds)
+    assert words.dtype == np.uint64 and words.shape == (len(seeds), 4)
+    for seed, row, rng in zip(seeds, words, seriesgen.streams(words), strict=True):
+        assert np.array_equal(row, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+        want = np.random.default_rng(seed)
+        assert rng.bit_generator.state == want.bit_generator.state
+        assert np.array_equal(bits(rng.normal(0.5, 2.0, 7)), bits(want.normal(0.5, 2.0, 7)))
+        assert rng.integers(0, 2**63) == want.integers(0, 2**63)
+        assert rng.uniform() == want.uniform()
+
+
+def test_streams_equal_default_rng_at_the_word_edges():
+    assert_streams_are_default_rng([0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1])
+
+
+@hypothesis.given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
+@hypothesis.settings(max_examples=100, deadline=None)
+def test_streams_equal_default_rng(seeds):
+    assert_streams_are_default_rng(seeds)
+
+
+def test_streams_re_point_one_generator():
+    gens = list(seriesgen.streams(seriesgen.seed_words(range(5))))
+    assert all(g is gens[0] for g in gens)
+    assert seriesgen.seed_words([]).shape == (0, 4)
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64])
+def test_a_seed_outside_64_bits_is_refused_with_its_row(bad):
+    with pytest.raises(ValueError, match=re.escape(f"seed must lie in [0, 2**64), got {bad} at row 2")):
+        seriesgen.seed_words([0, 2**64 - 1, bad])
+    with pytest.raises(ValueError, match=re.escape(f"got {bad} at row 1")):
+        generate_many([ar_spec(), ar_spec()], [3, bad])
 
 
 # ---------------------------------------------------------------------------
