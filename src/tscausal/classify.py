@@ -2,12 +2,15 @@
 
 The objective is c * sum_i log(1 + exp(-y_i * (w @ x_i + b))) + ||w||^2 / 2
 with y in {-1, +1} and an unregularized bias, so ``c`` is the inverse
-regularization strength. Minimization uses the deterministic L-BFGS-B
-quasi-Newton solver, stopping when the gradient infinity norm drops to
-``tol`` or after ``max_iter`` iterations.
-
-scipy is imported by the training functions alone, so that generating,
-featurizing and evaluating never pay for loading it.
+regularization strength. Minimization starts from zero and runs
+``lbfgs.minimize``: limited-memory BFGS with 10 correction pairs and the
+Moré–Thuente line search, as L-BFGS-B 3.0 (Byrd, Lu, Nocedal and Zhu, 1995)
+runs when no variable is bounded. Up to rounding this is the path of scipy's
+``minimize(method="L-BFGS-B")`` with ``ftol=0``: the same iterations and the
+same stopping tests. A fit stops when the gradient infinity norm drops to
+``tol``, after ``max_iter`` iterations, when an accepted step no longer
+lowers the objective, or when a line search fails with no correction pair
+left to drop.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import lbfgs
 from .artifacts import read_document, write_document
 
 MODEL_SCHEMA_VERSION = 1
@@ -73,12 +77,11 @@ class ClassReport:
 
 def objective(params: np.ndarray, features: np.ndarray, signs: np.ndarray, c: float):
     """Loss and analytic gradient at params = [weights..., bias]."""
-    from scipy.special import expit
-
     w, b = params[:-1], params[-1]
     margins = signs * (features @ w + b)
     loss = c * np.logaddexp(0.0, -margins).sum() + 0.5 * (w @ w)
-    pull = -signs * expit(-margins)
+    with np.errstate(over="ignore"):  # a margin above about 709 pulls by -0.0 or 0.0
+        pull = -signs / (1.0 + np.exp(margins))
     grad = np.empty_like(params)
     grad[:-1] = c * (features.T @ pull) + w
     grad[-1] = c * pull.sum()
@@ -92,9 +95,11 @@ def train_lr(
     fingerprint: str | None = None,
     callback=None,
 ) -> LrModel:
-    """Fit the classifier from a zero start. Deterministic for fixed inputs."""
-    from scipy.optimize import minimize
+    """Fit the classifier from a zero start. Deterministic for fixed inputs.
 
+    ``callback(params)`` is called once per iteration with a copy of the
+    iterate ``[weights..., bias]``.
+    """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
     if x.ndim != 2 or y.shape != (x.shape[0],):
@@ -108,26 +113,20 @@ def train_lr(
         raise ValueError(f"labels must be 0/1, got {classes}")
 
     signs = np.where(y == 1, 1.0, -1.0)
-    res = minimize(
-        objective,
+    params, loss, grad = lbfgs.minimize(
+        lambda p: objective(p, x, signs, hyper.c),  # looked up per call, so it can be patched
         np.zeros(x.shape[1] + 1),
-        args=(x, signs, hyper.c),
-        jac=True,
-        method="L-BFGS-B",
-        callback=callback,
-        options={
-            "maxiter": hyper.max_iter,
-            "maxfun": max(50 * hyper.max_iter, 1000),
-            "ftol": 0.0,
-            "gtol": hyper.tol,
-        },
+        hyper.tol,
+        hyper.max_iter,
+        max(50 * hyper.max_iter, 1000),
+        callback,
     )
     return LrModel(
-        weights=res.x[:-1],
-        bias=float(res.x[-1]),
+        weights=params[:-1],
+        bias=float(params[-1]),
         hyper=hyper,
-        converged=bool(np.max(np.abs(res.jac)) <= hyper.tol),
-        final_loss=float(res.fun),
+        converged=bool(np.max(np.abs(grad)) <= hyper.tol),
+        final_loss=float(loss),
         fingerprint=fingerprint,
     )
 
@@ -136,7 +135,8 @@ def predict(model: LrModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """Predicted labels and class-1 probabilities.
 
     A label is 1 exactly when ``scipy.special.expit`` of the margin is at
-    least 0.5 (ties go to class 1); it is read off the margin against
+    least 0.5 (ties go to class 1; scipy is the tests' oracle for this rule,
+    never imported here); it is read off the margin against
     ``CLASS1_MIN_MARGIN``, never off the probabilities. The probabilities come
     from ``numpy.exp`` and can differ from ``expit``'s in the last bits. A
     row whose margin is NaN, or +-inf from features that are all finite

@@ -18,6 +18,7 @@ from helpers import (
     naive_dft_amplitudes,
     rational_fire,
 )
+from tscausal import classify, spectral
 from tscausal.chaosfex import GlsParams, fire, fire_batch
 from tscausal.classify import LrHyper, objective, train_lr
 from tscausal.pipeline import (
@@ -89,14 +90,43 @@ GOLDEN_DESK_DIGESTS = {
 }
 
 
+def report_digest(report) -> str:
+    text = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    return hashlib.blake2b(text.encode(), digest_size=32).hexdigest()
+
+
 def test_desk_reports_match_golden_digests(desk_reports):
-    digests = {
-        table: hashlib.blake2b(
-            (json.dumps(report_to_dict(rep), indent=2, sort_keys=True) + "\n").encode(),
-            digest_size=32,
-        ).hexdigest()
-        for table, rep in desk_reports.items()
-    }
+    digests = {table: report_digest(rep) for table, rep in desk_reports.items()}
+    assert digests == GOLDEN_DESK_DIGESTS
+
+
+def one_ulp(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Every value moved one ulp up or down, at random."""
+    return np.nextafter(values, np.where(rng.random(values.shape) < 0.5, -np.inf, np.inf))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_desk_reports_hold_under_one_ulp_of_noise(monkeypatch, seed):
+    # the rounding another numpy, FFT or BLAS build may bring: one ulp on every
+    # amplitude and on every component of every LR gradient moves no desk report
+    rng = np.random.default_rng(seed)
+    spectra, true_objective = spectral.amplitude_spectra, classify.objective
+    calls = {"spectra": 0, "gradient": 0}
+
+    def noisy_spectra(matrix):
+        calls["spectra"] += 1
+        return one_ulp(spectra(matrix), rng)
+
+    def noisy_objective(*args):
+        calls["gradient"] += 1
+        loss, grad = true_objective(*args)
+        return loss, one_ulp(grad, rng)
+
+    monkeypatch.setattr(spectral, "amplitude_spectra", noisy_spectra)
+    monkeypatch.setattr(classify, "objective", noisy_objective)
+    digests = {table: report_digest(run_experiment(table_config(table, scale="desk", seed=42)))
+               for table in GOLDEN_DESK_DIGESTS}
+    assert calls["spectra"] > 0 and calls["gradient"] > 0
     assert digests == GOLDEN_DESK_DIGESTS
 
 

@@ -1,10 +1,13 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.special import expit
 
 from helpers import grid_search_lr, lr_loss
+from tscausal import classify
 from tscausal.classify import (
     CHAOSFEX_LR,
     CLASS1_MIN_MARGIN,
@@ -20,6 +23,7 @@ from tscausal.classify import (
     train_lr,
 )
 from tscausal.codec import to_doc
+from tscausal.pipeline import featurize_sets, make_dataset, table_config
 
 
 def toy_problem(seed=0, n=20, separation=2.0):
@@ -144,6 +148,104 @@ def test_stronger_regularization_shrinks_weights():
     loose = train_lr(features, labels, LrHyper(c=10.0, tol=1e-8, max_iter=500))
     tight = train_lr(features, labels, LrHyper(c=0.001, tol=1e-8, max_iter=500))
     assert np.linalg.norm(tight.weights) < np.linalg.norm(loose.weights)
+
+
+# ---------------------------------------------------------------------------
+# the solver against scipy's L-BFGS-B, the path it ports
+
+
+def scipy_fit(features, labels, hyper):
+    """scipy's L-BFGS-B on ``objective`` with train_lr's stopping rules:
+    (params, iterations, converged)."""
+    signs = np.where(labels == 1, 1.0, -1.0)
+    seen = []
+    res = minimize(objective, np.zeros(features.shape[1] + 1), args=(features, signs, hyper.c),
+                   jac=True, method="L-BFGS-B", callback=seen.append,
+                   options={"maxiter": hyper.max_iter, "maxfun": max(50 * hyper.max_iter, 1000),
+                            "ftol": 0.0, "gtol": hyper.tol})
+    return res.x, len(seen), bool(np.max(np.abs(res.jac)) <= hyper.tol)
+
+
+def assert_fits_agree(features, labels, hyper):
+    """Same iterations and outcome; converged weights within 1e-9 of the
+    largest; the same labels on the training rows."""
+    seen = []
+    model = train_lr(features, labels, hyper, callback=seen.append)
+    params, iterations, converged = scipy_fit(features, labels, hyper)
+    assert (len(seen), model.converged) == (iterations, converged)
+    ours = np.append(model.weights, model.bias)
+    if converged:
+        assert np.max(np.abs(ours - params)) <= 1e-9 * np.max(np.abs(params))
+    theirs = LrModel(weights=params[:-1], bias=float(params[-1]), hyper=hyper,
+                     converged=converged, final_loss=0.0)
+    np.testing.assert_array_equal(predict(model, features)[0], predict(theirs, features)[0])
+    return model, len(seen)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_train_takes_scipys_iterations_on_random_problems(seed):
+    rng = np.random.default_rng(seed)
+    n, p = int(rng.integers(50, 400)), int(rng.integers(2, 60))
+    features = rng.normal(size=(n, p))
+    labels = (features @ rng.normal(size=p) + rng.normal(size=n) > 0).astype(int)
+    hyper = LrHyper(c=float(rng.choice([0.01, 0.1, 1.0])),
+                    tol=float(rng.choice([1e-3, 1e-4, 1e-5])), max_iter=1000)
+    model, iterations = assert_fits_agree(features, labels, hyper)
+    assert model.converged and iterations > 1
+
+
+@pytest.mark.parametrize("table", ["table1-lr", "table3"])
+def test_train_takes_scipys_iterations_on_the_desk_train_split(table):
+    config = table_config(table, scale="desk", seed=42)
+    _, _, features, labels = next(featurize_sets(config, partial(make_dataset, config)))
+    model, _ = assert_fits_agree(features, labels, config.lr_hyper)
+    assert model.converged
+
+
+def test_train_stops_at_the_start_when_the_gradient_is_within_tol():
+    features, labels = toy_problem(seed=12)
+    seen = []
+    model = train_lr(features, labels, LrHyper(tol=1e6), callback=seen.append)
+    assert seen == [] and model.converged
+    assert not model.weights.any() and model.bias == 0.0
+    assert_fits_agree(features, labels, LrHyper(tol=1e6))
+
+
+def test_train_stops_unconverged_at_max_iter():
+    features, labels = toy_problem(seed=13, separation=1.0)
+    hyper = LrHyper(tol=1e-12, max_iter=3)
+    model, iterations = assert_fits_agree(features, labels, hyper)
+    assert iterations == 3 and not model.converged
+
+
+def test_train_with_a_wrong_sign_gradient_ends_unconverged(monkeypatch):
+    features, labels = toy_problem(seed=14)
+    true_objective = classify.objective
+
+    def wrong_sign(*args):
+        loss, grad = true_objective(*args)
+        return loss, -grad
+
+    monkeypatch.setattr(classify, "objective", wrong_sign)
+    seen = []
+    model = train_lr(features, labels, DEFAULT_LR, callback=seen.append)
+    # every step along the ascent direction raises the loss, so the first line
+    # search fails with no pair to drop and the zero start is returned
+    assert seen == [] and not model.converged
+    assert not model.weights.any() and model.final_loss == true_objective(
+        np.zeros(3), features, np.where(labels == 1, 1.0, -1.0), DEFAULT_LR.c)[0]
+
+
+def test_objective_pull_matches_expit():
+    rng = np.random.default_rng(15)
+    features = rng.normal(size=(200, 4)) * 300.0  # margins far past exp's overflow
+    signs = np.where(rng.integers(0, 2, 200) == 1, 1.0, -1.0)
+    params = rng.normal(size=5)
+    _, grad = objective(params, features, signs, 0.5)
+    w = params[:-1]
+    pull = -signs * expit(-signs * (features @ w + params[-1]))
+    expected = np.append(0.5 * (features.T @ pull) + w, 0.5 * pull.sum())
+    np.testing.assert_allclose(grad, expected, rtol=1e-13, atol=1e-300)
 
 
 # ---------------------------------------------------------------------------

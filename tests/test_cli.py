@@ -326,7 +326,7 @@ def test_evaluate_before_train_fails_cleanly(tmp_path, tiny_config_path, capsys)
 
 
 # ---------------------------------------------------------------------------
-# cold start: scipy is loaded by `train` alone, and no step loads concurrent.futures
+# cold start: no step loads scipy or concurrent.futures
 
 
 def modules_after(code, cwd, package="scipy"):
@@ -345,22 +345,29 @@ def test_import_loads_no_scipy(tmp_path, module):
     assert modules_after(f"import {module}", tmp_path, "concurrent") == []
 
 
-def test_only_train_loads_scipy(tmp_path):
+# an import hook under which ``import scipy`` (or any submodule) fails
+BLOCK_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"scipy is blocked: {name}")
+
+sys.meta_path.insert(0, NoScipy())
+"""
+
+
+def test_every_step_runs_without_scipy(tmp_path):
     (tmp_path / "config.json").write_text(json.dumps({**TINY, "model": "fft_chaosfex"}))
-    steps = {
-        "generate+featurize": [["generate", "--config", "config.json", "--out", "run"],
-                               ["featurize", "run"]],
-        "train": [["train", "run"]],
-        "evaluate": [["evaluate", "run"]],
-    }
-    loaded = {}
-    for name, argvs in steps.items():
-        code = "from tscausal.cli import main\n" + "".join(
-            f"assert main({argv!r}) == 0\n" for argv in argvs)
-        loaded[name] = modules_after(code, tmp_path)
-    assert loaded["generate+featurize"] == [] and loaded["evaluate"] == []
-    assert "scipy.optimize" in loaded["train"]
+    argvs = [["generate", "--config", "config.json", "--out", "run"], ["featurize", "run"],
+             ["train", "run"], ["evaluate", "run"],
+             ["reproduce", "table1-lr", "--seed", "3", "--out", "reproduced"]]
+    code = BLOCK_SCIPY + "from tscausal.cli import main\n" + "".join(
+        f"assert main({argv!r}) == 0, {argv!r}\n" for argv in argvs)
+    assert modules_after(code, tmp_path) == []
     assert (tmp_path / "run" / "report.json").is_file()
+    assert (tmp_path / "reproduced" / "report.json").is_file()
 
 
 # ---------------------------------------------------------------------------
