@@ -355,9 +355,32 @@ def table_config(table: str, scale: str = "desk", seed: int = 42) -> ExperimentC
 # feature stages
 
 
-# rows the feature stage transforms at a time; every step of the transform
-# acts on each row alone, so the block size never changes a feature bit
-TRANSFORM_BLOCK_ROWS = 256
+# rows the feature stage reads at a time; every step of the transform acts
+# on each row alone, so the block size never changes a feature bit, and a
+# block's temporaries take about 2 MB at 2,000 values
+TRANSFORM_BLOCK_ROWS = 64
+
+
+def _map_blocks(fn: Callable[[np.ndarray], np.ndarray], values: np.ndarray,
+                rows: np.ndarray | None) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (first row, ``fn(block)``) for each block of
+    ``TRANSFORM_BLOCK_ROWS`` rows of ``values[rows]``, or of ``values`` if
+    ``rows`` is None, in order. Only a block is gathered, never the whole
+    selection. An empty selection is one empty block, so a caller meets its
+    width or its error. A row an error in a later block names counts from
+    the block's first row, which the error names too."""
+    n = len(values) if rows is None else len(rows)
+    for start in range(0, max(n, 1), TRANSFORM_BLOCK_ROWS):
+        stop = start + TRANSFORM_BLOCK_ROWS
+        block = values[start:stop] if rows is None else values[rows[start:stop]]
+        try:
+            result = fn(block)
+        except ValueError as exc:
+            if not start:
+                raise
+            raise ValueError(f"in the block from row {start}: {exc}") from exc
+        del block  # the caller works on the result with the gathered rows freed
+        yield start, result
 
 
 @dataclass(frozen=True)
@@ -367,21 +390,18 @@ class FeatureStage:
     scaler: MinMaxScaler | None
     config: ExperimentConfig
 
-    def transform(self, values: np.ndarray) -> np.ndarray:
-        """Features of every row of ``values``, computed one block of
-        ``TRANSFORM_BLOCK_ROWS`` rows at a time into one preallocated matrix,
-        so the transients of the spectra, scaling and firing are those of a
-        block, not of the whole set."""
-        first = self._transform_rows(values[:TRANSFORM_BLOCK_ROWS])
-        out = np.empty((len(values), first.shape[1]))
-        out[: len(first)] = first
-        for start in range(TRANSFORM_BLOCK_ROWS, len(values), TRANSFORM_BLOCK_ROWS):
-            stop = start + TRANSFORM_BLOCK_ROWS
-            try:
-                out[start:stop] = self._transform_rows(values[start:stop])
-            except ValueError as exc:
-                # a row an error names counts from the block's first row
-                raise ValueError(f"in the block from row {start}: {exc}") from exc
+    def transform(self, values: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """Features of ``values[rows]``, or of every row of ``values`` if
+        ``rows`` is None, computed one block of ``TRANSFORM_BLOCK_ROWS`` rows
+        at a time into one preallocated matrix. The selection is gathered a
+        block at a time, and the transients of the spectra, scaling and
+        firing are those of a block, so the output is the one array the size
+        of the set that a transform makes."""
+        out = None
+        for start, feats in _map_blocks(self._transform_rows, values, rows):
+            if out is None:
+                out = np.empty((len(values) if rows is None else len(rows), feats.shape[1]))
+            out[start:start + len(feats)] = feats
         return out
 
     def _transform_rows(self, values: np.ndarray) -> np.ndarray:
@@ -412,10 +432,23 @@ def _unscaled_features(config: ExperimentConfig, values: np.ndarray) -> np.ndarr
     return amps if config.keep_dc else amps[:, 1:]
 
 
-def fit_feature_stage(config: ExperimentConfig, train_values: np.ndarray) -> FeatureStage:
+def fit_feature_stage(config: ExperimentConfig, values: np.ndarray,
+                      rows: np.ndarray | None = None) -> FeatureStage:
+    """The feature stage fitted on the training rows ``values[rows]``, or on
+    all of ``values`` if ``rows`` is None. A train-fitted scaler is fitted on
+    each block's spectra in turn and its per-feature minima and maxima are
+    reduced across blocks, so the split's spectra are never held whole;
+    min and max do not round, so the result equals a fit on the whole
+    split bit for bit."""
     scaler = None
     if config.model == "fft_chaosfex" and not config.per_instance_scaling:
-        scaler = spectral.fit_scaler(_unscaled_features(config, train_values), config.headroom)
+        def fit(block: np.ndarray) -> MinMaxScaler:
+            return spectral.fit_scaler(_unscaled_features(config, block), config.headroom)
+
+        for _, block_scaler in _map_blocks(fit, values, rows):
+            scaler = block_scaler if scaler is None else MinMaxScaler(
+                np.minimum(scaler.minimum, block_scaler.minimum),
+                np.maximum(scaler.maximum, block_scaler.maximum), config.headroom)
     return FeatureStage(scaler=scaler, config=config)
 
 
@@ -484,15 +517,17 @@ def make_dataset(config: ExperimentConfig, recipe: DatasetRecipe) -> Dataset:
 
 def assemble_sets(config: ExperimentConfig,
                   train_set: Dataset) -> list[tuple[str, np.ndarray, np.ndarray]]:
-    """The (display name, values, labels) rows of the training dataset's two
-    splits, train split first, each indexed (copied) out of ``train_set``.
-    The split is a pure function of the configuration, so regenerated and
-    reloaded datasets partition identically."""
-    values, labels = train_set.values, train_set.labels
+    """The (display name, row indices, labels) of the training dataset's two
+    splits, train split first. The indices select rows of
+    ``train_set.values``, which the feature stage gathers a block at a
+    time, so no split is ever copied whole. The split is a pure function of
+    the configuration, so regenerated and reloaded datasets partition
+    identically."""
+    labels = train_set.labels
     train_idx, heldout_idx = split_indices(config, labels)
     return [
-        (f"{config.train_recipe.name} (train split)", values[train_idx], labels[train_idx]),
-        (f"{config.train_recipe.name} (held-out)", values[heldout_idx], labels[heldout_idx]),
+        (f"{config.train_recipe.name} (train split)", train_idx, labels[train_idx]),
+        (f"{config.train_recipe.name} (held-out)", heldout_idx, labels[heldout_idx]),
     ]
 
 
@@ -501,26 +536,29 @@ def featurize_sets(config: ExperimentConfig, dataset_for: Callable[[DatasetRecip
     split, the held-out split and each test recipe in turn, with the feature
     stage fitted on the train split. ``dataset_for(recipe)`` makes a recipe's
     dataset; it is called for each test recipe only when its set's turn
-    comes, and nothing of a set stays here once it is yielded: a caller that
-    drops each set's features before asking for the next never holds two
-    sets at once."""
-    splits = assemble_sets(config, dataset_for(config.train_recipe))
+    comes. The train dataset lives through its two splits, which the stage
+    reads from it by row index, and is dropped before the first test set is
+    made; every other dataset is dropped once featurized. So no two
+    datasets are ever alive at once, and a caller that drops each set's
+    features before asking for the next never holds two sets' features."""
+    dataset = dataset_for(config.train_recipe)
+    splits = assemble_sets(config, dataset)
     tests = {r.name: r for r in config.test_recipes}
     stage = None
     # no ``zip`` over made datasets: its reused result tuple would hold a
     # set while the next is made
     for slug in (*SPLIT_SLUGS, *tests):
         if splits:
-            name, values, labels = splits.pop(0)
+            name, rows, labels = splits.pop(0)
         else:
             dataset = dataset_for(tests[slug])
-            name, values, labels = slug, dataset.values, dataset.labels
-            del dataset
+            name, rows, labels = slug, None, dataset.labels
         with in_stage("featurize", name):
-            if stage is None:  # the first row is the train split
-                stage = fit_feature_stage(config, values)
-            features = stage.transform(values)
-        del values
+            if stage is None:  # the first set is the train split
+                stage = fit_feature_stage(config, dataset.values, rows)
+            features = stage.transform(dataset.values, rows)
+        if not splits:  # a test set's dataset, or the train dataset after its last split
+            del dataset
         yield name, slug, features, labels
         del features
 

@@ -241,7 +241,12 @@ def _arma_batch(specs: list[ProcessSpec], rngs: Iterator[np.random.Generator],
     Row i takes the next generator of ``rngs`` and draws its first
     ``start`` values, its largest lag, i.i.d. from its noise law, then its
     noise sequence, each written contiguously into its row. Each later value
-    is its lagged terms plus fresh noise. A value m or more steps back is
+    is its lagged terms plus fresh noise. An ARMA group keeps its noise in a
+    (k, length) matrix, since its MA terms read the noise of past steps. A
+    pure-AR group reads only the current step's, so each row's noise is
+    drawn into the row itself from its start on, and the recursion runs in
+    place: a block reads its noise before it overwrites it, and the group
+    needs no matrix beside ``values``. A value m or more steps back is
     final once the steps before the current block are, so one iteration
     advances every row by m, the group's least AR lag (AR100 takes 19
     iterations for 1,900 steps). A term whose lag every row shares reads a
@@ -257,12 +262,14 @@ def _arma_batch(specs: list[ProcessSpec], rngs: Iterator[np.random.Generator],
     start = np.concatenate([ar_lag, ma_lag]).max(axis=0)
 
     length = values.shape[1]
-    eps = np.empty((k, length))
+    eps = np.empty((k, length)) if n_ma else values
     for row, (spec, s) in enumerate(zip(specs, start.tolist())):
         rng = next(rngs)
         sd = math.sqrt(spec.noise_variance)
         values[row, :s] = rng.normal(spec.noise_mean, sd, s)
-        eps[row] = rng.normal(spec.noise_mean, sd, length)
+        # in place, the noise of the steps before the start is drawn and dropped
+        first = 0 if n_ma else s
+        eps[row, first:] = rng.normal(spec.noise_mean, sd, length)[first:]
 
     # with no AR term nothing recurs, and a block of one column keeps the
     # temporaries small
@@ -293,7 +300,11 @@ def _arma_batch(specs: list[ProcessSpec], rngs: Iterator[np.random.Generator],
         t += m
 
 
-FFT_BLOCK_ROWS = 128
+# rows convolved at a time: a block's spectra take about 2 MB at 2,000 values
+FFT_BLOCK_ROWS = 32
+# rows whose weights are made at a time: the recursion takes a step per
+# column whatever the rows, so a block of weights spans several FFT blocks
+WEIGHTS_BLOCK_ROWS = 256
 
 
 def _fractionally_integrate(core: np.ndarray, d: list[float]) -> None:
@@ -306,21 +317,25 @@ def _fractionally_integrate(core: np.ndarray, d: list[float]) -> None:
     sum. The transform size is the least power of two at or above
     2 * length - 1, the length of the full linear convolution, so no output
     wraps around. Each row is transformed on its own, so its bits do not
-    depend on the rest of the batch; rows go ``FFT_BLOCK_ROWS`` at a time,
-    each block transformed before it is overwritten, which bounds the
-    complex spectra held at once: at 2,000 values, one spectrum of a whole
-    1,250-row group would take 41 MB. A row whose ``d`` is 0 has weights
-    [1, 0, ...], which the transform returns only to within rounding, so it
-    keeps its core as it is.
+    depend on the rest of the batch. Rows go ``FFT_BLOCK_ROWS`` at a time,
+    each block transformed before it is overwritten, and their weights
+    ``WEIGHTS_BLOCK_ROWS`` at a time, so the temporaries are a block of
+    weights and one block's spectra: about 6 MB at 2,000 values. A row whose
+    ``d`` is 0 has weights [1, 0, ...], which the transform returns only to
+    within rounding, so it keeps its core as it is.
     """
     length = core.shape[1]
     size = 1 << (2 * length - 2).bit_length()
-    weights = fractional_integration_weights(d, length)
     moved = (np.asarray(d) != 0)[:, None]
-    for a in range(0, len(d), FFT_BLOCK_ROWS):
-        b = a + FFT_BLOCK_ROWS
-        spectra = np.fft.rfft(weights[a:b], size) * np.fft.rfft(core[a:b], size)
-        np.copyto(core[a:b], np.fft.irfft(spectra, size)[:, :length], where=moved[a:b])
+    for w in range(0, len(d), WEIGHTS_BLOCK_ROWS):
+        weights = fractional_integration_weights(d[w:w + WEIGHTS_BLOCK_ROWS], length)
+        for a in range(w, w + len(weights), FFT_BLOCK_ROWS):
+            b = min(a + FFT_BLOCK_ROWS, w + len(weights))
+            # in place: numpy elides the temporary of ``a * b`` only on some call paths
+            spectra = np.fft.rfft(weights[a - w:b - w], size)
+            spectra *= np.fft.rfft(core[a:b], size)
+            np.copyto(core[a:b], np.fft.irfft(spectra, size)[:, :length], where=moved[a:b])
+        del weights, spectra  # before the next block's weights are made
 
 
 def generate_many(specs: Sequence[ProcessSpec], seeds: Sequence[int]) -> np.ndarray:

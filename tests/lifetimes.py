@@ -1,17 +1,21 @@
-"""Weak-reference checks that a run holds one set at a time.
+"""Checks that a run holds one set at a time: weak references to its sets,
+and the traced allocation peak of a call.
 
 A streamed run makes each dataset, featurizes it, and lets it go before it
-makes the next. ``watch_sets`` wraps the function that makes datasets (built
-or loaded) and ``FeatureStage.transform``, and each wrapped call first
-asserts that nothing made earlier is still alive, bar the one dataset a
-transform may be reading. A run that keeps a set after its turn, such as a
-``zip`` over lazily made test sets whose reused result tuple holds the last
-one, fails at its next set.
+makes the next; the train dataset lives through its two splits, which are
+row indices into it. ``watch_sets`` wraps the function that makes datasets
+(built or loaded) and ``FeatureStage.transform``, and each wrapped call first
+asserts which datasets are alive: none before a dataset is made, and exactly
+the newest one, the one it reads, before a transform; and no features made
+earlier. A run that keeps a set after its turn, such as a ``zip`` over
+lazily made test sets whose reused result tuple holds the last one, fails at
+its next set.
 """
 
 from __future__ import annotations
 
 import gc
+import tracemalloc
 import weakref
 from contextlib import contextmanager
 
@@ -31,9 +35,10 @@ class SetWatch:
     def live_features(self) -> list[int]:
         return [i for i, ref in enumerate(self.features) if ref() is not None]
 
-    def check(self, call: str, datasets_allowed: list[int]) -> None:
+    def check(self, call: str, datasets_alive: list[int]) -> None:
         live = self.live_datasets()
-        assert live in ([], datasets_allowed), f"before {call}: datasets {live} are alive"
+        assert live == datasets_alive, \
+            f"before {call}: datasets {live} are alive, expected {datasets_alive}"
         assert not self.live_features(), \
             f"before {call}: feature matrices {self.live_features()} are alive"
 
@@ -52,10 +57,10 @@ def watch_sets(monkeypatch, maker: str):
         watch.datasets.append((weakref.ref(dataset), weakref.ref(dataset.values)))
         return dataset
 
-    def watched_transform(stage, values):
-        # the dataset being transformed is the newest one, if it is still alive
+    def watched_transform(stage, values, rows=None):
+        # the dataset being transformed is the newest one
         watch.check(f"transform #{len(watch.features)}", [len(watch.datasets) - 1])
-        features = transform(stage, values)
+        features = transform(stage, values, rows)
         watch.features.append(weakref.ref(features))
         return features
 
@@ -68,3 +73,13 @@ def watch_sets(monkeypatch, maker: str):
     finally:
         if enabled:
             gc.enable()
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes ``tracemalloc`` traces while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -18,6 +18,7 @@ from helpers import (
     naive_dft_amplitudes,
     rational_fire,
 )
+from lifetimes import traced_peak
 from tscausal import classify, spectral
 from tscausal.chaosfex import GlsParams, fire, fire_batch
 from tscausal.classify import LrHyper, objective, train_lr
@@ -130,10 +131,13 @@ def test_desk_reports_hold_under_one_ulp_of_noise(monkeypatch, seed):
     assert digests == GOLDEN_DESK_DIGESTS
 
 
-@pytest.mark.skipif(
+paper_scale = pytest.mark.skipif(
     os.environ.get("TSCAUSAL_PAPER_SCALE") != "1",
     reason="paper-scale run is opt-in: set TSCAUSAL_PAPER_SCALE=1",
 )
+
+
+@paper_scale
 def test_criterion_4_chaos_model_at_paper_scale():
     rep = run_experiment(table_config("table3", scale="paper", seed=42))
     accs = {name: rep.row(name).accuracy
@@ -143,6 +147,17 @@ def test_criterion_4_chaos_model_at_paper_scale():
     detail = ", ".join(f"{k} acc {v:.2%}" for k, v in accs.items())
     detail += ", " + ", ".join(f"{k} recall {v:.2f}" for k, v in recalls.items())
     check(4, ok, detail)
+
+
+@paper_scale
+def test_paper_scale_table3_array_peak_stays_below_70_mb():
+    # a warm pass holds one set's values and features and one block's
+    # temporaries at a time: its traced peak measures 63.6 MB (1 MB = 1e6
+    # bytes), where whole-split copies and whole-set noise and spectra took
+    # it to 80.5 MB
+    run_experiment(table_config("table3", scale="desk", seed=42))  # first-use state
+    peak = traced_peak(run_experiment, table_config("table3", scale="paper", seed=42))
+    assert peak < 70e6, f"traced peak is {peak / 1e6:.1f} MB"
 
 
 def test_criterion_5_extrema_counts_separate_classes():

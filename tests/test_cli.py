@@ -441,7 +441,7 @@ def test_featurize_holds_one_dataset_and_one_set_of_features_at_a_time(
     assert main(["generate", "--config", str(four_set_config_path), "--out", str(run)]) == 0
     with watch_sets(monkeypatch, "load_dataset") as watch:
         assert main(["featurize", str(run)]) == 0, capsys.readouterr().err
-    # the train dataset makes two sets, the train split and the held-out set
+    # the train dataset, alive through both, makes the train split and the held-out set
     assert len(watch.datasets) == 4 and len(watch.features) == 5
     assert not watch.live_datasets() and not watch.live_features()
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import exact_convolution, gamma_ratio_weights, lag_autocorr, scalar_series
+from lifetimes import traced_peak
 from tscausal import seriesgen
 from tscausal.seriesgen import (
     CAUSAL,
@@ -447,6 +448,17 @@ BATCHES = st.sampled_from(LENGTHS).flatmap(lambda length: st.lists(
     (ProcessSpec(kind=Kind.ARMA, length=16, ar_terms=((3, 0.4),),
                  ma_terms=((0, 1.0), (5, 0.3))), 0),
 ])
+@hypothesis.example([
+    # two pure-AR groups, simulated in place, that mix lags 1 and 20: until
+    # step 20 a row starting there reads its initial values as its noise and
+    # drops what it computes from them
+    (ProcessSpec(kind=Kind.AR, length=24, ar_terms=((1, 0.5),)), 11),
+    (ProcessSpec(kind=Kind.AR, length=24, ar_terms=((20, -0.9),), noise_mean=0.5), 12),
+    (ProcessSpec(kind=Kind.AR, length=24, ar_terms=((1, 0.9),), noise_variance=2.0), 13),
+    (ProcessSpec(kind=Kind.AR, length=24, ar_terms=((20, 0.3),)), 14),
+    (ProcessSpec(kind=Kind.AR, length=24, ar_terms=((1, 0.3), (20, 0.5))), 15),
+    (ProcessSpec(kind=Kind.AR, length=24, ar_terms=((20, -0.4), (1, 0.2))), 16),
+])
 def test_generate_many_equals_the_scalar_oracle_bit_for_bit(pairs):
     batch, seeds = [list(x) for x in zip(*pairs)]
     assert_matches_oracle(batch, seeds)
@@ -466,6 +478,17 @@ def test_generate_many_names_the_kind_of_a_divergent_series(kind):
         assert not np.all(np.isfinite(scalar_series(dense, 2)))
         with pytest.raises(ValueError, match=f"non-finite values \\(kind={kind.value}\\)"):
             generate_many([tame, dense, ar_spec()], [1, 2, 3])
+
+
+def test_a_pure_ar_group_allocates_no_noise_matrix():
+    # the noise is drawn into the output's rows; a (k, length) noise matrix
+    # beside them would take the traced peak to 2.05x the output
+    batch = [ar_spec(lag=1 if i % 2 else 20, length=500) for i in range(1000)]
+    generate_many(batch[:2], [0, 1])  # first-use state
+    out_bytes = len(batch) * 500 * 8
+    peak = traced_peak(generate_many, batch, range(len(batch)))
+    # measured 1.15x: the output, its finiteness mask (1/8 of it) and small blocks
+    assert peak < 1.25 * out_bytes, f"traced peak is {peak / out_bytes:.2f}x the output"
 
 
 def test_generate_many_requires_one_seed_per_spec():
@@ -565,13 +588,32 @@ def arfima_batch(rows):
 
 @pytest.mark.parametrize("rows", [1, 2, 5])
 def test_arfima_chunking_changes_no_bit(monkeypatch, rows):
-    # 1 and 2 rows: fewer rows than a block of 3; 5: a last block cut short
+    # 1 and 2 rows: fewer rows than a block of 3; 5: a last block cut short;
+    # blocks of weights that are and are not whole FFT blocks
     batch = arfima_batch(rows)
     seeds = list(range(50, 50 + len(batch)))
     got = {}
-    for block_rows in (1, 2, 3):
-        monkeypatch.setattr(seriesgen, "FFT_BLOCK_ROWS", block_rows)
-        got[block_rows] = bits(generate_many(batch, seeds))
-    assert np.array_equal(got[1], got[2]) and np.array_equal(got[1], got[3])
-    for row, spec, seed in zip(got[1], batch, seeds):
+    for fft_rows, weights_rows in ((1, 1), (2, 4), (3, 2), (3, 256)):
+        monkeypatch.setattr(seriesgen, "FFT_BLOCK_ROWS", fft_rows)
+        monkeypatch.setattr(seriesgen, "WEIGHTS_BLOCK_ROWS", weights_rows)
+        got[fft_rows, weights_rows] = bits(generate_many(batch, seeds))
+    first, *rest = got.values()
+    assert all(np.array_equal(first, other) for other in rest)
+    for row, spec, seed in zip(first, batch, seeds):
         assert np.array_equal(row, bits(generate(spec, seed)))
+
+
+def test_fractional_integration_temporaries_are_a_block_of_weights_and_spectra():
+    length, rows = 2000, 600
+    core = np.random.default_rng(3).normal(size=(rows, length))
+    d = list(np.linspace(-0.45, 0.45, rows))
+    peak = traced_peak(seriesgen._fractionally_integrate, core, d)
+    weights = seriesgen.WEIGHTS_BLOCK_ROWS * length * 8
+    size = 1 << (2 * length - 2).bit_length()
+    spectrum = seriesgen.FFT_BLOCK_ROWS * (size // 2 + 1) * 16
+    # a block holds its two complex spectra and its inverse transform's
+    # output: measured 2.15 spectra beside the weights, 6.3 MB in all at
+    # this length, where the whole group's weights alone take 9.6 MB
+    assert peak - weights < 2.5 * spectrum, \
+        f"temporaries beside the weights are {(peak - weights) / spectrum:.2f} block spectra"
+    assert peak < 7e6, f"temporaries take {peak / 1e6:.1f} MB"
