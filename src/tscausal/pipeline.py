@@ -34,7 +34,6 @@ from .seriesgen import (
     ProcessSpec,
     generate,  # noqa: F401 -- bench/layertrace.py wraps pipeline.generate
     generate_many,
-    seed_words,
     streams,
 )
 from .spectral import DEFAULT_HEADROOM, MinMaxScaler
@@ -221,8 +220,7 @@ def build_dataset(
         raise ValueError(f"n_per_class must be >= 1, got {n_per_class}")
 
     def rngs(part: str) -> Iterator[np.random.Generator]:
-        return streams(seed_words(
-            [derive_seed(master_seed, recipe.name, part, i) for i in range(n_per_class)]))
+        return streams([derive_seed(master_seed, recipe.name, part, i) for i in range(n_per_class)])
 
     specs: list[ProcessSpec] = []
     seeds: list[int] = []

@@ -6,16 +6,18 @@ differencing (Biometrika, 1981) applied to an ARMA core, as one FFT
 convolution per series on the calling thread. Non-causal series are
 i.i.d. draws from a normal or uniform distribution. ``ProcessSpec`` decides
 whether a process is valid, so a bad spec fails when it is built, and
-``generate_many`` is the one simulation entry point: each row of the matrix
-it returns is a pure function of its (spec, seed), bit-identical for the
-same inputs whatever else shares the batch. A seed names the stream of
-``np.random.default_rng(seed)``; ``seed_words`` and ``streams`` re-point one
-generator to each seed's stream instead of building one per series. A
-``Dataset`` holds such a matrix with the labels, specs and seeds of its rows.
+``generate_many`` is the one simulation entry point, one loop over the runs
+of consecutive like specs: each row of the matrix it returns is a pure
+function of its (spec, seed), bit-identical for the same inputs whatever
+else shares the batch. A seed names the stream of
+``np.random.default_rng(seed)``; ``streams`` re-points one generator to each
+seed's stream instead of building one per series. A ``Dataset`` holds such a
+matrix with the labels, specs and seeds of its rows.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections.abc import Iterator, Sequence
@@ -184,10 +186,11 @@ def seed_words(seeds: Sequence[int]) -> np.ndarray:
     return words.view("<u8").astype(np.uint64)
 
 
-def streams(words: np.ndarray) -> Iterator[np.random.Generator]:
-    """One generator, re-pointed in turn to the stream each row of
-    ``seed_words`` starts: that of ``np.random.default_rng(seed)``. A caller
-    draws from it before it takes the next.
+def streams(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
+    """One generator, re-pointed in turn to the stream of
+    ``np.random.default_rng(seed)`` for each seed, from its ``seed_words``
+    row. A caller draws from it before it takes the next; a seed outside
+    [0, 2**64) is refused with its row when the first is taken.
 
     Setting ``bit_generator.state`` costs a fraction of building a
     generator. The state is PCG64's seeding step (O'Neill, HMC-CS-2014-0905)
@@ -195,7 +198,7 @@ def streams(words: np.ndarray) -> Iterator[np.random.Generator]:
     the stream; from state 0, step, add the initial state, step again.
     """
     rng = np.random.Generator(np.random.PCG64())
-    for row in words:
+    for row in seed_words(seeds):
         s_high, s_low, i_high, i_low = row.tolist()
         inc = ((i_high << 64 | i_low) << 1 | 1) & _MASK128
         state = ((inc + (s_high << 64 | s_low)) * _PCG64_MULT + inc) & _MASK128
@@ -232,28 +235,36 @@ def _by_position(terms: list, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(a[0], dtype=np.intp), np.ascontiguousarray(a[1])
 
 
-def _arma_batch(specs: list[ProcessSpec], rngs: Iterator[np.random.Generator],
-                values: np.ndarray, n_ar: int, n_ma: int) -> None:
-    """AR/ARMA recursion for specs that share a length and their term counts,
-    written into the zeroed row-major (k, length) ``values``: row i is the
-    series of specs[i].
+def _noise(spec: ProcessSpec, rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` i.i.d. draws from the noise law of ``spec``."""
+    if spec.kind == Kind.NOISE_UNIFORM:
+        return rng.uniform(spec.uniform_lo, spec.uniform_hi, n)
+    return rng.normal(spec.noise_mean, math.sqrt(spec.noise_variance), n)
 
-    Row i takes the next generator of ``rngs`` and draws its first
-    ``start`` values, its largest lag, i.i.d. from its noise law, then its
-    noise sequence, each written contiguously into its row. Each later value
-    is its lagged terms plus fresh noise. An ARMA group keeps its noise in a
-    (k, length) matrix, since its MA terms read the noise of past steps. A
-    pure-AR group reads only the current step's, so each row's noise is
-    drawn into the row itself from its start on, and the recursion runs in
-    place: a block reads its noise before it overwrites it, and the group
-    needs no matrix beside ``values``. A value m or more steps back is
-    final once the steps before the current block are, so one iteration
-    advances every row by m, the group's least AR lag (AR100 takes 19
-    iterations for 1,900 steps). A term whose lag every row shares reads a
-    slice of columns, any other a gather. Each value adds its terms in its
-    spec's order to a literal 0.0, so it equals that of a scalar recursion
-    bit for bit; before the last row's start, a row whose start lies ahead
-    keeps its initial values.
+
+def _simulate_run(specs: list[ProcessSpec], rngs: Iterator[np.random.Generator],
+                  values: np.ndarray, n_ar: int, n_ma: int) -> None:
+    """Simulate specs that share a kind, a length and their term counts into
+    the zeroed row-major (k, length) ``values``: row i is the series of
+    specs[i].
+
+    Row i takes the next generator of ``rngs`` and draws (``_noise``) its
+    first ``start`` values, its largest lag, i.i.d. from its noise law, then
+    its noise sequence, each written contiguously into its row. Each later
+    value is its lagged terms plus fresh noise. An ARMA run keeps its noise
+    in a (k, length) matrix, since its MA terms read the noise of past
+    steps. An AR or white-noise run reads only the current step's, so each
+    row's noise is drawn into the row itself from its start on. A
+    white-noise row has no lag, so its start is 0 and it is done once
+    drawn. An AR recursion runs in place: a block reads its noise before it
+    overwrites it, and the run needs no matrix beside ``values``. A value m
+    or more steps back is final once the steps before the current block
+    are, so one iteration advances every row by m, the run's least AR lag
+    (AR100 takes 19 iterations for 1,900 steps). A term whose lag every row
+    shares reads a slice of columns, any other a gather. Each value adds its
+    terms in its spec's order to a literal 0.0, so it equals that of a
+    scalar recursion bit for bit; before the last row's start, a row whose
+    start lies ahead keeps its initial values.
     """
     k = len(specs)
     ar_lag, ar_coef = _by_position([s.ar_terms for s in specs], k, n_ar)
@@ -265,11 +276,12 @@ def _arma_batch(specs: list[ProcessSpec], rngs: Iterator[np.random.Generator],
     eps = np.empty((k, length)) if n_ma else values
     for row, (spec, s) in enumerate(zip(specs, start.tolist())):
         rng = next(rngs)
-        sd = math.sqrt(spec.noise_variance)
-        values[row, :s] = rng.normal(spec.noise_mean, sd, s)
+        values[row, :s] = _noise(spec, rng, s)
         # in place, the noise of the steps before the start is drawn and dropped
         first = 0 if n_ma else s
-        eps[row, first:] = rng.normal(spec.noise_mean, sd, length)[first:]
+        eps[row, first:] = _noise(spec, rng, length)[first:]
+    if not (n_ar or n_ma):
+        return
 
     # with no AR term nothing recurs, and a block of one column keeps the
     # temporaries small
@@ -345,14 +357,13 @@ def generate_many(specs: Sequence[ProcessSpec], seeds: Sequence[int]) -> np.ndar
     The simulation entry point. All specs share one length; row i of the
     read-only result is the series of ``specs[i]``, a pure function of its
     own (spec, seed): batching changes no bit. One generator, local to the
-    call, is re-pointed to each seed's stream (``streams``), so no
-    series builds its own; a seed outside [0, 2**64) is refused. Noise kinds
-    draw i.i.d. values. Causal kinds run the row-major AR/ARMA recursion
-    (``_arma_batch``), one per group of specs sharing a kind and their term
-    counts, in place in the group's rows of the result when they are
-    consecutive; ARFIMA then convolves each core, in place, with its
-    fractional integration weights, truncated at the series start, by FFT in
-    blocks of rows on the calling thread.
+    call, is re-pointed to each seed's stream in row order (``streams``), so
+    no series builds its own; a seed outside [0, 2**64) is refused. Each
+    run of consecutive specs that share a kind and their term counts is
+    simulated in place in its rows of the result (``_simulate_run``);
+    ARFIMA then convolves each core, in place, with its fractional
+    integration weights, truncated at the series start, by FFT in blocks of
+    rows on the calling thread.
     """
     if len(specs) != len(seeds):
         raise ValueError(f"got {len(specs)} specs but {len(seeds)} seeds")
@@ -360,32 +371,18 @@ def generate_many(specs: Sequence[ProcessSpec], seeds: Sequence[int]) -> np.ndar
     if len(lengths) != 1:
         raise ValueError(f"need specs of one length, got lengths {sorted(lengths)}")
     (length,) = lengths
-    words = seed_words(seeds)
-    groups: dict[tuple[Kind, int, int], list[int]] = {}
-    for i, spec in enumerate(specs):
-        groups.setdefault((spec.kind, len(spec.ar_terms), len(spec.ma_terms)), []).append(i)
-
     out = np.zeros((len(specs), length))
-    rngs = streams(words[[i for idx in groups.values() for i in idx]])
-    for (kind, n_ar, n_ma), idx in groups.items():
-        batch = [specs[i] for i in idx]
-        if kind == Kind.NOISE_NORMAL:
-            for i, s in zip(idx, batch):
-                out[i] = next(rngs).normal(s.noise_mean, math.sqrt(s.noise_variance), length)
-        elif kind == Kind.NOISE_UNIFORM:
-            for i, s in zip(idx, batch):
-                out[i] = next(rngs).uniform(s.uniform_lo, s.uniform_hi, length)
-        else:
-            # a group of consecutive rows, as build_dataset makes, is
-            # simulated in place; any other in a zeroed matrix of its own
-            whole = idx[-1] - idx[0] + 1 == len(idx)
-            values = out[idx[0]:idx[-1] + 1] if whole else np.zeros((len(idx), length))
-            _arma_batch(batch, rngs, values, n_ar, n_ma)
-            if kind == Kind.ARFIMA:
-                _fractionally_integrate(values, [s.d for s in batch])
-            if not whole:
-                out[idx] = values
-    finite = np.isfinite(out).all(axis=1)
+    rngs, a = streams(seeds), 0
+    for (kind, n_ar, n_ma), run in itertools.groupby(
+            specs, lambda s: (s.kind, len(s.ar_terms), len(s.ma_terms))):
+        run = list(run)
+        values = out[a:a + len(run)]
+        a += len(run)
+        _simulate_run(run, rngs, values, n_ar, n_ma)
+        if kind == Kind.ARFIMA:
+            _fractionally_integrate(values, [s.d for s in run])
+    # NaN reaches a row's max and min, +inf its max and -inf its min
+    finite = np.isfinite(out.max(axis=1)) & np.isfinite(out.min(axis=1))
     if not finite.all():
         kind = specs[int(np.argmin(finite))].kind
         raise ValueError(f"generated series contains non-finite values (kind={kind.value})")
