@@ -68,6 +68,8 @@ class ProcessSpec:
     uniform_hi: float = 1.0
 
     def __post_init__(self):
+        # a kind given by its value is the same spec; an unknown one is refused
+        object.__setattr__(self, "kind", Kind(self.kind))
         if self.length < 1:
             raise ValueError(f"length must be >= 1, got {self.length}")
         # normalize term lists to hashable tuples regardless of input container
@@ -211,10 +213,10 @@ def fractional_integration_weights(d: float | Sequence[float], n: int) -> np.nda
     """Coefficients of the inverse fractional difference filter.
 
     Returns the first ``n`` weights of the binomial-series expansion of the
-    backshift polynomial raised to the power -d, via the recursion
-    w[0] = 1, w[j] = w[j-1] * (j - 1 + d) / j. A sequence of ``k`` values of
-    ``d`` gives a (k, n) matrix, one row per value, computed with the same
-    per-element operations as a single value.
+    backshift polynomial raised to the power -d: w[0] = 1 and w[j] the
+    cumulative product of the ratios (j - 1 + d) / j. A sequence of ``k``
+    values of ``d`` gives a (k, n) matrix, one row per value, computed with
+    the same per-element operations as a single value.
     """
     d = np.asarray(d, dtype=np.float64)
     if not np.all(np.abs(d) < 1):
@@ -223,9 +225,9 @@ def fractional_integration_weights(d: float | Sequence[float], n: int) -> np.nda
         raise ValueError(f"n must be >= 1, got {n}")
     w = np.empty((*d.shape, n))
     w[..., 0] = 1.0
-    for j in range(1, n):
-        w[..., j] = w[..., j - 1] * (j - 1 + d) / j
-    return w
+    w[..., 1:] = np.arange(n - 1) + d[..., None]
+    w[..., 1:] /= np.arange(1, n)
+    return np.cumprod(w, axis=-1, out=w)
 
 
 def _by_position(terms: list, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -312,11 +314,9 @@ def _simulate_run(specs: list[ProcessSpec], rngs: Iterator[np.random.Generator],
         t += m
 
 
-# rows convolved at a time: a block's spectra take about 2 MB at 2,000 values
+# rows convolved at a time: a block's weights and spectra take about 2.7 MB
+# at 2,000 values
 FFT_BLOCK_ROWS = 32
-# rows whose weights are made at a time: the recursion takes a step per
-# column whatever the rows, so a block of weights spans several FFT blocks
-WEIGHTS_BLOCK_ROWS = 256
 
 
 def _fractionally_integrate(core: np.ndarray, d: list[float]) -> None:
@@ -329,25 +329,21 @@ def _fractionally_integrate(core: np.ndarray, d: list[float]) -> None:
     sum. The transform size is the least power of two at or above
     2 * length - 1, the length of the full linear convolution, so no output
     wraps around. Each row is transformed on its own, so its bits do not
-    depend on the rest of the batch. Rows go ``FFT_BLOCK_ROWS`` at a time,
-    each block transformed before it is overwritten, and their weights
-    ``WEIGHTS_BLOCK_ROWS`` at a time, so the temporaries are a block of
-    weights and one block's spectra: about 6 MB at 2,000 values. A row whose
-    ``d`` is 0 has weights [1, 0, ...], which the transform returns only to
-    within rounding, so it keeps its core as it is.
+    depend on the rest of the batch. Rows go ``FFT_BLOCK_ROWS`` at a time:
+    a block makes its weights, transforms them and its cores, and is written
+    back before the next begins, so the temporaries are one block of weights
+    and spectra. A row whose ``d`` is 0 has weights [1, 0, ...], which the
+    transform returns only to within rounding, so it keeps its core as it is.
     """
     length = core.shape[1]
     size = 1 << (2 * length - 2).bit_length()
     moved = (np.asarray(d) != 0)[:, None]
-    for w in range(0, len(d), WEIGHTS_BLOCK_ROWS):
-        weights = fractional_integration_weights(d[w:w + WEIGHTS_BLOCK_ROWS], length)
-        for a in range(w, w + len(weights), FFT_BLOCK_ROWS):
-            b = min(a + FFT_BLOCK_ROWS, w + len(weights))
-            # in place: numpy elides the temporary of ``a * b`` only on some call paths
-            spectra = np.fft.rfft(weights[a - w:b - w], size)
-            spectra *= np.fft.rfft(core[a:b], size)
-            np.copyto(core[a:b], np.fft.irfft(spectra, size)[:, :length], where=moved[a:b])
-        del weights, spectra  # before the next block's weights are made
+    for a in range(0, len(d), FFT_BLOCK_ROWS):
+        b = a + FFT_BLOCK_ROWS
+        # in place: numpy elides the temporary of a product only on some call paths
+        spectra = np.fft.rfft(fractional_integration_weights(d[a:b], length), size)
+        spectra *= np.fft.rfft(core[a:b], size)
+        np.copyto(core[a:b], np.fft.irfft(spectra, size)[:, :length], where=moved[a:b])
 
 
 def generate_many(specs: Sequence[ProcessSpec], seeds: Sequence[int]) -> np.ndarray:

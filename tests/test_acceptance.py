@@ -1,8 +1,9 @@
 """Acceptance gate: every release criterion, one pass/fail line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines. The
-paper-scale criterion only runs when TSCAUSAL_PAPER_SCALE=1 is set; it is
-excluded from routine CI because it simulates 2500 series per dataset.
+two paper-scale tests, criterion 4 and the array-peak check, only run when
+TSCAUSAL_PAPER_SCALE=1 is set; tier-1 skips them because they simulate 2500
+series per dataset.
 """
 
 import hashlib

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from fractions import Fraction
 
 import hypothesis
 import hypothesis.strategies as st
@@ -58,6 +59,19 @@ def test_weights_match_gamma_ratio(d):
     ours = fractional_integration_weights(d, 21)
     closed = gamma_ratio_weights(d, 21)
     np.testing.assert_allclose(ours, closed, rtol=1e-12)
+
+
+@pytest.mark.parametrize("d", [-0.49, -0.23, 0.31, 0.49])
+def test_weights_of_a_long_series_match_exact_products(d):
+    # the weights of a 2,000-value recipe series, against the exact product
+    # of the exact ratios (j - 1 + d) / j, rounded once
+    n = 2000
+    exact, w = [1.0], Fraction(1)
+    for j in range(1, n):
+        w *= (j - 1 + Fraction(d)) / j
+        exact.append(float(w))
+    ours = fractional_integration_weights(d, n)
+    np.testing.assert_allclose(ours, exact, rtol=n * np.finfo(np.float64).eps, atol=0)
 
 
 @hypothesis.given(st.floats(min_value=-0.99, max_value=0.99), st.integers(2, 60))
@@ -152,6 +166,21 @@ def test_ar_and_arma_specs_reject_a_fractional_d(kind):
     ma = () if kind == Kind.AR else ((0, 1.0),)
     with pytest.raises(ValueError, match=f"{kind.value} spec must have d = 0, got 0.3"):
         ProcessSpec(kind=kind, length=10, ar_terms=((1, 0.5),), ma_terms=ma, d=0.3)
+
+
+@pytest.mark.parametrize("kind, terms, error", [
+    ("bogus", (), "'bogus' is not a valid Kind"),
+    ("ar", ((1, 0.5),), None),
+    ("noise_normal", ((1, 0.5),), "noise_normal spec must not carry AR or MA terms"),
+], ids=["unknown", "ar", "noise-with-terms"])
+def test_spec_takes_a_kind_by_its_value(kind, terms, error):
+    if error:
+        with pytest.raises(ValueError, match=error):
+            ProcessSpec(kind=kind, length=5, ar_terms=terms)
+    else:
+        spec = ProcessSpec(kind=kind, length=5, ar_terms=terms)
+        assert spec.kind is Kind.AR
+        assert spec == ProcessSpec(kind=Kind.AR, length=5, ar_terms=terms)
 
 
 def test_spec_labels():
@@ -612,32 +641,31 @@ def arfima_batch(rows):
 
 @pytest.mark.parametrize("rows", [1, 2, 5])
 def test_arfima_chunking_changes_no_bit(monkeypatch, rows):
-    # 1 and 2 rows: fewer rows than a block of 3; 5: a last block cut short;
-    # blocks of weights that are and are not whole FFT blocks
+    # 1 and 2 rows: fewer rows than a block of 3; 5: a last block cut short
     batch = arfima_batch(rows)
     seeds = list(range(50, 50 + len(batch)))
-    got = {}
-    for fft_rows, weights_rows in ((1, 1), (2, 4), (3, 2), (3, 256)):
+    got = []
+    for fft_rows in (1, 2, 3):
         monkeypatch.setattr(seriesgen, "FFT_BLOCK_ROWS", fft_rows)
-        monkeypatch.setattr(seriesgen, "WEIGHTS_BLOCK_ROWS", weights_rows)
-        got[fft_rows, weights_rows] = bits(generate_many(batch, seeds))
-    first, *rest = got.values()
+        got.append(bits(generate_many(batch, seeds)))
+    first, *rest = got
     assert all(np.array_equal(first, other) for other in rest)
     for row, spec, seed in zip(first, batch, seeds):
         assert np.array_equal(row, bits(generate(spec, seed)))
 
 
-def test_fractional_integration_temporaries_are_a_block_of_weights_and_spectra():
+def test_fractional_integration_temporaries_are_one_fft_block():
     length, rows = 2000, 600
     core = np.random.default_rng(3).normal(size=(rows, length))
     d = list(np.linspace(-0.45, 0.45, rows))
     peak = traced_peak(seriesgen._fractionally_integrate, core, d)
-    weights = seriesgen.WEIGHTS_BLOCK_ROWS * length * 8
+    weights = seriesgen.FFT_BLOCK_ROWS * length * 8
     size = 1 << (2 * length - 2).bit_length()
     spectrum = seriesgen.FFT_BLOCK_ROWS * (size // 2 + 1) * 16
-    # a block holds its two complex spectra and its inverse transform's
-    # output: measured 2.15 spectra beside the weights, 6.3 MB in all at
-    # this length, where the whole run's weights alone take 9.6 MB
+    # a block's weights meet its first spectrum and the last block's
+    # spectra, which live until the new ones are bound: measured 2.12 block
+    # spectra beside the weights, 2.74 MB in all at this length, where the
+    # whole run's weights alone take 9.6 MB
     assert peak - weights < 2.5 * spectrum, \
         f"temporaries beside the weights are {(peak - weights) / spectrum:.2f} block spectra"
-    assert peak < 7e6, f"temporaries take {peak / 1e6:.1f} MB"
+    assert peak < 3e6, f"temporaries take {peak / 1e6:.2f} MB"
