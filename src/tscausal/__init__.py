@@ -5,7 +5,7 @@ amplitude-spectrum and chaotic-neuron TTSS features, and an L2-regularized
 logistic-regression classifier, wired into reproducible experiments.
 """
 
-from .artifacts import load_dataset, persist_dataset
+from .artifacts import persist_dataset
 from .chaosfex import FiringResult, GlsParams, extract_ttss, fire, fire_batch, gls_map
 from .classify import (
     CHAOSFEX_LR,
@@ -25,6 +25,7 @@ from .pipeline import (
     ExperimentReport,
     RECIPES,
     build_dataset,
+    load_dataset,
     run_experiment,
     table_config,
     write_report,

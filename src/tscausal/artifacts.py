@@ -1,5 +1,6 @@
 """Run-directory artifacts: the one module that names, writes, reads and
-deletes the files of a run directory, bar the reports ``pipeline.write_report`` writes.
+deletes the files of a run directory, bar the reports ``pipeline.write_report``
+writes under the names given here.
 
 Arrays are NumPy ``.npy`` files (NEP 1). They hold the raw bits, so every
 value round-trips exactly. Every file is written to a hidden sibling and then
@@ -9,8 +10,11 @@ process, not against power loss.
 
 Manifests and ``model.json`` are dataclasses written by ``write_document``
 and read by ``read_document``; manifests carry ``ARTIFACT_SCHEMA_VERSION``.
-Version 1 was the CSV layout; run directories written in it are refused and
-must be generated again. Reports carry ``pipeline.SCHEMA_VERSION`` instead.
+A dataset manifest (version 3) holds the generator and the ``source``, from
+which ``pipeline.load_dataset`` draws the specs, seeds and labels again.
+Version 2 also listed each series' label, seed and spec, and version 1 was
+the CSV layout; either is refused and must be generated again. Reports carry
+``pipeline.SCHEMA_VERSION`` instead.
 """
 
 from __future__ import annotations
@@ -25,12 +29,13 @@ from typing import IO
 import numpy as np
 
 from .codec import from_doc, to_doc
-from .seriesgen import GENERATOR_NAME, Dataset, ProcessSpec
+from .seriesgen import GENERATOR_NAME, Dataset
 
-ARTIFACT_SCHEMA_VERSION = 2
+ARTIFACT_SCHEMA_VERSION = 3
 # the features directories of the train recipe's two splits, in this order
 SPLIT_SLUGS = ("train-split", "held-out")
 CONFIG_FILE, MODEL_FILE = "config.json", "model.json"
+REPORT_JSON, REPORT_TEXT = "report.json", "report.txt"
 # a key one of two JSON objects lacks; unlike null, it equals no JSON value
 _MISSING = object()
 
@@ -102,7 +107,7 @@ def write_config(run_dir: str | Path, config) -> None:
 
 def invalidate_features(run_dir: str | Path) -> None:
     """Delete what was made from ``run_dir``'s features, so none of it outlives them."""
-    for name in ("features/manifest.json", MODEL_FILE, "report.json", "report.txt"):
+    for name in ("features/manifest.json", MODEL_FILE, REPORT_JSON, REPORT_TEXT):
         (Path(run_dir) / name).unlink(missing_ok=True)
 
 
@@ -145,38 +150,17 @@ def read_document(path: str | Path, cls, version: int, command: str):
 
 
 @dataclass(frozen=True)
-class SeriesEntry:
-    """One row of a dataset: ``spec`` simulated from ``seed``."""
-
-    label: int
-    seed: int
-    spec: ProcessSpec
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.label != self.spec.label:
-            raise ValueError(f"label is {self.label}, but its {self.spec.kind.value} spec "
-                             f"has label {self.spec.label}")
-
-
-@dataclass(frozen=True)
 class DatasetManifest:
-    """A dataset's ``manifest.json``; ``source`` is what generated it (``dataset_source``)."""
+    """A dataset's ``manifest.json``: its generator and ``source``, what
+    ``pipeline.build_dataset`` drew it from (``pipeline.dataset_source``)."""
 
     generator: str
-    source: dict | None
-    length: int
-    series: tuple[SeriesEntry, ...]
+    source: dict
 
     def __post_init__(self):
         if self.generator != GENERATOR_NAME:
             raise ValueError(f"dataset was generated by {self.generator!r}, but this release "
                              f"generates with {GENERATOR_NAME!r}; run `generate` again")
-        for i, entry in enumerate(self.series):
-            if entry.spec.length != self.length:
-                raise ValueError(f"'series[{i}].spec.length' is {entry.spec.length}, but the "
-                                 f"dataset's length is {self.length}")
 
 
 @dataclass(frozen=True)
@@ -217,20 +201,22 @@ def dataset_dir(run_dir: str | Path, name: str) -> Path:
     return Path(run_dir) / "datasets" / name
 
 
-def persist_dataset(dataset: Dataset, dir_path: str | Path, source: dict | None = None) -> None:
-    """Write ``values.npy`` (one series per row), then ``manifest.json``, whose
-    ``source`` ``read_dataset_manifest`` can hold a config to."""
+def dataset_manifest_path(dir_path: str | Path) -> Path:
+    return Path(dir_path) / "manifest.json"
+
+
+def persist_dataset(dataset: Dataset, dir_path: str | Path, source: dict) -> None:
+    """Write ``values.npy`` (one series per row), then ``manifest.json``,
+    which records ``source``, what the dataset was drawn from."""
     if not dataset.specs:
         raise ValueError("refusing to persist an empty dataset")
     out = Path(dir_path)
     out.mkdir(parents=True, exist_ok=True)
-    manifest_path = out / "manifest.json"
+    manifest_path = dataset_manifest_path(out)
     # no manifest may point at values that are being replaced
     manifest_path.unlink(missing_ok=True)
     save_array(out / "values.npy", dataset.values)
-    series = tuple(SeriesEntry(s.label, seed, s) for seed, s in zip(dataset.seeds, dataset.specs))
-    manifest = DatasetManifest(GENERATOR_NAME, source, dataset.values.shape[1], series)
-    write_document(manifest_path, manifest, ARTIFACT_SCHEMA_VERSION)
+    write_document(manifest_path, DatasetManifest(GENERATOR_NAME, source), ARTIFACT_SCHEMA_VERSION)
 
 
 def _first_difference(got, want, key: str = "") -> tuple[str, object, object] | None:
@@ -246,55 +232,36 @@ def _first_difference(got, want, key: str = "") -> tuple[str, object, object] | 
     return None if got == want else (key, got, want)
 
 
-def _check_source(path: Path, recorded, expected: dict) -> None:
-    if not isinstance(recorded, dict):
-        raise ValueError(f"{path}: records no generating config; run `generate` again")
-    # compare as JSON, the form the manifest holds
-    found = _first_difference(recorded, json.loads(json.dumps(expected)))
-    if found:
-        key, *values = found
-        got, want = (f"no {key}" if v is _MISSING else f"{key} {json.dumps(v)}" for v in values)
-        raise ValueError(f"{path}: dataset was generated with {got}, but the config gives "
-                         f"{want}; run `generate` with this config")
-
-
 def read_dataset_manifest(dir_path: str | Path, source: dict | None = None) -> DatasetManifest:
     """The manifest ``persist_dataset`` wrote to ``dir_path``. With ``source``,
     a dataset generated otherwise is refused, naming the first key that
-    differs and both values, and so is one whose series count is not
-    ``n_per_class`` per class of the source's recipe."""
-    manifest_path = Path(dir_path) / "manifest.json"
+    differs and both values."""
+    manifest_path = dataset_manifest_path(dir_path)
     if not manifest_path.is_file():
         raise FileNotFoundError(f"missing dataset manifest: {manifest_path} (run `generate` first)")
     manifest = read_document(manifest_path, DatasetManifest, ARTIFACT_SCHEMA_VERSION, "generate")
-    if source is not None:
-        _check_source(manifest_path, manifest.source, source)
-        n, recipe = source["n_per_class"], source["recipe"]
-        classes = sum(recipe[family] is not None for family in ("causal", "noncausal"))
-        if len(manifest.series) != n * classes:
-            raise ValueError(
-                f"{manifest_path}: holds {len(manifest.series)} series, but the config's "
-                f"n_per_class {n} over {classes} class(es) gives {n * classes}; "
-                "run `generate` again"
-            )
+    # compare as JSON, the form the manifest holds
+    found = source is not None and _first_difference(manifest.source,
+                                                     json.loads(json.dumps(source)))
+    if found:
+        key, *values = found
+        got, want = (f"no {key}" if v is _MISSING else f"{key} {json.dumps(v)}" for v in values)
+        raise ValueError(f"{manifest_path}: dataset was generated with {got}, but the config "
+                         f"gives {want}; run `generate` with this config")
     return manifest
 
 
-def load_dataset(dir_path: str | Path, manifest: DatasetManifest | None = None) -> Dataset:
-    """The dataset ``persist_dataset`` wrote to ``dir_path``; ``manifest``,
-    if the caller has already read it with ``read_dataset_manifest``, is not
-    read again."""
-    if manifest is None:
-        manifest = read_dataset_manifest(dir_path)
-    series = manifest.series
+def load_dataset_values(dir_path: str | Path, rows: int, length: int) -> np.ndarray:
+    """The values ``persist_dataset`` wrote to ``dir_path``, refused unless
+    they are ``rows`` series of ``length`` values, the rows its source draws."""
     values_path = Path(dir_path) / "values.npy"
     values = load_array(values_path, np.float64, 2)
-    if not series or values.shape != (len(series), manifest.length):
+    if values.shape != (rows, length):
         raise ValueError(
-            f"{values_path}: corrupt dataset: {values.shape[0]}x{values.shape[1]} values for "
-            f"{len(series)} manifest entries of length {manifest.length}"
+            f"{values_path}: corrupt dataset: {values.shape[0]}x{values.shape[1]} values, but "
+            f"its source draws {rows} series of length {length}"
         )
-    return Dataset(values, tuple(e.spec for e in series), tuple(e.seed for e in series))
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from . import classify, spectral
-from .artifacts import SPLIT_SLUGS, check_entry_name, write_text
-from .artifacts import load_dataset, persist_dataset  # noqa: F401 -- the CLI calls them through pipeline
+from .artifacts import (REPORT_JSON, REPORT_TEXT, SPLIT_SLUGS, DatasetManifest, check_entry_name,
+                        dataset_manifest_path, load_dataset_values, read_dataset_manifest,
+                        write_text)
+from .artifacts import persist_dataset  # noqa: F401 -- the CLI calls it through pipeline
 from .chaosfex import GlsParams, extract_ttss
 from .classify import CHAOSFEX_LR, DEFAULT_LR, ClassReport, LrHyper, LrModel
 from .codec import DecodeError, from_doc, to_doc
@@ -206,10 +208,11 @@ def _noise_spec(family: NoiseFamily, length: int) -> ProcessSpec:
     return ProcessSpec(kind=family.kind, length=length, uniform_lo=family.lo, uniform_hi=family.hi)
 
 
-def build_dataset(
+def draw_series(
     recipe: DatasetRecipe, n_per_class: int, length: int, master_seed: int
-) -> Dataset:
-    """Simulate a labeled dataset: causal rows first, then non-causal rows.
+) -> tuple[tuple[ProcessSpec, ...], tuple[int, ...]]:
+    """The spec and series seed of each row of ``recipe``'s dataset: causal
+    rows first, then non-causal rows.
 
     Row i of a class draws its spec (causal rows only) and its series seed
     from the stream of ``np.random.default_rng(derive_seed(master_seed,
@@ -233,7 +236,39 @@ def build_dataset(
         for rng in rngs("noncausal"):
             specs.append(spec)
             seeds.append(int(rng.integers(0, 2**63)))
-    return Dataset(generate_many(specs, seeds), tuple(specs), tuple(seeds))
+    return tuple(specs), tuple(seeds)
+
+
+def build_dataset(
+    recipe: DatasetRecipe, n_per_class: int, length: int, master_seed: int
+) -> Dataset:
+    """Simulate the labeled rows ``draw_series`` draws."""
+    specs, seeds = draw_series(recipe, n_per_class, length, master_seed)
+    return Dataset(generate_many(specs, seeds), specs, seeds)
+
+
+def _source_value(source: dict, key: str, cls):
+    if key not in source:
+        raise DecodeError(f"source.{key}", "required key is missing")
+    return from_doc(cls, source[key], f"source.{key}")
+
+
+def load_dataset(dir_path: str | Path, manifest: DatasetManifest | None = None) -> Dataset:
+    """The dataset ``persist_dataset`` wrote to ``dir_path``: its values, and
+    the specs and seeds ``draw_series`` draws again from its manifest's
+    ``source``, as ``build_dataset`` drew them. ``manifest``, if the caller
+    has already read it with ``read_dataset_manifest``, is not read again."""
+    if manifest is None:
+        manifest = read_dataset_manifest(dir_path)
+    source = manifest.source
+    try:
+        recipe = _source_value(source, "recipe", DatasetRecipe)
+        n, length, seed = (_source_value(source, key, int)
+                           for key in ("n_per_class", "length", "master_seed"))
+        specs, seeds = draw_series(recipe, n, length, seed)
+    except ValueError as exc:
+        raise ValueError(f"{dataset_manifest_path(dir_path)}: {exc}") from exc
+    return Dataset(load_dataset_values(dir_path, len(specs), length), specs, seeds)
 
 
 def stratified_split(labels: np.ndarray, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -496,7 +531,8 @@ def split_indices(config: ExperimentConfig, labels: np.ndarray) -> tuple[np.ndar
 
 def dataset_source(config: ExperimentConfig, recipe: DatasetRecipe) -> dict:
     """Everything ``build_dataset`` draws ``recipe``'s dataset from; a
-    persisted dataset records it, and featurize holds its config to it."""
+    persisted dataset records it, featurize holds its config to it, and
+    ``load_dataset`` draws the dataset's rows from it again."""
     train = recipe.name == config.train_recipe.name
     return {
         "master_seed": config.master_seed,
@@ -680,9 +716,9 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_text(
-        out / "report.json", json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+        out / REPORT_JSON, json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
     )
-    write_text(out / "report.txt", report_to_text(report))
+    write_text(out / REPORT_TEXT, report_to_text(report))
 
 
 # ---------------------------------------------------------------------------
@@ -698,12 +734,3 @@ def emit_plot_data(values: np.ndarray, path: str | Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     write_text(path, "".join(f"{i} {x!r}\n" for i, x in enumerate(v.tolist())))
 
-
-def count_local_extrema(curve: np.ndarray) -> int:
-    """Strict turning points of a curve, with plateaus compressed first."""
-    diffs = np.diff(np.asarray(curve, dtype=np.float64))
-    signs = np.sign(diffs)
-    signs = signs[signs != 0]
-    if signs.size < 2:
-        return 0
-    return int(np.sum(signs[1:] != signs[:-1]))

@@ -7,7 +7,9 @@ the classifier, closed-form gamma ratios for the fractional weights, a
 per-series scalar recursion for the simulated processes, and one fresh
 generator per row for a dataset's specs and seeds. None of it shares code
 with the library under test, bar the spec drawing and seed derivation of
-the dataset oracle, which define a dataset.
+the dataset oracle, which define a dataset. ``persist_built`` is a fixture,
+not a reference: it persists a built dataset with the source it was drawn
+from.
 """
 
 from __future__ import annotations
@@ -185,6 +187,23 @@ def build_dataset_oracle(recipe, n_per_class: int, length: int, master_seed: int
     return specs, seeds
 
 
+def dataset_source_of(recipe, n_per_class: int, length: int, master_seed: int) -> dict:
+    """The ``source`` a dataset manifest records for ``build_dataset``'s arguments."""
+    from tscausal.codec import to_doc
+
+    return {"master_seed": master_seed, "recipe": to_doc(recipe), "n_per_class": n_per_class,
+            "length": length}
+
+
+def persist_built(dir_path, recipe, n_per_class: int, length: int, master_seed: int):
+    """Persist ``build_dataset``'s dataset to ``dir_path`` with its source; return it."""
+    from tscausal.pipeline import build_dataset, persist_dataset
+
+    data = build_dataset(recipe, n_per_class, length, master_seed)
+    persist_dataset(data, dir_path, dataset_source_of(recipe, n_per_class, length, master_seed))
+    return data
+
+
 def exact_convolution(w, x) -> np.ndarray:
     """The first ``len(x)`` outputs of the convolution of ``w`` with ``x``,
     each the exact sum of its exact products, rounded once.
@@ -219,6 +238,16 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         c = 134217729.0 * a  # 2**27 + 1
         hi = c - (c - a)
     return hi, a - hi
+
+
+def count_local_extrema(curve) -> int:
+    """Strict turning points of a curve, with plateaus compressed first."""
+    diffs = np.diff(np.asarray(curve, dtype=np.float64))
+    signs = np.sign(diffs)
+    signs = signs[signs != 0]
+    if signs.size < 2:
+        return 0
+    return int(np.sum(signs[1:] != signs[:-1]))
 
 
 def lag_autocorr(series, lag: int) -> float:

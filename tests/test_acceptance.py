@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    count_local_extrema,
     gamma_ratio_weights,
     grid_search_lr,
     naive_dft_amplitudes,
@@ -26,7 +27,6 @@ from tscausal.classify import LrHyper, objective, train_lr
 from tscausal.pipeline import (
     AR_TRAIN,
     build_dataset,
-    count_local_extrema,
     fit_feature_stage,
     report_to_dict,
     run_experiment,

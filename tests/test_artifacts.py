@@ -8,7 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from tscausal import artifacts
+from helpers import dataset_source_of, persist_built
+from tscausal import artifacts, pipeline
 from tscausal.classify import MODEL_SCHEMA_VERSION, LrModel
 from tscausal.cli import main
 from tscausal.codec import to_doc
@@ -68,7 +69,7 @@ def test_dataset_round_trip_keeps_every_bit(tmp_path):
     data = build_dataset(AR_TRAIN, n_per_class=3, length=64, master_seed=4)
     values = finite_doubles(np.random.default_rng(2), data.values.shape)
     data = dataclasses.replace(data, values=values)
-    persist_dataset(data, tmp_path / "d")
+    persist_dataset(data, tmp_path / "d", dataset_source_of(AR_TRAIN, 3, 64, 4))
     loaded = load_dataset(tmp_path / "d")
     assert np.array_equal(loaded.values.view(np.uint64), values.view(np.uint64))
     assert not loaded.values.flags.writeable and not loaded.labels.flags.writeable
@@ -79,7 +80,7 @@ def test_dataset_round_trip_keeps_every_bit(tmp_path):
 
 
 def test_load_dataset_refuses_an_int64_values_file(tmp_path):
-    persist_dataset(build_dataset(AR100, n_per_class=2, length=128, master_seed=5), tmp_path / "d")
+    persist_built(tmp_path / "d", AR100, n_per_class=2, length=128, master_seed=5)
     path = tmp_path / "d" / "values.npy"
     np.save(path, np.zeros((4, 128), dtype=np.int64))
     with pytest.raises(ValueError, match=re.escape(f"{path}: expected a 2-d float64 array, got a 2-d int64")):
@@ -87,7 +88,7 @@ def test_load_dataset_refuses_an_int64_values_file(tmp_path):
 
 
 def test_load_dataset_refuses_an_object_values_file(tmp_path):
-    persist_dataset(build_dataset(AR100, n_per_class=2, length=128, master_seed=5), tmp_path / "d")
+    persist_built(tmp_path / "d", AR100, n_per_class=2, length=128, master_seed=5)
     path = tmp_path / "d" / "values.npy"
     np.save(path, np.array([[1.0, "x"]], dtype=object), allow_pickle=True)
     with pytest.raises(ValueError, match=re.escape(f"{path}: not a readable .npy array")):
@@ -95,7 +96,7 @@ def test_load_dataset_refuses_an_object_values_file(tmp_path):
 
 
 def test_load_dataset_refuses_a_truncated_values_file(tmp_path):
-    persist_dataset(build_dataset(AR100, n_per_class=2, length=128, master_seed=5), tmp_path / "d")
+    persist_built(tmp_path / "d", AR100, n_per_class=2, length=128, master_seed=5)
     path = tmp_path / "d" / "values.npy"
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError, match=re.escape(f"{path}: not a readable .npy array")):
@@ -122,26 +123,26 @@ def test_a_manifest_round_trips_through_its_file(tmp_path, cls, relpath, version
     assert to_doc(again) == to_doc(document)
 
 
-@pytest.mark.parametrize("relpath, entries, step", [
-    ("datasets/AR-train/manifest.json", "series", "featurize"),
-    ("features/manifest.json", "sets", "train"),
+@pytest.mark.parametrize("relpath, key, step", [
+    ("datasets/AR-train/manifest.json", "note", "featurize"),
+    ("features/manifest.json", "sets[1].note", "train"),
 ], ids=["dataset", "features"])
-def test_a_manifest_with_an_unknown_key_is_refused(tmp_path, capsys, relpath, entries, step):
+def test_a_manifest_with_an_unknown_key_is_refused(tmp_path, capsys, relpath, key, step):
     run = tiny_run(tmp_path)
     assert main(["featurize", str(run)]) == 0
     path = run / relpath
     manifest = json.loads(path.read_text())
-    manifest[entries][1]["note"] = "hand-edited"
+    (manifest["sets"][1] if step == "train" else manifest)["note"] = "hand-edited"
     path.write_text(json.dumps(manifest))
     capsys.readouterr()
     assert main([step, str(run)]) == 1
-    assert f"error [{step}]: {path}: unknown key '{entries}[1].note'" in capsys.readouterr().err
+    assert f"error [{step}]: {path}: unknown key '{key}'" in capsys.readouterr().err
 
 
 def test_featurize_names_a_manifest_that_is_not_json(tmp_path, capsys):
     run = tiny_run(tmp_path)
     path = run / "datasets" / "AR-train" / "manifest.json"
-    path.write_text('{"schema_version": 2,\n')
+    path.write_text('{"schema_version": 3,\n')
     capsys.readouterr()
     assert main(["featurize", str(run)]) == 1
     assert f"error [featurize]: {path}: invalid JSON at line 2, column 1" in capsys.readouterr().err
@@ -276,15 +277,15 @@ def test_a_failed_dataset_write_leaves_nothing(tmp_path, monkeypatch):
     data = build_dataset(AR100, n_per_class=2, length=128, master_seed=5)
     monkeypatch.setattr(np, "save", broken_save)
     with pytest.raises(OSError, match="no space left"):
-        persist_dataset(data, tmp_path / "d")
+        persist_dataset(data, tmp_path / "d", dataset_source_of(AR100, 2, 128, 5))
     assert list((tmp_path / "d").iterdir()) == []
 
 
 def test_a_failed_rewrite_leaves_no_manifest_over_old_values(tmp_path, monkeypatch):
-    persist_dataset(build_dataset(AR100, n_per_class=2, length=128, master_seed=5), tmp_path / "d")
+    persist_built(tmp_path / "d", AR100, n_per_class=2, length=128, master_seed=5)
     monkeypatch.setattr(np, "save", broken_save)
     with pytest.raises(OSError):
-        persist_dataset(build_dataset(AR100, n_per_class=3, length=128, master_seed=6), tmp_path / "d")
+        persist_built(tmp_path / "d", AR100, n_per_class=3, length=128, master_seed=6)
     assert [p.name for p in (tmp_path / "d").iterdir()] == ["values.npy"]
     with pytest.raises(FileNotFoundError, match="missing dataset manifest"):
         load_dataset(tmp_path / "d")
@@ -306,13 +307,6 @@ def test_a_chained_run_leaves_no_temporary_files(tmp_path, capsys):
     for step in (["featurize", str(run)], ["train", str(run)], ["evaluate", str(run)]):
         assert main(step) == 0
     assert no_temporary_files(run)
-    # README's "Run directory layout", and nothing else
-    layout = {"config.json", "features/manifest.json", "model.json", "report.json", "report.txt"}
-    layout |= {f"datasets/{name}/{file}" for name in ("AR-train", "shift-I")
-               for file in ("values.npy", "manifest.json")}
-    layout |= {f"features/{name}/{file}" for name in ("train-split", "held-out", "shift-I")
-               for file in ("features.npy", "labels.npy")}
-    assert {p.relative_to(run).as_posix() for p in run.rglob("*") if p.is_file()} == layout
 
 
 # ---------------------------------------------------------------------------
@@ -375,17 +369,14 @@ def test_featurize_accepts_a_config_that_changes_only_the_features(default_run, 
 
 def test_featurize_refuses_a_dataset_trimmed_below_its_config(tmp_path, capsys):
     run = tiny_run(tmp_path)
-    shift = run / "datasets" / "shift-I"
-    manifest = json.loads((shift / "manifest.json").read_text())
-    manifest["series"] = manifest["series"][:3]
-    (shift / "manifest.json").write_text(json.dumps(manifest))
-    np.save(shift / "values.npy", np.load(shift / "values.npy")[:3])
+    path = run / "datasets" / "shift-I" / "values.npy"
+    np.save(path, np.load(path)[:3])
     capsys.readouterr()
     assert main(["featurize", str(run)]) == 1
     err = capsys.readouterr().err
-    assert f"{shift / 'manifest.json'}: holds 3 series" in err
-    assert "n_per_class 6 over 2 class(es) gives 12" in err
-    assert not (run / "features").exists()
+    assert (f"error [featurize]: {path}: corrupt dataset: 3x128 values, but its source draws "
+            "12 series of length 128") in err
+    assert not (run / "features" / "manifest.json").exists()
 
 
 def test_a_featurize_refused_by_a_test_dataset_leaves_the_runs_features_in_place(
@@ -400,18 +391,6 @@ def test_a_featurize_refused_by_a_test_dataset_leaves_the_runs_features_in_place
     assert "dataset was generated with n_per_class" in capsys.readouterr().err
     after = {p: p.read_bytes() for p in (run / "features").rglob("*") if p.is_file()}
     assert after == before
-
-
-def test_featurize_refuses_a_spec_length_that_is_not_the_dataset_length(tmp_path, capsys):
-    run = tiny_run(tmp_path)
-    path = run / "datasets" / "shift-I" / "manifest.json"
-    manifest = json.loads(path.read_text())
-    manifest["series"][4]["spec"]["length"] = 300
-    path.write_text(json.dumps(manifest))
-    capsys.readouterr()
-    assert main(["featurize", str(run)]) == 1
-    err = capsys.readouterr().err
-    assert f"{path}: 'series[4].spec.length' is 300, but the dataset's length is 128" in err
 
 
 def test_featurize_refuses_a_dataset_made_by_another_generator(tmp_path, capsys):
@@ -429,6 +408,31 @@ def test_featurize_refuses_a_dataset_made_by_another_generator(tmp_path, capsys)
 
 
 def test_read_dataset_manifest_refuses_a_dataset_without_a_source(tmp_path):
-    persist_dataset(build_dataset(AR100, n_per_class=2, length=128, master_seed=5), tmp_path / "d")
-    with pytest.raises(ValueError, match="records no generating config"):
+    persist_built(tmp_path / "d", AR100, n_per_class=2, length=128, master_seed=5)
+    path = tmp_path / "d" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["source"]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: key 'source': required key is missing")):
         artifacts.read_dataset_manifest(tmp_path / "d", source={"master_seed": 5})
+
+
+def test_featurize_refuses_a_relabelled_manifest_of_the_previous_format(tmp_path, capsys):
+    # version 2 listed each series' label, seed and spec, and featurize took
+    # the labels from there: an AR row made noise moved the train split
+    run = tiny_run(tmp_path)
+    config = pipeline.config_from_dict(TINY)
+    data = pipeline.make_dataset(config, AR_TRAIN)
+    series = [{"label": s.label, "seed": seed, "spec": to_doc(s)}
+              for s, seed in zip(data.specs, data.seeds)]
+    series[0]["spec"].update(kind="noise_normal", ar_terms=[])
+    series[0]["label"] = 0
+    path = run / "datasets" / "AR-train" / "manifest.json"
+    path.write_text(json.dumps({"schema_version": 2, "generator": GENERATOR_NAME,
+                                "source": pipeline.dataset_source(config, AR_TRAIN),
+                                "length": TINY["length"], "series": series}))
+    capsys.readouterr()
+    assert main(["featurize", str(run)]) == 1
+    assert (f"error [featurize]: {path}: unsupported schema version 2 (this release reads 3); "
+            "run `generate` again") in capsys.readouterr().err
+    assert not (run / "features").exists()

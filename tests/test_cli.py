@@ -172,12 +172,12 @@ def test_featurize_names_a_key_missing_from_a_dataset_manifest(tmp_path, tiny_co
     assert main(["generate", "--config", str(tiny_config_path), "--out", str(run)]) == 0
     path = run / "datasets" / "AR-train" / "manifest.json"
     manifest = json.loads(path.read_text())
-    del manifest["length"]
+    del manifest["generator"]
     path.write_text(json.dumps(manifest))
     capsys.readouterr()
     assert main(["featurize", str(run)]) == 1
     err = capsys.readouterr().err
-    assert f"error [featurize]: {path}: key 'length': required key is missing" in err
+    assert f"error [featurize]: {path}: key 'generator': required key is missing" in err
 
 
 @pytest.mark.parametrize("model", ["fft", "fft_chaosfex"])
@@ -376,14 +376,18 @@ def test_every_step_runs_without_scipy(tmp_path):
 
 def test_chain_produces_expected_layout(tmp_path, tiny_config_path, capsys):
     run = run_chain(tmp_path, tiny_config_path, capsys)
-    assert (run / "config.json").is_file()
-    assert (run / "datasets" / "AR-train" / "values.npy").is_file()
-    assert (run / "datasets" / "shift-I" / "manifest.json").is_file()
+    # README's "Run directory layout": these files, and no others
+    layout = {"config.json", "features/manifest.json", "model.json", "report.json", "report.txt"}
+    layout |= {f"datasets/{name}/{file}" for name in ("AR-train", "shift-I")
+               for file in ("values.npy", "manifest.json")}
+    layout |= {f"features/{name}/{file}" for name in ("train-split", "held-out", "shift-I")
+               for file in ("features.npy", "labels.npy")}
+    assert {p.relative_to(run).as_posix() for p in run.rglob("*") if p.is_file()} == layout
+    for name in ("AR-train", "shift-I"):
+        manifest = json.loads((run / "datasets" / name / "manifest.json").read_text())
+        assert list(manifest) == ["schema_version", "generator", "source"]
     manifest = json.loads((run / "features" / "manifest.json").read_text())
     assert [s["dir"] for s in manifest["sets"]] == ["train-split", "held-out", "shift-I"]
-    assert (run / "model.json").is_file()
-    assert (run / "report.json").is_file()
-    assert (run / "report.txt").is_file()
 
 
 def test_chain_matches_in_process_run(tmp_path, tiny_config_path, capsys):

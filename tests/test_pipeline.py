@@ -5,7 +5,13 @@ import re
 import numpy as np
 import pytest
 
-from helpers import build_dataset_oracle, scalar_series
+from helpers import (
+    build_dataset_oracle,
+    count_local_extrema,
+    dataset_source_of,
+    persist_built,
+    scalar_series,
+)
 from lifetimes import traced_peak, watch_sets
 from tscausal.chaosfex import GlsParams, firing_table
 from tscausal.classify import CHAOSFEX_LR, DEFAULT_LR, LrHyper
@@ -31,7 +37,7 @@ from tscausal.pipeline import (
     config_fingerprint,
     config_from_dict,
     config_to_dict,
-    count_local_extrema,
+    dataset_source,
     derive_seed,
     emit_plot_data,
     fit_feature_stage,
@@ -661,6 +667,7 @@ def test_write_report_files(tmp_path):
 
 
 def test_count_local_extrema_examples():
+    # the measure of acceptance criterion 5, kept with the tests
     assert count_local_extrema(np.array([0, 1, 0, 1, 0])) == 3
     assert count_local_extrema(np.array([0, 1, 2, 3])) == 0
     assert count_local_extrema(np.array([0, 1, 1, 0])) == 1
@@ -690,8 +697,7 @@ def test_emit_plot_data_rejects_empty(tmp_path):
 
 
 def test_dataset_round_trip_is_bit_exact(tmp_path):
-    data = build_dataset(AR_TRAIN, n_per_class=3, length=64, master_seed=4)
-    persist_dataset(data, tmp_path / "d")
+    data = persist_built(tmp_path / "d", AR_TRAIN, n_per_class=3, length=64, master_seed=4)
     loaded = load_dataset(tmp_path / "d")
     assert loaded.values.shape == data.values.shape
     assert np.array_equal(data.values, loaded.values)
@@ -700,9 +706,20 @@ def test_dataset_round_trip_is_bit_exact(tmp_path):
     assert loaded.specs == data.specs
 
 
+@pytest.mark.parametrize("name", sorted(RECIPES))
+def test_a_loaded_desk_dataset_equals_the_built_one(tmp_path, name):
+    # the specs, seeds and labels are drawn again from the manifest's source
+    config, recipe = ExperimentConfig(), RECIPES[name]
+    data = make_dataset(config, recipe)
+    persist_dataset(data, tmp_path / "d", dataset_source(config, recipe))
+    loaded = load_dataset(tmp_path / "d")
+    assert loaded.specs == data.specs and loaded.seeds == data.seeds
+    assert np.array_equal(loaded.labels, data.labels)
+    assert np.array_equal(loaded.values.view(np.uint64), data.values.view(np.uint64))
+
+
 def test_dataset_arrays_are_read_only(tmp_path):
-    data = build_dataset(AR_TRAIN, n_per_class=3, length=64, master_seed=4)
-    persist_dataset(data, tmp_path / "d")
+    data = persist_built(tmp_path / "d", AR_TRAIN, n_per_class=3, length=64, master_seed=4)
     for dataset in (data, load_dataset(tmp_path / "d")):
         for array in (dataset.values, dataset.labels):
             assert not array.flags.writeable
@@ -710,9 +727,17 @@ def test_dataset_arrays_are_read_only(tmp_path):
                 array[0] = 0
 
 
+def edit_source(dir_path, edit) -> str:
+    """Apply ``edit`` to the source in ``dir_path``'s manifest; return the manifest's path."""
+    path = dir_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest["source"])
+    path.write_text(json.dumps(manifest))
+    return path
+
+
 def test_load_dataset_rejects_wrong_schema(tmp_path):
-    data = build_dataset(AR100, n_per_class=2, length=128, master_seed=5)
-    persist_dataset(data, tmp_path / "d")
+    persist_built(tmp_path / "d", AR100, n_per_class=2, length=128, master_seed=5)
     manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
     manifest["schema_version"] = 99
     (tmp_path / "d" / "manifest.json").write_text(json.dumps(manifest))
@@ -721,101 +746,57 @@ def test_load_dataset_rejects_wrong_schema(tmp_path):
 
 
 def test_load_dataset_detects_row_mismatch(tmp_path):
-    data = build_dataset(AR100, n_per_class=3, length=128, master_seed=6)
-    persist_dataset(data, tmp_path / "d")
+    persist_built(tmp_path / "d", AR100, n_per_class=3, length=128, master_seed=6)
     values = np.load(tmp_path / "d" / "values.npy")
     np.save(tmp_path / "d" / "values.npy", values[:-1])
-    with pytest.raises(ValueError, match="corrupt"):
+    with pytest.raises(ValueError, match="corrupt dataset: 2x128 values, but its source draws 3 series"):
         load_dataset(tmp_path / "d")
 
 
 def test_load_dataset_detects_column_mismatch(tmp_path):
-    data = build_dataset(AR100, n_per_class=3, length=128, master_seed=6)
-    persist_dataset(data, tmp_path / "d")
+    persist_built(tmp_path / "d", AR100, n_per_class=3, length=128, master_seed=6)
     values = np.load(tmp_path / "d" / "values.npy")
     np.save(tmp_path / "d" / "values.npy", values[:, :100])
-    with pytest.raises(ValueError, match="corrupt dataset: 3x100 values .* length 128"):
+    with pytest.raises(ValueError, match="corrupt dataset: 3x100 values, .* length 128"):
         load_dataset(tmp_path / "d")
 
 
 def test_load_dataset_refuses_an_empty_dataset(tmp_path):
-    persist_dataset(build_dataset(AR100, n_per_class=2, length=128, master_seed=5), tmp_path / "d")
-    path = tmp_path / "d" / "manifest.json"
-    manifest = json.loads(path.read_text())
-    manifest["series"] = []
-    path.write_text(json.dumps(manifest))
+    persist_built(tmp_path / "d", AR100, n_per_class=2, length=128, master_seed=5)
+    path = edit_source(tmp_path / "d", lambda source: source.update(n_per_class=0))
     np.save(tmp_path / "d" / "values.npy", np.empty((0, 128)))
-    with pytest.raises(ValueError, match="corrupt dataset: 0x128 values for 0 manifest entries"):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: n_per_class must be >= 1, got 0")):
         load_dataset(tmp_path / "d")
 
 
 def test_load_dataset_names_a_mistyped_spec_key(tmp_path):
-    data = build_dataset(AR100, n_per_class=2, length=128, master_seed=5)
-    persist_dataset(data, tmp_path / "d")
-    manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
-    manifest["series"][1]["spec"]["noise_variance"] = "0.01"
-    (tmp_path / "d" / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match=re.escape("'series[1].spec.noise_variance': expected a number")):
+    # the recipe's causal family gives each causal spec its noise variance
+    persist_built(tmp_path / "d", AR100, n_per_class=2, length=128, master_seed=5)
+    path = edit_source(tmp_path / "d",
+                       lambda source: source["recipe"]["causal"].update(noise_variance="0.01"))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: key 'source.recipe.causal.noise_variance': expected a number")):
         load_dataset(tmp_path / "d")
 
 
 def test_load_dataset_refuses_a_spec_that_breaks_a_process_rule(tmp_path):
-    data = build_dataset(AR100, n_per_class=2, length=128, master_seed=5)
-    persist_dataset(data, tmp_path / "d")
-    path = tmp_path / "d" / "manifest.json"
-    manifest = json.loads(path.read_text())
-    manifest["series"][1]["spec"]["ma_terms"] = [[0, 1.0]]
-    path.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match=re.escape(
-            f"{path}: key 'series[1].spec': AR spec must not carry MA terms")):
+    # AR100's lag of 100 does not fit in 64 values
+    persist_built(tmp_path / "d", AR100, n_per_class=2, length=128, master_seed=5)
+    path = edit_source(tmp_path / "d", lambda source: source.update(length=64))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: AR lag 100 exceeds series length 64")):
         load_dataset(tmp_path / "d")
 
 
-@pytest.mark.parametrize("label, message", [
-    (7, "key 'series[1]': label is 7, but its ar spec has label 1"),
-    (0, "key 'series[1]': label is 0, but its ar spec has label 1"),
-    ("1", "key 'series[1].label': expected an integer, got a string"),
-    (1.0, "key 'series[1].label': expected an integer, got a number"),
-    (True, "key 'series[1].label': expected an integer, got a boolean"),
-], ids=["7", "0", "1", "1.0", "True"])
-def test_load_dataset_refuses_a_label_that_disagrees_with_its_spec(tmp_path, label, message):
-    data = build_dataset(AR100, n_per_class=2, length=128, master_seed=5)
-    persist_dataset(data, tmp_path / "d")
-    path = tmp_path / "d" / "manifest.json"
-    manifest = json.loads(path.read_text())
-    manifest["series"][1]["label"] = label
-    path.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
-        load_dataset(tmp_path / "d")
-
-
-@pytest.mark.parametrize("seed, message", [
-    (1.7, "key 'series[1].seed': expected an integer, got a number"),
-    ("12", "key 'series[1].seed': expected an integer, got a string"),
-    (True, "key 'series[1].seed': expected an integer, got a boolean"),
-    (-1, "key 'series[1]': seed must be non-negative, got -1"),
-], ids=["1.7", "12", "True", "-1"])
-def test_load_dataset_refuses_a_seed_that_is_not_a_non_negative_integer(tmp_path, seed, message):
-    data = build_dataset(AR100, n_per_class=2, length=128, master_seed=5)
-    persist_dataset(data, tmp_path / "d")
-    path = tmp_path / "d" / "manifest.json"
-    manifest = json.loads(path.read_text())
-    manifest["series"][1]["seed"] = seed
-    path.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
-        load_dataset(tmp_path / "d")
-
-
-@pytest.mark.parametrize("key", ["series", "length", "series[0].seed"])
+@pytest.mark.parametrize("key", ["source", "length", "recipe"])
 def test_load_dataset_names_a_missing_manifest_key(tmp_path, key):
-    data = build_dataset(AR100, n_per_class=2, length=128, master_seed=5)
-    persist_dataset(data, tmp_path / "d")
+    persist_built(tmp_path / "d", AR100, n_per_class=2, length=128, master_seed=5)
     path = tmp_path / "d" / "manifest.json"
     manifest = json.loads(path.read_text())
-    if key == "series[0].seed":
-        del manifest["series"][0]["seed"]
-    else:
+    if key == "source":
         del manifest[key]
+    else:
+        del manifest["source"][key]
+        key = f"source.{key}"
     path.write_text(json.dumps(manifest))
     message = f"{path}: key '{key}': required key is missing"
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -829,4 +810,5 @@ def test_load_dataset_missing_files(tmp_path):
 
 def test_persist_dataset_rejects_empty(tmp_path):
     with pytest.raises(ValueError, match="empty dataset"):
-        persist_dataset(Dataset(np.empty((0, 8)), (), ()), tmp_path / "d")
+        persist_dataset(Dataset(np.empty((0, 8)), (), ()), tmp_path / "d",
+                        dataset_source_of(AR100, 1, 8, 5))
