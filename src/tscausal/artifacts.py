@@ -3,17 +3,19 @@ deletes the files of a run directory, bar the reports ``pipeline.write_report``
 writes under the names given here.
 
 Arrays are NumPy ``.npy`` files (NEP 1). They hold the raw bits, so every
-value round-trips exactly. Every file is written to a hidden sibling and then
-renamed into place, so a command that fails or is killed leaves no partial
-file under a final name. There is no fsync, so this guards against a failing
-process, not against power loss.
+feature and label round-trips exactly. Every file is written to a hidden
+sibling and then renamed into place, so a command that fails or is killed
+leaves no partial file under a final name. There is no fsync, so this guards
+against a failing process, not against power loss.
 
 Manifests and ``model.json`` are dataclasses written by ``write_document``
 and read by ``read_document``; manifests carry ``ARTIFACT_SCHEMA_VERSION``.
-A dataset manifest (version 3) holds the generator and the ``source``, from
-which ``pipeline.load_dataset`` draws the specs, seeds and labels again.
-Version 2 also listed each series' label, seed and spec, and version 1 was
-the CSV layout; either is refused and must be generated again. Reports carry
+A dataset is its manifest alone (version 3): the generator and the
+``source``, from which ``pipeline.load_dataset`` simulates it; its values
+are not stored. Version 2 also listed each series' label, seed and spec, and
+version 1 was the CSV layout; either is refused and must be generated again.
+So is a version-3 dataset of an earlier release, which also held a
+``values.npy``: its generator names no NumPy version. Reports carry
 ``pipeline.SCHEMA_VERSION`` instead.
 """
 
@@ -29,7 +31,7 @@ from typing import IO
 import numpy as np
 
 from .codec import from_doc, to_doc
-from .seriesgen import GENERATOR_NAME, Dataset
+from .seriesgen import GENERATOR_NAME
 
 ARTIFACT_SCHEMA_VERSION = 3
 # the features directories of the train recipe's two splits, in this order
@@ -152,7 +154,7 @@ def read_document(path: str | Path, cls, version: int, command: str):
 @dataclass(frozen=True)
 class DatasetManifest:
     """A dataset's ``manifest.json``: its generator and ``source``, what
-    ``pipeline.build_dataset`` drew it from (``pipeline.dataset_source``)."""
+    ``pipeline.build_dataset`` simulates it from (``pipeline.dataset_source``)."""
 
     generator: str
     source: dict
@@ -205,18 +207,12 @@ def dataset_manifest_path(dir_path: str | Path) -> Path:
     return Path(dir_path) / "manifest.json"
 
 
-def persist_dataset(dataset: Dataset, dir_path: str | Path, source: dict) -> None:
-    """Write ``values.npy`` (one series per row), then ``manifest.json``,
-    which records ``source``, what the dataset was drawn from."""
-    if not dataset.specs:
-        raise ValueError("refusing to persist an empty dataset")
-    out = Path(dir_path)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest_path = dataset_manifest_path(out)
-    # no manifest may point at values that are being replaced
-    manifest_path.unlink(missing_ok=True)
-    save_array(out / "values.npy", dataset.values)
-    write_document(manifest_path, DatasetManifest(GENERATOR_NAME, source), ARTIFACT_SCHEMA_VERSION)
+def persist_dataset(dir_path: str | Path, source: dict) -> None:
+    """Write the dataset's ``manifest.json``, which records ``source``, what
+    ``pipeline.build_dataset`` simulates the dataset from."""
+    Path(dir_path).mkdir(parents=True, exist_ok=True)
+    write_document(dataset_manifest_path(dir_path), DatasetManifest(GENERATOR_NAME, source),
+                   ARTIFACT_SCHEMA_VERSION)
 
 
 def _first_difference(got, want, key: str = "") -> tuple[str, object, object] | None:
@@ -249,19 +245,6 @@ def read_dataset_manifest(dir_path: str | Path, source: dict | None = None) -> D
         raise ValueError(f"{manifest_path}: dataset was generated with {got}, but the config "
                          f"gives {want}; run `generate` with this config")
     return manifest
-
-
-def load_dataset_values(dir_path: str | Path, rows: int, length: int) -> np.ndarray:
-    """The values ``persist_dataset`` wrote to ``dir_path``, refused unless
-    they are ``rows`` series of ``length`` values, the rows its source draws."""
-    values_path = Path(dir_path) / "values.npy"
-    values = load_array(values_path, np.float64, 2)
-    if values.shape != (rows, length):
-        raise ValueError(
-            f"{values_path}: corrupt dataset: {values.shape[0]}x{values.shape[1]} values, but "
-            f"its source draws {rows} series of length {length}"
-        )
-    return values
 
 
 # ---------------------------------------------------------------------------

@@ -66,12 +66,11 @@ def cmd_generate(args) -> int:
     run_dir = _run_dir(args.out, config.master_seed, args.run_name)
     artifacts.invalidate_features(run_dir)
     artifacts.write_config(run_dir, config)
+    # a dataset is its source: featurize simulates it at its set's turn
     for recipe in (config.train_recipe, *config.test_recipes):
-        # each dataset is written before the next is made
-        pipeline.persist_dataset(pipeline.make_dataset(config, recipe),
-                                 artifacts.dataset_dir(run_dir, recipe.name),
+        pipeline.persist_dataset(artifacts.dataset_dir(run_dir, recipe.name),
                                  pipeline.dataset_source(config, recipe))
-    print(f"wrote {1 + len(config.test_recipes)} datasets under {run_dir}")
+    print(f"wrote {1 + len(config.test_recipes)} dataset manifests under {run_dir}")
     return 0
 
 
@@ -79,8 +78,8 @@ def cmd_featurize(args) -> int:
     run_dir = Path(args.run_dir)
     config = _apply_overrides(_load_config(args.config or run_dir / artifacts.CONFIG_FILE), args)
 
-    # every dataset is checked against the config before anything of the run
-    # is deleted; only the values wait until their set's turn comes
+    # every dataset manifest is checked against the config before anything of
+    # the run is deleted; each dataset is simulated when its set's turn comes
     manifests = {
         recipe.name: artifacts.read_dataset_manifest(artifacts.dataset_dir(run_dir, recipe.name),
                                                      pipeline.dataset_source(config, recipe))
@@ -199,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="simulate the configured datasets into a run directory")
+    p = sub.add_parser("generate", help="record the configured datasets in a run directory")
     p.add_argument("--config", required=True, help="experiment config JSON file")
     p.add_argument("--seed", type=int, help="override the config master seed")
     _add_common_output_flags(p)

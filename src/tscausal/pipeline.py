@@ -23,8 +23,7 @@ import numpy as np
 
 from . import classify, spectral
 from .artifacts import (REPORT_JSON, REPORT_TEXT, SPLIT_SLUGS, DatasetManifest, check_entry_name,
-                        dataset_manifest_path, load_dataset_values, read_dataset_manifest,
-                        write_text)
+                        dataset_manifest_path, read_dataset_manifest, write_text)
 from .artifacts import persist_dataset  # noqa: F401 -- the CLI calls it through pipeline
 from .chaosfex import GlsParams, extract_ttss
 from .classify import CHAOSFEX_LR, DEFAULT_LR, ClassReport, LrHyper, LrModel
@@ -208,11 +207,11 @@ def _noise_spec(family: NoiseFamily, length: int) -> ProcessSpec:
     return ProcessSpec(kind=family.kind, length=length, uniform_lo=family.lo, uniform_hi=family.hi)
 
 
-def draw_series(
+def build_dataset(
     recipe: DatasetRecipe, n_per_class: int, length: int, master_seed: int
-) -> tuple[tuple[ProcessSpec, ...], tuple[int, ...]]:
-    """The spec and series seed of each row of ``recipe``'s dataset: causal
-    rows first, then non-causal rows.
+) -> Dataset:
+    """Simulate ``recipe``'s labeled rows: causal rows first, then non-causal
+    rows.
 
     Row i of a class draws its spec (causal rows only) and its series seed
     from the stream of ``np.random.default_rng(derive_seed(master_seed,
@@ -236,15 +235,7 @@ def draw_series(
         for rng in rngs("noncausal"):
             specs.append(spec)
             seeds.append(int(rng.integers(0, 2**63)))
-    return tuple(specs), tuple(seeds)
-
-
-def build_dataset(
-    recipe: DatasetRecipe, n_per_class: int, length: int, master_seed: int
-) -> Dataset:
-    """Simulate the labeled rows ``draw_series`` draws."""
-    specs, seeds = draw_series(recipe, n_per_class, length, master_seed)
-    return Dataset(generate_many(specs, seeds), specs, seeds)
+    return Dataset(generate_many(specs, seeds), tuple(specs), tuple(seeds))
 
 
 def _source_value(source: dict, key: str, cls):
@@ -254,10 +245,11 @@ def _source_value(source: dict, key: str, cls):
 
 
 def load_dataset(dir_path: str | Path, manifest: DatasetManifest | None = None) -> Dataset:
-    """The dataset ``persist_dataset`` wrote to ``dir_path``: its values, and
-    the specs and seeds ``draw_series`` draws again from its manifest's
-    ``source``, as ``build_dataset`` drew them. ``manifest``, if the caller
-    has already read it with ``read_dataset_manifest``, is not read again."""
+    """The dataset whose manifest ``persist_dataset`` wrote to ``dir_path``,
+    simulated by ``build_dataset`` from the manifest's ``source``, as
+    ``make_dataset`` simulates it; an error is prefixed with the manifest's
+    path. ``manifest``, if the caller has already read it with
+    ``read_dataset_manifest``, is not read again."""
     if manifest is None:
         manifest = read_dataset_manifest(dir_path)
     source = manifest.source
@@ -265,10 +257,9 @@ def load_dataset(dir_path: str | Path, manifest: DatasetManifest | None = None) 
         recipe = _source_value(source, "recipe", DatasetRecipe)
         n, length, seed = (_source_value(source, key, int)
                            for key in ("n_per_class", "length", "master_seed"))
-        specs, seeds = draw_series(recipe, n, length, seed)
+        return build_dataset(recipe, n, length, seed)
     except ValueError as exc:
         raise ValueError(f"{dataset_manifest_path(dir_path)}: {exc}") from exc
-    return Dataset(load_dataset_values(dir_path, len(specs), length), specs, seeds)
 
 
 def stratified_split(labels: np.ndarray, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -530,9 +521,9 @@ def split_indices(config: ExperimentConfig, labels: np.ndarray) -> tuple[np.ndar
 
 
 def dataset_source(config: ExperimentConfig, recipe: DatasetRecipe) -> dict:
-    """Everything ``build_dataset`` draws ``recipe``'s dataset from; a
-    persisted dataset records it, featurize holds its config to it, and
-    ``load_dataset`` draws the dataset's rows from it again."""
+    """Everything ``build_dataset`` simulates ``recipe``'s dataset from; a
+    dataset manifest records it, featurize holds its config to it, and
+    ``load_dataset`` simulates the dataset from it."""
     train = recipe.name == config.train_recipe.name
     return {
         "master_seed": config.master_seed,

@@ -26,7 +26,9 @@ from enum import Enum
 
 import numpy as np
 
-GENERATOR_NAME = "numpy.random.Generator(PCG64)"
+# NumPy keeps a seeded stream only within a release (NEP 19), so the name
+# of what simulates a dataset carries the NumPy version
+GENERATOR_NAME = f"numpy {np.__version__} random.Generator(PCG64)"
 
 
 class Kind(str, Enum):
@@ -369,14 +371,16 @@ def generate_many(specs: Sequence[ProcessSpec], seeds: Sequence[int]) -> np.ndar
     (length,) = lengths
     out = np.zeros((len(specs), length))
     rngs, a = streams(seeds), 0
-    for (kind, n_ar, n_ma), run in itertools.groupby(
-            specs, lambda s: (s.kind, len(s.ar_terms), len(s.ma_terms))):
-        run = list(run)
-        values = out[a:a + len(run)]
-        a += len(run)
-        _simulate_run(run, rngs, values, n_ar, n_ma)
-        if kind == Kind.ARFIMA:
-            _fractionally_integrate(values, [s.d for s in run])
+    # a row that overflows is refused below, by the kind of its spec
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (kind, n_ar, n_ma), run in itertools.groupby(
+                specs, lambda s: (s.kind, len(s.ar_terms), len(s.ma_terms))):
+            run = list(run)
+            values = out[a:a + len(run)]
+            a += len(run)
+            _simulate_run(run, rngs, values, n_ar, n_ma)
+            if kind == Kind.ARFIMA:
+                _fractionally_integrate(values, [s.d for s in run])
     # NaN reaches a row's max and min, +inf its max and -inf its min
     finite = np.isfinite(out.max(axis=1)) & np.isfinite(out.min(axis=1))
     if not finite.all():

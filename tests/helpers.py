@@ -8,8 +8,8 @@ per-series scalar recursion for the simulated processes, and one fresh
 generator per row for a dataset's specs and seeds. None of it shares code
 with the library under test, bar the spec drawing and seed derivation of
 the dataset oracle, which define a dataset. ``persist_built`` is a fixture,
-not a reference: it persists a built dataset with the source it was drawn
-from.
+not a reference: it persists the manifest of a built dataset, the source
+the dataset is simulated from.
 """
 
 from __future__ import annotations
@@ -196,12 +196,12 @@ def dataset_source_of(recipe, n_per_class: int, length: int, master_seed: int) -
 
 
 def persist_built(dir_path, recipe, n_per_class: int, length: int, master_seed: int):
-    """Persist ``build_dataset``'s dataset to ``dir_path`` with its source; return it."""
+    """Persist the manifest of ``build_dataset``'s dataset to ``dir_path``;
+    return the dataset, built here."""
     from tscausal.pipeline import build_dataset, persist_dataset
 
-    data = build_dataset(recipe, n_per_class, length, master_seed)
-    persist_dataset(data, dir_path, dataset_source_of(recipe, n_per_class, length, master_seed))
-    return data
+    persist_dataset(dir_path, dataset_source_of(recipe, n_per_class, length, master_seed))
+    return build_dataset(recipe, n_per_class, length, master_seed)
 
 
 def exact_convolution(w, x) -> np.ndarray:

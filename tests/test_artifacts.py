@@ -1,7 +1,6 @@
 """The run-directory artifact layer: exact .npy round trips, refusals that
 name the file, atomic writes and datasets bound to their config."""
 
-import dataclasses
 import json
 import re
 
@@ -13,7 +12,7 @@ from tscausal import artifacts, pipeline
 from tscausal.classify import MODEL_SCHEMA_VERSION, LrModel
 from tscausal.cli import main
 from tscausal.codec import to_doc
-from tscausal.pipeline import AR100, AR_TRAIN, build_dataset, load_dataset, persist_dataset
+from tscausal.pipeline import AR100, AR_TRAIN, persist_dataset
 from tscausal.seriesgen import GENERATOR_NAME
 
 TINY = {
@@ -65,42 +64,32 @@ def test_array_round_trip_is_bit_exact(tmp_path):
     assert no_temporary_files(tmp_path)
 
 
-def test_dataset_round_trip_keeps_every_bit(tmp_path):
-    data = build_dataset(AR_TRAIN, n_per_class=3, length=64, master_seed=4)
-    values = finite_doubles(np.random.default_rng(2), data.values.shape)
-    data = dataclasses.replace(data, values=values)
-    persist_dataset(data, tmp_path / "d", dataset_source_of(AR_TRAIN, 3, 64, 4))
-    loaded = load_dataset(tmp_path / "d")
-    assert np.array_equal(loaded.values.view(np.uint64), values.view(np.uint64))
-    assert not loaded.values.flags.writeable and not loaded.labels.flags.writeable
-
-
 # ---------------------------------------------------------------------------
 # refusals
 
 
-def test_load_dataset_refuses_an_int64_values_file(tmp_path):
-    persist_built(tmp_path / "d", AR100, n_per_class=2, length=128, master_seed=5)
-    path = tmp_path / "d" / "values.npy"
-    np.save(path, np.zeros((4, 128), dtype=np.int64))
+def feature_run(tmp_path):
+    run = tiny_run(tmp_path)
+    assert main(["featurize", str(run)]) == 0
+    return run
+
+
+def test_load_feature_set_refuses_an_int64_features_file(tmp_path):
+    run = feature_run(tmp_path)
+    entry = artifacts.read_features_manifest(run).sets[0]
+    path = run / "features" / entry.dir / "features.npy"
+    np.save(path, np.zeros(entry.shape, dtype=np.int64))
     with pytest.raises(ValueError, match=re.escape(f"{path}: expected a 2-d float64 array, got a 2-d int64")):
-        load_dataset(tmp_path / "d")
+        artifacts.load_feature_set(run, entry)
 
 
-def test_load_dataset_refuses_an_object_values_file(tmp_path):
-    persist_built(tmp_path / "d", AR100, n_per_class=2, length=128, master_seed=5)
-    path = tmp_path / "d" / "values.npy"
+def test_load_feature_set_refuses_an_object_features_file(tmp_path):
+    run = feature_run(tmp_path)
+    entry = artifacts.read_features_manifest(run).sets[0]
+    path = run / "features" / entry.dir / "features.npy"
     np.save(path, np.array([[1.0, "x"]], dtype=object), allow_pickle=True)
     with pytest.raises(ValueError, match=re.escape(f"{path}: not a readable .npy array")):
-        load_dataset(tmp_path / "d")
-
-
-def test_load_dataset_refuses_a_truncated_values_file(tmp_path):
-    persist_built(tmp_path / "d", AR100, n_per_class=2, length=128, master_seed=5)
-    path = tmp_path / "d" / "values.npy"
-    path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(ValueError, match=re.escape(f"{path}: not a readable .npy array")):
-        load_dataset(tmp_path / "d")
+        artifacts.load_feature_set(run, entry)
 
 
 @pytest.mark.parametrize("cls, relpath, version, command", [
@@ -156,9 +145,8 @@ def test_featurize_refuses_an_old_csv_run_directory(tmp_path, capsys):
     manifest["schema_version"] = 1
     del manifest["source"]
     manifest_path.write_text(json.dumps(manifest))
-    values = np.load(data_dir / "values.npy")
+    values = pipeline.make_dataset(pipeline.config_from_dict(TINY), AR_TRAIN).values
     np.savetxt(data_dir / "values.csv", values, fmt="%.17g", delimiter=",")
-    (data_dir / "values.npy").unlink()
     capsys.readouterr()
     assert main(["featurize", str(run)]) == 1
     err = capsys.readouterr().err
@@ -274,21 +262,13 @@ def broken_save(fh, array, allow_pickle=False):
 
 
 def test_a_failed_dataset_write_leaves_nothing(tmp_path, monkeypatch):
-    data = build_dataset(AR100, n_per_class=2, length=128, master_seed=5)
-    monkeypatch.setattr(np, "save", broken_save)
+    def broken_replace(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(artifacts.os, "replace", broken_replace)
     with pytest.raises(OSError, match="no space left"):
-        persist_dataset(data, tmp_path / "d", dataset_source_of(AR100, 2, 128, 5))
+        persist_dataset(tmp_path / "d", dataset_source_of(AR100, 2, 128, 5))
     assert list((tmp_path / "d").iterdir()) == []
-
-
-def test_a_failed_rewrite_leaves_no_manifest_over_old_values(tmp_path, monkeypatch):
-    persist_built(tmp_path / "d", AR100, n_per_class=2, length=128, master_seed=5)
-    monkeypatch.setattr(np, "save", broken_save)
-    with pytest.raises(OSError):
-        persist_built(tmp_path / "d", AR100, n_per_class=3, length=128, master_seed=6)
-    assert [p.name for p in (tmp_path / "d").iterdir()] == ["values.npy"]
-    with pytest.raises(FileNotFoundError, match="missing dataset manifest"):
-        load_dataset(tmp_path / "d")
 
 
 def test_a_failed_featurize_leaves_no_features_manifest(tmp_path, monkeypatch, capsys):
@@ -368,15 +348,21 @@ def test_featurize_accepts_a_config_that_changes_only_the_features(default_run, 
 
 
 def test_featurize_refuses_a_dataset_trimmed_below_its_config(tmp_path, capsys):
-    run = tiny_run(tmp_path)
-    path = run / "datasets" / "shift-I" / "values.npy"
-    np.save(path, np.load(path)[:3])
+    # refused by its manifest, before the run's features, model and reports
+    # are deleted: no dataset is read from disk at its set's turn
+    run = feature_run(tmp_path)
+    for step in ("train", "evaluate"):
+        assert main([step, str(run)]) == 0
+    path = run / "datasets" / "shift-I" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["source"]["n_per_class"] = 3
+    path.write_text(json.dumps(manifest))
     capsys.readouterr()
     assert main(["featurize", str(run)]) == 1
-    err = capsys.readouterr().err
-    assert (f"error [featurize]: {path}: corrupt dataset: 3x128 values, but its source draws "
-            "12 series of length 128") in err
-    assert not (run / "features" / "manifest.json").exists()
+    assert (f"error [featurize]: {path}: dataset was generated with n_per_class 3, but the "
+            "config gives n_per_class 6") in capsys.readouterr().err
+    for name in ("features/manifest.json", "model.json", "report.json", "report.txt"):
+        assert (run / name).is_file(), name
 
 
 def test_a_featurize_refused_by_a_test_dataset_leaves_the_runs_features_in_place(
@@ -394,17 +380,22 @@ def test_a_featurize_refused_by_a_test_dataset_leaves_the_runs_features_in_place
 
 
 def test_featurize_refuses_a_dataset_made_by_another_generator(tmp_path, capsys):
+    # a seeded stream is kept only within a NumPy release (NEP 19), so another
+    # NumPy is another generator, as is an earlier release's, whose manifest
+    # named no NumPy version and stood beside a values.npy
     run = tiny_run(tmp_path)
     path = run / "datasets" / "shift-I" / "manifest.json"
     manifest = json.loads(path.read_text())
-    manifest["generator"] = "numpy.random.MT19937"
-    path.write_text(json.dumps(manifest))
-    capsys.readouterr()
-    assert main(["featurize", str(run)]) == 1
-    err = capsys.readouterr().err
-    assert (f"error [featurize]: {path}: dataset was generated by 'numpy.random.MT19937', but "
-            f"this release generates with {GENERATOR_NAME!r}; run `generate` again") in err
-    assert not (run / "features").exists()
+    assert manifest["generator"] == f"numpy {np.__version__} random.Generator(PCG64)"
+    for generator in ("numpy.random.MT19937", "numpy 1.0.0 random.Generator(PCG64)",
+                      "numpy.random.Generator(PCG64)"):
+        path.write_text(json.dumps({**manifest, "generator": generator}))
+        capsys.readouterr()
+        assert main(["featurize", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert (f"error [featurize]: {path}: dataset was generated by {generator!r}, but "
+                f"this release generates with {GENERATOR_NAME!r}; run `generate` again") in err
+        assert not (run / "features").exists()
 
 
 def test_read_dataset_manifest_refuses_a_dataset_without_a_source(tmp_path):

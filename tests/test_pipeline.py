@@ -8,7 +8,6 @@ import pytest
 from helpers import (
     build_dataset_oracle,
     count_local_extrema,
-    dataset_source_of,
     persist_built,
     scalar_series,
 )
@@ -52,7 +51,7 @@ from tscausal.pipeline import (
     table_config,
     write_report,
 )
-from tscausal.seriesgen import Dataset, Kind
+from tscausal.seriesgen import Kind
 
 
 def tiny_config(**kw):
@@ -708,10 +707,10 @@ def test_dataset_round_trip_is_bit_exact(tmp_path):
 
 @pytest.mark.parametrize("name", sorted(RECIPES))
 def test_a_loaded_desk_dataset_equals_the_built_one(tmp_path, name):
-    # the specs, seeds and labels are drawn again from the manifest's source
+    # the dataset is simulated again from the manifest's source
     config, recipe = ExperimentConfig(), RECIPES[name]
     data = make_dataset(config, recipe)
-    persist_dataset(data, tmp_path / "d", dataset_source(config, recipe))
+    persist_dataset(tmp_path / "d", dataset_source(config, recipe))
     loaded = load_dataset(tmp_path / "d")
     assert loaded.specs == data.specs and loaded.seeds == data.seeds
     assert np.array_equal(loaded.labels, data.labels)
@@ -745,26 +744,9 @@ def test_load_dataset_rejects_wrong_schema(tmp_path):
         load_dataset(tmp_path / "d")
 
 
-def test_load_dataset_detects_row_mismatch(tmp_path):
-    persist_built(tmp_path / "d", AR100, n_per_class=3, length=128, master_seed=6)
-    values = np.load(tmp_path / "d" / "values.npy")
-    np.save(tmp_path / "d" / "values.npy", values[:-1])
-    with pytest.raises(ValueError, match="corrupt dataset: 2x128 values, but its source draws 3 series"):
-        load_dataset(tmp_path / "d")
-
-
-def test_load_dataset_detects_column_mismatch(tmp_path):
-    persist_built(tmp_path / "d", AR100, n_per_class=3, length=128, master_seed=6)
-    values = np.load(tmp_path / "d" / "values.npy")
-    np.save(tmp_path / "d" / "values.npy", values[:, :100])
-    with pytest.raises(ValueError, match="corrupt dataset: 3x100 values, .* length 128"):
-        load_dataset(tmp_path / "d")
-
-
 def test_load_dataset_refuses_an_empty_dataset(tmp_path):
     persist_built(tmp_path / "d", AR100, n_per_class=2, length=128, master_seed=5)
     path = edit_source(tmp_path / "d", lambda source: source.update(n_per_class=0))
-    np.save(tmp_path / "d" / "values.npy", np.empty((0, 128)))
     with pytest.raises(ValueError, match=re.escape(f"{path}: n_per_class must be >= 1, got 0")):
         load_dataset(tmp_path / "d")
 
@@ -806,9 +788,3 @@ def test_load_dataset_names_a_missing_manifest_key(tmp_path, key):
 def test_load_dataset_missing_files(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_dataset(tmp_path / "nope")
-
-
-def test_persist_dataset_rejects_empty(tmp_path):
-    with pytest.raises(ValueError, match="empty dataset"):
-        persist_dataset(Dataset(np.empty((0, 8)), (), ()), tmp_path / "d",
-                        dataset_source_of(AR100, 1, 8, 5))
