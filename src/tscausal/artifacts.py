@@ -10,17 +10,18 @@ against a failing process, not against power loss.
 
 Manifests and ``model.json`` are dataclasses written by ``write_document``
 and read by ``read_document``; manifests carry ``ARTIFACT_SCHEMA_VERSION``.
-A dataset is its manifest alone (version 3): the generator and the
+A dataset is its manifest alone (version 4): the generator and the
 ``source``, from which ``pipeline.load_dataset`` simulates it; its values
-are not stored. Version 2 also listed each series' label, seed and spec, and
-version 1 was the CSV layout; either is refused and must be generated again.
-So is a version-3 dataset of an earlier release, which also held a
-``values.npy``: its generator names no NumPy version. Reports carry
-``pipeline.SCHEMA_VERSION`` instead.
+are not stored. The features manifest holds the config and each set's shape.
+Version 3 also held the features manifest's model and each set's name and
+directory, and some datasets' ``values.npy``; version 2 listed each series'
+label, seed and spec, and version 1 was the CSV layout. Each is refused and
+must be made again. Reports carry ``pipeline.SCHEMA_VERSION`` instead.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from collections.abc import Callable
@@ -33,10 +34,9 @@ import numpy as np
 from .codec import from_doc, to_doc
 from .seriesgen import GENERATOR_NAME
 
-ARTIFACT_SCHEMA_VERSION = 3
-# the features directories of the train recipe's two splits, in this order
-SPLIT_SLUGS = ("train-split", "held-out")
+ARTIFACT_SCHEMA_VERSION = 4
 CONFIG_FILE, MODEL_FILE = "config.json", "model.json"
+FEATURES_MANIFEST = "features/manifest.json"
 REPORT_JSON, REPORT_TEXT = "report.json", "report.txt"
 # a key one of two JSON objects lacks; unlike null, it equals no JSON value
 _MISSING = object()
@@ -44,14 +44,6 @@ _MISSING = object()
 
 # ---------------------------------------------------------------------------
 # files
-
-
-def check_entry_name(name: str, what: str) -> None:
-    """Refuse ``name`` as a run-directory path component unless it names an
-    entry of its parent directory; ``what`` says what it names."""
-    if name in ("", ".", "..") or "/" in name or "\\" in name:
-        raise ValueError(f"{what} {name!r} must not be empty, '.' or '..', "
-                         "nor contain '/' or '\\'")
 
 
 def atomic_write(path: str | Path, write: Callable[[IO[bytes]], object]) -> None:
@@ -107,10 +99,29 @@ def write_config(run_dir: str | Path, config) -> None:
     write_text(Path(run_dir) / CONFIG_FILE, json.dumps(to_doc(config), indent=2, sort_keys=True) + "\n")
 
 
+def _remove_files(root: Path, names: tuple[str, ...]) -> None:
+    """Delete the files ``names`` in each directory of ``root``, then the
+    directories left empty; any other file, and its directory, stays."""
+    dirs = [path for path in root.iterdir() if path.is_dir()] if root.is_dir() else []
+    for path in dirs:
+        for name in names:
+            (path / name).unlink(missing_ok=True)
+    for path in (*dirs, root):
+        with contextlib.suppress(OSError):  # it holds a file, or is not there
+            path.rmdir()
+
+
 def invalidate_features(run_dir: str | Path) -> None:
-    """Delete what was made from ``run_dir``'s features, so none of it outlives them."""
-    for name in ("features/manifest.json", MODEL_FILE, REPORT_JSON, REPORT_TEXT):
+    """Delete ``run_dir``'s features and what was made from them, so none of it outlives them."""
+    for name in (FEATURES_MANIFEST, MODEL_FILE, REPORT_JSON, REPORT_TEXT):
         (Path(run_dir) / name).unlink(missing_ok=True)
+    _remove_files(Path(run_dir) / "features", ("features.npy", "labels.npy"))
+
+
+def invalidate_datasets(run_dir: str | Path) -> None:
+    """Delete ``run_dir``'s datasets, an earlier release's values too, and all made from them."""
+    invalidate_features(run_dir)
+    _remove_files(Path(run_dir) / "datasets", ("manifest.json", "values.npy"))
 
 
 def read_json_object(path: str | Path) -> dict:
@@ -166,33 +177,17 @@ class DatasetManifest:
 
 
 @dataclass(frozen=True)
-class FeatureSet:
-    """A features-manifest set: its display name, ``features/`` subdirectory and shape."""
-
-    name: str
-    dir: str
-    shape: tuple[int, int]
-
-    def __post_init__(self):
-        check_entry_name(self.dir, "dir")
-        if min(self.shape) < 0:
-            raise ValueError(f"shape must be non-negative, got {list(self.shape)}")
-
-
-@dataclass(frozen=True)
 class FeaturesManifest:
-    """``features/manifest.json``: the resolved config, its model and every set, train split first."""
+    """``features/manifest.json``: the resolved config and each set's [rows,
+    columns], in the order ``pipeline.set_names`` names the config's sets."""
 
-    model: str
     config: dict
-    sets: tuple[FeatureSet, ...]
+    shapes: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.model != self.config.get("model"):
-            raise ValueError(f"model is {self.model!r}, but its config's model is "
-                             f"{self.config.get('model')!r}")
-        if not self.sets or self.sets[0].dir != SPLIT_SLUGS[0]:
-            raise ValueError("the first of 'sets' must be the train-split set")
+        for i, shape in enumerate(self.shapes):
+            if min(shape) < 0:
+                raise ValueError(f"shapes[{i}] must be non-negative, got {list(shape)}")
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +202,12 @@ def dataset_manifest_path(dir_path: str | Path) -> Path:
     return Path(dir_path) / "manifest.json"
 
 
-def persist_dataset(dir_path: str | Path, source: dict) -> None:
-    """Write the dataset's ``manifest.json``, which records ``source``, what
-    ``pipeline.build_dataset`` simulates the dataset from."""
+def persist_dataset(dir_path: str | Path, source) -> None:
+    """Write the dataset's ``manifest.json``, which records ``source``, the
+    ``pipeline.DatasetSource`` the dataset is simulated from."""
     Path(dir_path).mkdir(parents=True, exist_ok=True)
-    write_document(dataset_manifest_path(dir_path), DatasetManifest(GENERATOR_NAME, source),
-                   ARTIFACT_SCHEMA_VERSION)
+    write_document(dataset_manifest_path(dir_path),
+                   DatasetManifest(GENERATOR_NAME, to_doc(source)), ARTIFACT_SCHEMA_VERSION)
 
 
 def _first_difference(got, want, key: str = "") -> tuple[str, object, object] | None:
@@ -228,7 +223,7 @@ def _first_difference(got, want, key: str = "") -> tuple[str, object, object] | 
     return None if got == want else (key, got, want)
 
 
-def read_dataset_manifest(dir_path: str | Path, source: dict | None = None) -> DatasetManifest:
+def read_dataset_manifest(dir_path: str | Path, source=None) -> DatasetManifest:
     """The manifest ``persist_dataset`` wrote to ``dir_path``. With ``source``,
     a dataset generated otherwise is refused, naming the first key that
     differs and both values."""
@@ -237,8 +232,7 @@ def read_dataset_manifest(dir_path: str | Path, source: dict | None = None) -> D
         raise FileNotFoundError(f"missing dataset manifest: {manifest_path} (run `generate` first)")
     manifest = read_document(manifest_path, DatasetManifest, ARTIFACT_SCHEMA_VERSION, "generate")
     # compare as JSON, the form the manifest holds
-    found = source is not None and _first_difference(manifest.source,
-                                                     json.loads(json.dumps(source)))
+    found = source is not None and _first_difference(manifest.source, to_doc(source))
     if found:
         key, *values = found
         got, want = (f"no {key}" if v is _MISSING else f"{key} {json.dumps(v)}" for v in values)
@@ -252,35 +246,37 @@ def read_dataset_manifest(dir_path: str | Path, source: dict | None = None) -> D
 
 
 def persist_features(run_dir: str | Path, config: dict, sets) -> FeaturesManifest:
-    """Write each (name, slug, features, labels) of ``sets`` to ``features/<slug>/``,
+    """Write each (name, directory, features, labels) of ``sets`` to ``features/<directory>/``,
     dropping it before the next is made, then the manifest of ``config``."""
     root = Path(run_dir) / "features"
-    entries = []
-    for name, slug, features, labels in sets:
-        (root / slug).mkdir(parents=True, exist_ok=True)
-        save_array(root / slug / "features.npy", features)
-        save_array(root / slug / "labels.npy", labels)
-        entries.append(FeatureSet(name, slug, features.shape))
+    shapes = []
+    for _, set_dir, features, labels in sets:
+        (root / set_dir).mkdir(parents=True, exist_ok=True)
+        save_array(root / set_dir / "features.npy", features)
+        save_array(root / set_dir / "labels.npy", labels)
+        shapes.append(features.shape)
         del features
-    manifest = FeaturesManifest(config["model"], config, tuple(entries))
-    write_document(root / "manifest.json", manifest, ARTIFACT_SCHEMA_VERSION)
+    manifest = FeaturesManifest(config, tuple(shapes))
+    write_document(Path(run_dir) / FEATURES_MANIFEST, manifest, ARTIFACT_SCHEMA_VERSION)
     return manifest
 
 
 def read_features_manifest(run_dir: str | Path) -> FeaturesManifest:
     """The manifest ``persist_features`` wrote to ``run_dir``."""
-    path = Path(run_dir) / "features" / "manifest.json"
+    path = Path(run_dir) / FEATURES_MANIFEST
     if not path.is_file():
         raise FileNotFoundError(f"missing features manifest: {path} (run `featurize` first)")
     return read_document(path, FeaturesManifest, ARTIFACT_SCHEMA_VERSION, "featurize")
 
 
-def load_feature_set(run_dir: str | Path, entry: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
-    """The features and labels of one set of ``run_dir``'s features manifest."""
-    set_dir = Path(run_dir) / "features" / entry.dir
+def load_feature_set(run_dir: str | Path, set_dir: str,
+                     shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The features and labels in ``run_dir``'s ``features/<set_dir>/``,
+    which must be of the manifest's ``shape``."""
+    set_dir = Path(run_dir) / "features" / set_dir
     features = load_array(set_dir / "features.npy", np.float64, 2)
     labels = load_array(set_dir / "labels.npy", np.int64, 1)
-    rows, columns = entry.shape
+    rows, columns = shape
     if features.shape != (rows, columns) or labels.shape != (rows,):
         raise ValueError(
             f"{set_dir}: corrupt feature set: {features.shape[0]}x{features.shape[1]} features "

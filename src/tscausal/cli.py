@@ -64,7 +64,7 @@ def _apply_overrides(config: pipeline.ExperimentConfig, args) -> pipeline.Experi
 def cmd_generate(args) -> int:
     config = _apply_overrides(_load_config(args.config), args)
     run_dir = _run_dir(args.out, config.master_seed, args.run_name)
-    artifacts.invalidate_features(run_dir)
+    artifacts.invalidate_datasets(run_dir)
     artifacts.write_config(run_dir, config)
     # a dataset is its source: featurize simulates it at its set's turn
     for recipe in (config.train_recipe, *config.test_recipes):
@@ -93,17 +93,27 @@ def cmd_featurize(args) -> int:
     artifacts.invalidate_features(run_dir)
     manifest = artifacts.persist_features(run_dir, pipeline.config_to_dict(config),
                                           pipeline.featurize_sets(config, load))
-    print(f"wrote {len(manifest.sets)} feature sets ({config.model}) under {run_dir}")
+    print(f"wrote {len(manifest.shapes)} feature sets ({config.model}) under {run_dir}")
     return 0
+
+
+def _feature_sets(run_dir: Path) -> tuple[pipeline.ExperimentConfig, list[tuple]]:
+    """The features' config and each set's (display name, directory, shape)."""
+    manifest = artifacts.read_features_manifest(run_dir)
+    config = pipeline.config_from_dict(manifest.config)
+    names = pipeline.set_names(config)
+    if len(manifest.shapes) != len(names):
+        raise ValueError(f"{run_dir / artifacts.FEATURES_MANIFEST}: {len(manifest.shapes)} "
+                         f"shapes for its config's {len(names)} sets; run `featurize` again")
+    return config, [(*name, shape) for name, shape in zip(names, manifest.shapes)]
 
 
 def cmd_train(args) -> int:
     run_dir = Path(args.run_dir)
-    manifest = artifacts.read_features_manifest(run_dir)
-    config = pipeline.config_from_dict(manifest.config)
-    entry = manifest.sets[0]
-    features, labels = artifacts.load_feature_set(run_dir, entry)
-    model = pipeline.train_model(config, entry.name, features, labels)
+    config, sets = _feature_sets(run_dir)
+    name, set_dir, shape = sets[0]
+    features, labels = artifacts.load_feature_set(run_dir, set_dir, shape)
+    model = pipeline.train_model(config, name, features, labels)
     out_path = Path(args.model_out) if args.model_out else run_dir / artifacts.MODEL_FILE
     classify.save_model(model, out_path)
     print(
@@ -115,8 +125,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     run_dir = Path(args.run_dir)
-    manifest = artifacts.read_features_manifest(run_dir)
-    config = pipeline.config_from_dict(manifest.config)
+    config, sets = _feature_sets(run_dir)
     model_path = Path(args.model_path) if args.model_path else run_dir / artifacts.MODEL_FILE
     model = classify.load_model(model_path)
     expected = pipeline.config_fingerprint(config)
@@ -127,8 +136,8 @@ def cmd_evaluate(args) -> int:
         )
     # a set's files are read before its stage starts, so load errors name the file alone
     rows = tuple(
-        pipeline.score_set(model, entry.name, *artifacts.load_feature_set(run_dir, entry))
-        for entry in manifest.sets
+        pipeline.score_set(model, name, *artifacts.load_feature_set(run_dir, set_dir, shape))
+        for name, set_dir, shape in sets
     )
     report = pipeline.ExperimentReport(config=config, rows=rows)
     out_dir = Path(args.out) if args.out else run_dir

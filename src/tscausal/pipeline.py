@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import classify, spectral
-from .artifacts import (REPORT_JSON, REPORT_TEXT, SPLIT_SLUGS, DatasetManifest, check_entry_name,
-                        dataset_manifest_path, read_dataset_manifest, write_text)
+from .artifacts import (REPORT_JSON, REPORT_TEXT, DatasetManifest, dataset_manifest_path,
+                        read_dataset_manifest, write_text)
 from .artifacts import persist_dataset  # noqa: F401 -- the CLI calls it through pipeline
 from .chaosfex import GlsParams, extract_ttss
 from .classify import CHAOSFEX_LR, DEFAULT_LR, ClassReport, LrHyper, LrModel
@@ -66,6 +66,8 @@ PAPER_TRAIN_PER_CLASS = 1250
 PAPER_TEST_PER_CLASS = 1250
 SERIES_LENGTH = 2000
 SPLIT_FRACTION = 0.7
+# the features directories of the train recipe's two splits, in this order
+SPLIT_SLUGS = ("train-split", "held-out")
 
 
 def derive_seed(*parts) -> int:
@@ -139,7 +141,10 @@ class DatasetRecipe:
     def __post_init__(self):
         if self.causal is None and self.noncausal is None:
             raise ValueError(f"recipe {self.name!r} defines no generator family")
-        check_entry_name(self.name, "recipe name")
+        # a run-directory entry under datasets/ and features/
+        if self.name in ("", ".", "..") or "/" in self.name or "\\" in self.name:
+            raise ValueError(f"recipe name {self.name!r} must not be empty, '.' or '..', "
+                             "nor contain '/' or '\\'")
 
     @classmethod
     def from_name(cls, name: str) -> DatasetRecipe:
@@ -170,10 +175,9 @@ AR100 = DatasetRecipe("AR100", causal=CausalFamily(Kind.AR, lag_lo=100, lag_hi=1
 ARMA_TEST = DatasetRecipe("ARMA", causal=CausalFamily(Kind.ARMA))
 ARFIMA_TEST = DatasetRecipe("ARFIMA", causal=CausalFamily(Kind.ARFIMA))
 
-RECIPES = {
-    r.name.lower(): r
-    for r in (AR_TRAIN, SHIFT_I, SHIFT_II, AR100, ARMA_TEST, ARFIMA_TEST)
-}
+# the test sets of the paper's Table 3, in its order
+TEST_RECIPES = (SHIFT_I, SHIFT_II, AR100, ARMA_TEST, ARFIMA_TEST)
+RECIPES = {r.name.lower(): r for r in (AR_TRAIN, *TEST_RECIPES)}
 
 
 # ---------------------------------------------------------------------------
@@ -238,26 +242,27 @@ def build_dataset(
     return Dataset(generate_many(specs, seeds), tuple(specs), tuple(seeds))
 
 
-def _source_value(source: dict, key: str, cls):
-    if key not in source:
-        raise DecodeError(f"source.{key}", "required key is missing")
-    return from_doc(cls, source[key], f"source.{key}")
+@dataclass(frozen=True)
+class DatasetSource:
+    """Everything ``build_dataset`` simulates a dataset from: a dataset manifest's ``source``."""
+
+    master_seed: int
+    recipe: DatasetRecipe
+    n_per_class: int
+    length: int
+
+    def build(self) -> Dataset:
+        return build_dataset(self.recipe, self.n_per_class, self.length, self.master_seed)
 
 
 def load_dataset(dir_path: str | Path, manifest: DatasetManifest | None = None) -> Dataset:
-    """The dataset whose manifest ``persist_dataset`` wrote to ``dir_path``,
-    simulated by ``build_dataset`` from the manifest's ``source``, as
-    ``make_dataset`` simulates it; an error is prefixed with the manifest's
-    path. ``manifest``, if the caller has already read it with
-    ``read_dataset_manifest``, is not read again."""
+    """The dataset simulated from the ``source`` of ``dir_path``'s manifest, as
+    ``make_dataset`` simulates it; an error is prefixed with the manifest's path.
+    ``manifest``, if already read with ``read_dataset_manifest``, is not read again."""
     if manifest is None:
         manifest = read_dataset_manifest(dir_path)
-    source = manifest.source
     try:
-        recipe = _source_value(source, "recipe", DatasetRecipe)
-        n, length, seed = (_source_value(source, key, int)
-                           for key in ("n_per_class", "length", "master_seed"))
-        return build_dataset(recipe, n, length, seed)
+        return from_doc(DatasetSource, manifest.source, "source").build()
     except ValueError as exc:
         raise ValueError(f"{dataset_manifest_path(dir_path)}: {exc}") from exc
 
@@ -286,7 +291,7 @@ class ExperimentConfig:
     master_seed: int = 42
     model: str = "fft_chaosfex"
     train_recipe: DatasetRecipe = AR_TRAIN
-    test_recipes: tuple[DatasetRecipe, ...] = (SHIFT_I, SHIFT_II, AR100, ARMA_TEST, ARFIMA_TEST)
+    test_recipes: tuple[DatasetRecipe, ...] = TEST_RECIPES
     n_train_per_class: int = DESK_TRAIN_PER_CLASS
     n_test_per_class: int = DESK_TEST_PER_CLASS
     length: int = SERIES_LENGTH
@@ -354,13 +359,7 @@ def table_config(table: str, scale: str = "desk", seed: int = 42) -> ExperimentC
     if scale not in SCALES:
         raise ValueError(f"unknown scale {scale!r}; expected one of {SCALES}")
     model = TABLE_MODELS[table]
-    tests = (SHIFT_I, SHIFT_II) if model != "fft_chaosfex" else (
-        SHIFT_I,
-        SHIFT_II,
-        AR100,
-        ARMA_TEST,
-        ARFIMA_TEST,
-    )
+    tests = TEST_RECIPES if model == "fft_chaosfex" else (SHIFT_I, SHIFT_II)
     paper = scale == "paper"
     return ExperimentConfig(
         master_seed=seed,
@@ -520,71 +519,64 @@ def split_indices(config: ExperimentConfig, labels: np.ndarray) -> tuple[np.ndar
     return stratified_split(labels, config.split_fraction, split_seed)
 
 
-def dataset_source(config: ExperimentConfig, recipe: DatasetRecipe) -> dict:
-    """Everything ``build_dataset`` simulates ``recipe``'s dataset from; a
-    dataset manifest records it, featurize holds its config to it, and
-    ``load_dataset`` simulates the dataset from it."""
+def dataset_source(config: ExperimentConfig, recipe: DatasetRecipe) -> DatasetSource:
+    """``recipe``'s source as ``config`` sizes and seeds it; featurize holds a
+    dataset manifest's source to it."""
     train = recipe.name == config.train_recipe.name
-    return {
-        "master_seed": config.master_seed,
-        "recipe": to_doc(recipe),
-        "n_per_class": config.n_train_per_class if train else config.n_test_per_class,
-        "length": config.length,
-    }
+    return DatasetSource(config.master_seed, recipe,
+                         config.n_train_per_class if train else config.n_test_per_class,
+                         config.length)
 
 
 def make_dataset(config: ExperimentConfig, recipe: DatasetRecipe) -> Dataset:
     """``recipe``'s dataset as ``config`` sizes and seeds it; an error names the recipe."""
     with in_stage("generate", recipe.name):
-        n = dataset_source(config, recipe)["n_per_class"]
-        return build_dataset(recipe, n, config.length, config.master_seed)
+        return dataset_source(config, recipe).build()
+
+
+def set_names(config: ExperimentConfig) -> list[tuple[str, str]]:
+    """The display name and features directory of each of ``config``'s sets, in order:
+    the train recipe's two splits, then each test recipe under its own name."""
+    train = config.train_recipe.name
+    return [(f"{train} (train split)", SPLIT_SLUGS[0]), (f"{train} (held-out)", SPLIT_SLUGS[1]),
+            *((recipe.name, recipe.name) for recipe in config.test_recipes)]
 
 
 def assemble_sets(config: ExperimentConfig,
-                  train_set: Dataset) -> list[tuple[str, np.ndarray, np.ndarray]]:
-    """The (display name, row indices, labels) of the training dataset's two
-    splits, train split first. The indices select rows of
-    ``train_set.values``, which the feature stage gathers a block at a
-    time, so no split is ever copied whole. The split is a pure function of
-    the configuration, so regenerated and reloaded datasets partition
-    identically."""
-    labels = train_set.labels
-    train_idx, heldout_idx = split_indices(config, labels)
-    return [
-        (f"{config.train_recipe.name} (train split)", train_idx, labels[train_idx]),
-        (f"{config.train_recipe.name} (held-out)", heldout_idx, labels[heldout_idx]),
-    ]
+                  train_set: Dataset) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (row indices, labels) of the training dataset's two splits, train
+    split first: a pure function of the config, and indices into
+    ``train_set.values``, which the feature stage gathers a block at a time."""
+    return [(rows, train_set.labels[rows]) for rows in split_indices(config, train_set.labels)]
 
 
 def featurize_sets(config: ExperimentConfig, dataset_for: Callable[[DatasetRecipe], Dataset]):
-    """Yield (display name, run-dir slug, features, labels) for the train
-    split, the held-out split and each test recipe in turn, with the feature
-    stage fitted on the train split. ``dataset_for(recipe)`` makes a recipe's
-    dataset; it is called for each test recipe only when its set's turn
-    comes. The train dataset lives through its two splits, which the stage
-    reads from it by row index, and is dropped before the first test set is
-    made; every other dataset is dropped once featurized. So no two
-    datasets are ever alive at once, and a caller that drops each set's
-    features before asking for the next never holds two sets' features."""
+    """Yield (display name, features directory, features, labels) for each
+    set ``set_names`` names, with the feature stage fitted on the train
+    split. ``dataset_for(recipe)`` makes a recipe's dataset when its set's
+    turn comes. The train dataset lives through its two splits and every
+    other dataset is dropped once featurized, so no two datasets are ever
+    alive at once, and a caller that drops each set's features before asking
+    for the next never holds two sets' features."""
     dataset = dataset_for(config.train_recipe)
     splits = assemble_sets(config, dataset)
-    tests = {r.name: r for r in config.test_recipes}
+    tests = iter(config.test_recipes)
     stage = None
     # no ``zip`` over made datasets: its reused result tuple would hold a
     # set while the next is made
-    for slug in (*SPLIT_SLUGS, *tests):
+    for name, set_dir in set_names(config):
         if splits:
-            name, rows, labels = splits.pop(0)
+            rows, labels = splits.pop(0)
         else:
-            dataset = dataset_for(tests[slug])
-            name, rows, labels = slug, None, dataset.labels
+            dataset = dataset_for(next(tests))
+            rows, labels = None, dataset.labels
         with in_stage("featurize", name):
             if stage is None:  # the first set is the train split
                 stage = fit_feature_stage(config, dataset.values, rows)
             features = stage.transform(dataset.values, rows)
         if not splits:  # a test set's dataset, or the train dataset after its last split
             del dataset
-        yield name, slug, features, labels
+        yield name, set_dir, features, labels
         del features
 
 

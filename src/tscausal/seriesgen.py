@@ -346,6 +346,7 @@ def _fractionally_integrate(core: np.ndarray, d: list[float]) -> None:
         spectra = np.fft.rfft(fractional_integration_weights(d[a:b], length), size)
         spectra *= np.fft.rfft(core[a:b], size)
         np.copyto(core[a:b], np.fft.irfft(spectra, size)[:, :length], where=moved[a:b])
+        del spectra  # before the next block makes its weights
 
 
 def generate_many(specs: Sequence[ProcessSpec], seeds: Sequence[int]) -> np.ndarray:

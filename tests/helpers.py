@@ -187,20 +187,12 @@ def build_dataset_oracle(recipe, n_per_class: int, length: int, master_seed: int
     return specs, seeds
 
 
-def dataset_source_of(recipe, n_per_class: int, length: int, master_seed: int) -> dict:
-    """The ``source`` a dataset manifest records for ``build_dataset``'s arguments."""
-    from tscausal.codec import to_doc
-
-    return {"master_seed": master_seed, "recipe": to_doc(recipe), "n_per_class": n_per_class,
-            "length": length}
-
-
 def persist_built(dir_path, recipe, n_per_class: int, length: int, master_seed: int):
     """Persist the manifest of ``build_dataset``'s dataset to ``dir_path``;
     return the dataset, built here."""
-    from tscausal.pipeline import build_dataset, persist_dataset
+    from tscausal.pipeline import DatasetSource, build_dataset, persist_dataset
 
-    persist_dataset(dir_path, dataset_source_of(recipe, n_per_class, length, master_seed))
+    persist_dataset(dir_path, DatasetSource(master_seed, recipe, n_per_class, length))
     return build_dataset(recipe, n_per_class, length, master_seed)
 
 

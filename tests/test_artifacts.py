@@ -7,12 +7,12 @@ import re
 import numpy as np
 import pytest
 
-from helpers import dataset_source_of, persist_built
+from helpers import persist_built
 from tscausal import artifacts, pipeline
 from tscausal.classify import MODEL_SCHEMA_VERSION, LrModel
 from tscausal.cli import main
 from tscausal.codec import to_doc
-from tscausal.pipeline import AR100, AR_TRAIN, persist_dataset
+from tscausal.pipeline import AR100, AR_TRAIN, DatasetSource, persist_dataset
 from tscausal.seriesgen import GENERATOR_NAME
 
 TINY = {
@@ -76,20 +76,20 @@ def feature_run(tmp_path):
 
 def test_load_feature_set_refuses_an_int64_features_file(tmp_path):
     run = feature_run(tmp_path)
-    entry = artifacts.read_features_manifest(run).sets[0]
-    path = run / "features" / entry.dir / "features.npy"
-    np.save(path, np.zeros(entry.shape, dtype=np.int64))
+    shape = artifacts.read_features_manifest(run).shapes[0]
+    path = run / "features" / "train-split" / "features.npy"
+    np.save(path, np.zeros(shape, dtype=np.int64))
     with pytest.raises(ValueError, match=re.escape(f"{path}: expected a 2-d float64 array, got a 2-d int64")):
-        artifacts.load_feature_set(run, entry)
+        artifacts.load_feature_set(run, "train-split", shape)
 
 
 def test_load_feature_set_refuses_an_object_features_file(tmp_path):
     run = feature_run(tmp_path)
-    entry = artifacts.read_features_manifest(run).sets[0]
-    path = run / "features" / entry.dir / "features.npy"
+    shape = artifacts.read_features_manifest(run).shapes[0]
+    path = run / "features" / "train-split" / "features.npy"
     np.save(path, np.array([[1.0, "x"]], dtype=object), allow_pickle=True)
     with pytest.raises(ValueError, match=re.escape(f"{path}: not a readable .npy array")):
-        artifacts.load_feature_set(run, entry)
+        artifacts.load_feature_set(run, "train-split", shape)
 
 
 @pytest.mark.parametrize("cls, relpath, version, command", [
@@ -114,14 +114,14 @@ def test_a_manifest_round_trips_through_its_file(tmp_path, cls, relpath, version
 
 @pytest.mark.parametrize("relpath, key, step", [
     ("datasets/AR-train/manifest.json", "note", "featurize"),
-    ("features/manifest.json", "sets[1].note", "train"),
+    ("features/manifest.json", "note", "train"),
 ], ids=["dataset", "features"])
 def test_a_manifest_with_an_unknown_key_is_refused(tmp_path, capsys, relpath, key, step):
     run = tiny_run(tmp_path)
     assert main(["featurize", str(run)]) == 0
     path = run / relpath
     manifest = json.loads(path.read_text())
-    (manifest["sets"][1] if step == "train" else manifest)["note"] = "hand-edited"
+    manifest["note"] = "hand-edited"
     path.write_text(json.dumps(manifest))
     capsys.readouterr()
     assert main([step, str(run)]) == 1
@@ -159,12 +159,12 @@ def test_train_refuses_an_old_features_manifest(tmp_path, capsys):
     assert main(["featurize", str(run)]) == 0
     path = run / "features" / "manifest.json"
     manifest = json.loads(path.read_text())
-    manifest["schema_version"] = 1
+    manifest["schema_version"] = 3
     path.write_text(json.dumps(manifest))
     capsys.readouterr()
     assert main(["train", str(run)]) == 1
     err = capsys.readouterr().err
-    assert f"{path}: unsupported schema version 1" in err
+    assert f"{path}: unsupported schema version 3 (this release reads 4)" in err
     assert "run `featurize` again" in err
 
 
@@ -183,7 +183,28 @@ def test_evaluate_refuses_a_model_of_another_schema_version_naming_train(tmp_pat
     assert not (run / "report.json").exists()
 
 
+@pytest.mark.parametrize("step", ["train", "evaluate"])
+@pytest.mark.parametrize("edit, count", [
+    (lambda shapes: shapes.pop(), 2), (lambda shapes: shapes.append([6, 65]), 4),
+], ids=["fewer", "more"])
+def test_a_features_manifest_whose_shapes_do_not_number_its_sets_is_refused(
+        tmp_path, capsys, step, edit, count):
+    run = tiny_run(tmp_path)
+    for argv in (["featurize", str(run)], ["train", str(run)]):
+        assert main(argv) == 0
+    path = run / "features" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest["shapes"])
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main([step, str(run)]) == 1
+    assert (f"error [{step}]: {path}: {count} shapes for its config's 3 sets; run `featurize` "
+            "again") in capsys.readouterr().err
+    assert not (run / "report.json").exists()
+
+
 def test_train_refuses_a_features_manifest_whose_model_is_not_its_configs(tmp_path, capsys):
+    # the config alone names the model: a manifest that names one beside it is refused
     run = tiny_run(tmp_path)
     assert main(["featurize", str(run)]) == 0
     path = run / "features" / "manifest.json"
@@ -192,8 +213,7 @@ def test_train_refuses_a_features_manifest_whose_model_is_not_its_configs(tmp_pa
     path.write_text(json.dumps(manifest))
     capsys.readouterr()
     assert main(["train", str(run)]) == 1
-    assert (f"error [train]: {path}: model is 'raw', but its config's model is 'fft'"
-            in capsys.readouterr().err)
+    assert f"error [train]: {path}: unknown key 'model'" in capsys.readouterr().err
     assert not (run / "model.json").exists()
 
 
@@ -221,17 +241,17 @@ def test_evaluate_refuses_features_that_disagree_with_the_manifest_shape(tmp_pat
 
 
 @pytest.mark.parametrize("shape, message", [
-    (None, "key 'sets[0].shape': expected an array, got null"),
-    ([3], "key 'sets[0].shape': expected 2 items, got 1"),
-    ([3, -1], "key 'sets[0]': shape must be non-negative, got [3, -1]"),
-    ([3, 1.5], "key 'sets[0].shape[1]': expected an integer, got a number"),
+    (None, "key 'shapes[0]': expected an array, got null"),
+    ([3], "key 'shapes[0]': expected 2 items, got 1"),
+    ([3, -1], "shapes[0] must be non-negative, got [3, -1]"),
+    ([3, 1.5], "key 'shapes[0][1]': expected an integer, got a number"),
 ], ids=["None", "shape1", "shape2", "shape3"])
 def test_train_refuses_a_malformed_set_shape(tmp_path, capsys, shape, message):
     run = tiny_run(tmp_path)
     assert main(["featurize", str(run)]) == 0
     path = run / "features" / "manifest.json"
     manifest = json.loads(path.read_text())
-    manifest["sets"][0]["shape"] = shape
+    manifest["shapes"][0] = shape
     path.write_text(json.dumps(manifest))
     capsys.readouterr()
     assert main(["train", str(run)]) == 1
@@ -267,7 +287,7 @@ def test_a_failed_dataset_write_leaves_nothing(tmp_path, monkeypatch):
 
     monkeypatch.setattr(artifacts.os, "replace", broken_replace)
     with pytest.raises(OSError, match="no space left"):
-        persist_dataset(tmp_path / "d", dataset_source_of(AR100, 2, 128, 5))
+        persist_dataset(tmp_path / "d", DatasetSource(5, AR100, 2, 128))
     assert list((tmp_path / "d").iterdir()) == []
 
 
@@ -420,10 +440,10 @@ def test_featurize_refuses_a_relabelled_manifest_of_the_previous_format(tmp_path
     series[0]["label"] = 0
     path = run / "datasets" / "AR-train" / "manifest.json"
     path.write_text(json.dumps({"schema_version": 2, "generator": GENERATOR_NAME,
-                                "source": pipeline.dataset_source(config, AR_TRAIN),
+                                "source": to_doc(pipeline.dataset_source(config, AR_TRAIN)),
                                 "length": TINY["length"], "series": series}))
     capsys.readouterr()
     assert main(["featurize", str(run)]) == 1
-    assert (f"error [featurize]: {path}: unsupported schema version 2 (this release reads 3); "
+    assert (f"error [featurize]: {path}: unsupported schema version 2 (this release reads 4); "
             "run `generate` again") in capsys.readouterr().err
     assert not (run / "features").exists()

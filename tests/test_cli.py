@@ -294,39 +294,26 @@ def test_evaluate_names_a_key_missing_from_the_features_manifest(tmp_path, tiny_
     run = run_chain(tmp_path, tiny_config_path, capsys)
     path = run / "features" / "manifest.json"
     manifest = json.loads(path.read_text())
-    del manifest["sets"]
+    del manifest["shapes"]
     path.write_text(json.dumps(manifest))
     assert main(["evaluate", str(run), "--out", str(tmp_path / "again")]) == 1
     err = capsys.readouterr().err
-    assert f"error [evaluate]: {path}: key 'sets': required key is missing" in err
-
-
-@pytest.mark.parametrize("key", ["name", "dir"])
-def test_evaluate_names_a_key_missing_from_a_features_manifest_set(
-        tmp_path, tiny_config_path, capsys, key):
-    run = run_chain(tmp_path, tiny_config_path, capsys)
-    path = run / "features" / "manifest.json"
-    manifest = json.loads(path.read_text())
-    del manifest["sets"][0][key]
-    path.write_text(json.dumps(manifest))
-    assert main(["evaluate", str(run), "--out", str(tmp_path / "again")]) == 1
-    err = capsys.readouterr().err
-    assert f"error [evaluate]: {path}: key 'sets[0].{key}': required key is missing" in err
+    assert f"error [evaluate]: {path}: key 'shapes': required key is missing" in err
 
 
 @pytest.mark.parametrize("bad", ["../../other/features/shift-I", "..", ".", ""])
 def test_evaluate_refuses_a_features_manifest_set_outside_its_directory(
         tmp_path, tiny_config_path, capsys, bad):
+    # the manifest names no directory: set_names does, from the config
     run = run_chain(tmp_path, tiny_config_path, capsys)
-    # another run's features, which an unchecked dir would reach
+    # another run's features, which a stored dir could reach
     shutil.copytree(run / "features" / "shift-I", tmp_path / "other" / "features" / "shift-I")
     path = run / "features" / "manifest.json"
     manifest = json.loads(path.read_text())
-    manifest["sets"][2]["dir"] = bad
+    manifest["sets"] = [{"dir": d} for d in ("train-split", "held-out", bad)]
     path.write_text(json.dumps(manifest))
     assert main(["evaluate", str(run), "--out", str(tmp_path / "again")]) == 1
-    err = capsys.readouterr().err
-    assert f"error [evaluate]: {path}: key 'sets[2]': dir {bad!r} must not be empty" in err
+    assert f"error [evaluate]: {path}: unknown key 'sets'" in capsys.readouterr().err
     assert not (tmp_path / "again" / "report.json").exists()
 
 
@@ -402,19 +389,29 @@ def test_every_step_runs_without_scipy(tmp_path):
 # chained workflow
 
 
+def readme_layout(*tests: str) -> set[str]:
+    """README's "Run directory layout" of a finished run of the test recipes ``tests``."""
+    layout = {"config.json", "features/manifest.json", "model.json", "report.json", "report.txt"}
+    layout |= {f"datasets/{name}/manifest.json" for name in ("AR-train", *tests)}
+    layout |= {f"features/{name}/{file}" for name in ("train-split", "held-out", *tests)
+               for file in ("features.npy", "labels.npy")}
+    return layout
+
+
+def files_under(root: Path) -> set[str]:
+    return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+
 def test_chain_produces_expected_layout(tmp_path, tiny_config_path, capsys):
     run = run_chain(tmp_path, tiny_config_path, capsys)
-    # README's "Run directory layout": these files, and no others
-    layout = {"config.json", "features/manifest.json", "model.json", "report.json", "report.txt"}
-    layout |= {f"datasets/{name}/manifest.json" for name in ("AR-train", "shift-I")}
-    layout |= {f"features/{name}/{file}" for name in ("train-split", "held-out", "shift-I")
-               for file in ("features.npy", "labels.npy")}
-    assert {p.relative_to(run).as_posix() for p in run.rglob("*") if p.is_file()} == layout
+    # these files, and no others
+    assert files_under(run) == readme_layout("shift-I")
     for name in ("AR-train", "shift-I"):
         manifest = json.loads((run / "datasets" / name / "manifest.json").read_text())
         assert list(manifest) == ["schema_version", "generator", "source"]
     manifest = json.loads((run / "features" / "manifest.json").read_text())
-    assert [s["dir"] for s in manifest["sets"]] == ["train-split", "held-out", "shift-I"]
+    assert list(manifest) == ["schema_version", "config", "shapes"]
+    assert manifest["shapes"] == [[16, 65], [8, 65], [12, 65]]
 
 
 def test_chain_matches_in_process_run(tmp_path, tiny_config_path, capsys):
@@ -432,17 +429,17 @@ def test_chain_artifacts_equal_the_stage_functions_bit_for_bit(tmp_path, capsys,
         {**TINY, "model": "fft_chaosfex", "per_instance_scaling": per_instance}))
     run = run_chain(tmp_path, config_path, capsys)
     config = pipeline.config_from_dict(json.loads(config_path.read_text()))
-    featurized, names = [], []
-    for name, slug, features, labels in pipeline.featurize_sets(
+    featurized, shapes = [], []
+    for name, set_dir, features, labels in pipeline.featurize_sets(
             config, functools.partial(pipeline.make_dataset, config)):
-        set_dir = run / "features" / slug
-        np.testing.assert_array_equal(np.load(set_dir / "features.npy").view(np.uint64),
+        files = run / "features" / set_dir
+        np.testing.assert_array_equal(np.load(files / "features.npy").view(np.uint64),
                                       features.view(np.uint64))
-        np.testing.assert_array_equal(np.load(set_dir / "labels.npy"), labels)
+        np.testing.assert_array_equal(np.load(files / "labels.npy"), labels)
         featurized.append((name, features, labels))
-        names.append({"name": name, "dir": slug})
+        shapes.append(list(features.shape))
     manifest = json.loads((run / "features" / "manifest.json").read_text())
-    assert [{k: s[k] for k in ("name", "dir")} for s in manifest["sets"]] == names
+    assert manifest["shapes"] == shapes
     model = pipeline.train_model(config, *featurized[0])
     classify.save_model(model, tmp_path / "direct-model.json")
     assert (run / "model.json").read_bytes() == (tmp_path / "direct-model.json").read_bytes()
@@ -468,7 +465,7 @@ def test_generate_simulates_nothing(tmp_path, four_set_config_path, capsys, monk
     assert main(argv) == 0, capsys.readouterr().err
     assert calls == []
     datasets = run / "datasets"
-    assert {p.relative_to(datasets).as_posix() for p in datasets.rglob("*") if p.is_file()} \
+    assert files_under(datasets) \
         == {f"{name}/manifest.json" for name in ("AR-train", "shift-I", "shift-II", "AR100")}
 
 
@@ -500,7 +497,7 @@ def test_model_override_at_featurize(tmp_path, tiny_config_path, capsys):
     assert main(["generate", "--config", str(tiny_config_path), "--out", str(run)]) == 0
     assert main(["featurize", str(run), "--model", "raw"]) == 0
     manifest = json.loads((run / "features" / "manifest.json").read_text())
-    assert manifest["model"] == "raw"
+    assert manifest["config"]["model"] == "raw"
     features = np.load(run / "features" / "train-split" / "features.npy")
     assert features.shape[1] == TINY["length"]
 
@@ -526,6 +523,25 @@ def test_an_unknown_featurize_model_is_a_usage_error(tmp_path, capsys):
         main(["featurize", str(tmp_path), "--model", "bogus"])
     assert exc.value.code == 2
     assert "argument --model: invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_a_chain_over_another_configs_run_leaves_only_its_own_files(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({**TINY, "test_recipes": ["shift-I", "shift-II"]}))
+    b.write_text(json.dumps(TINY))
+    run = run_chain(tmp_path, a, capsys)
+    # an earlier release's values beside each manifest, and a file of the user's
+    for name in ("AR-train", "shift-I", "shift-II"):
+        np.save(run / "datasets" / name / "values.npy", np.zeros((2, 3)))
+    (run / "datasets" / "x").mkdir()
+    (run / "datasets" / "x" / "notes.txt").write_text("mine\n")
+    run_chain(tmp_path, b, capsys)
+    assert files_under(run) == readme_layout("shift-I") | {"datasets/x/notes.txt"}
+    # no directory of shift-II is left, empty or not
+    assert {p.name for p in (run / "datasets").iterdir()} == {"AR-train", "shift-I", "x"}
+    assert {p.name for p in (run / "features").iterdir()} == {
+        "manifest.json", "train-split", "held-out", "shift-I"}
+    assert (run / "datasets" / "x" / "notes.txt").read_text() == "mine\n"
 
 
 def test_generate_invalidates_the_features_of_the_datasets_it_replaces(
@@ -574,7 +590,7 @@ def test_generate_removes_the_model_and_report_of_the_datasets_it_replaces(
         assert not (run / name).exists(), name
     features_manifest = run / "features" / "manifest.json"
     if step == "featurize" and not fails:
-        assert json.loads(features_manifest.read_text())["model"] == "raw"
+        assert json.loads(features_manifest.read_text())["config"]["model"] == "raw"
     else:
         assert not features_manifest.exists()
     if step == "featurize" and fails:

@@ -46,6 +46,7 @@ from tscausal.pipeline import (
     report_to_dict,
     report_to_text,
     run_experiment,
+    set_names,
     split_indices,
     stratified_split,
     table_config,
@@ -544,12 +545,12 @@ def test_split_indices_uses_train_recipe_and_seed():
 
 
 def test_assemble_sets_names_and_shapes():
-    cfg = tiny_config()
+    cfg = tiny_config(test_recipes=(SHIFT_I, AR100))
+    assert set_names(cfg) == [("AR-train (train split)", "train-split"),
+                              ("AR-train (held-out)", "held-out"),
+                              ("shift-I", "shift-I"), ("AR100", "AR100")]
     dataset = make_dataset(cfg, cfg.train_recipe)
-    named = assemble_sets(cfg, dataset)
-    names = [n for n, _, _ in named]
-    assert names == ["AR-train (train split)", "AR-train (held-out)"]
-    (_, train_rows, train_labels), (_, held_rows, held_labels) = named
+    (train_rows, train_labels), (held_rows, held_labels) = assemble_sets(cfg, dataset)
     # 70:30 of 12 per class, as row indices into the dataset, not copies
     assert train_rows.shape == (16,) and held_rows.shape == (8,)
     assert np.array_equal(np.sort(np.concatenate([train_rows, held_rows])), np.arange(24))
@@ -766,6 +767,13 @@ def test_load_dataset_refuses_a_spec_that_breaks_a_process_rule(tmp_path):
     persist_built(tmp_path / "d", AR100, n_per_class=2, length=128, master_seed=5)
     path = edit_source(tmp_path / "d", lambda source: source.update(length=64))
     with pytest.raises(ValueError, match=re.escape(f"{path}: AR lag 100 exceeds series length 64")):
+        load_dataset(tmp_path / "d")
+
+
+def test_load_dataset_refuses_an_unknown_source_key(tmp_path):
+    persist_built(tmp_path / "d", AR100, n_per_class=2, length=128, master_seed=5)
+    path = edit_source(tmp_path / "d", lambda source: source.update(note="hand-edited"))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: unknown key 'source.note'")):
         load_dataset(tmp_path / "d")
 
 
