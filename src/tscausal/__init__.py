@@ -20,6 +20,7 @@ from .classify import (
     train_lr,
 )
 from .pipeline import (
+    Dataset,
     DatasetRecipe,
     ExperimentConfig,
     ExperimentReport,
@@ -31,7 +32,6 @@ from .pipeline import (
     write_report,
 )
 from .seriesgen import (
-    Dataset,
     Kind,
     ProcessSpec,
     fractional_integration_weights,

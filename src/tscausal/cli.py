@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts, classify, pipeline, spectral
+from .codec import from_doc
 from .seriesgen import Kind, ProcessSpec, generate_many
 
 
@@ -100,7 +101,10 @@ def cmd_featurize(args) -> int:
 def _feature_sets(run_dir: Path) -> tuple[pipeline.ExperimentConfig, list[tuple]]:
     """The features' config and each set's (display name, directory, shape)."""
     manifest = artifacts.read_features_manifest(run_dir)
-    config = pipeline.config_from_dict(manifest.config)
+    try:
+        config = from_doc(pipeline.ExperimentConfig, manifest.config, "config")
+    except ValueError as exc:
+        raise ValueError(f"{run_dir / artifacts.FEATURES_MANIFEST}: {exc}") from exc
     names = pipeline.set_names(config)
     if len(manifest.shapes) != len(names):
         raise ValueError(f"{run_dir / artifacts.FEATURES_MANIFEST}: {len(manifest.shapes)} "

@@ -22,15 +22,14 @@ from pathlib import Path
 import numpy as np
 
 from . import classify, spectral
-from .artifacts import (REPORT_JSON, REPORT_TEXT, DatasetManifest, dataset_manifest_path,
-                        read_dataset_manifest, write_text)
+from .artifacts import (FEATURES_MANIFEST, REPORT_JSON, REPORT_TEXT, DatasetManifest,
+                        dataset_manifest_path, read_dataset_manifest, write_text)
 from .artifacts import persist_dataset  # noqa: F401 -- the CLI calls it through pipeline
 from .chaosfex import GlsParams, extract_ttss
 from .classify import CHAOSFEX_LR, DEFAULT_LR, ClassReport, LrHyper, LrModel
 from .codec import DecodeError, from_doc, to_doc
 from .seriesgen import (
     CAUSAL_KINDS,
-    Dataset,
     Kind,
     ProcessSpec,
     generate,  # noqa: F401 -- bench/layertrace.py wraps pipeline.generate
@@ -211,11 +210,25 @@ def _noise_spec(family: NoiseFamily, length: int) -> ProcessSpec:
     return ProcessSpec(kind=family.kind, length=length, uniform_lo=family.lo, uniform_hi=family.hi)
 
 
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """A simulated dataset: row i of the read-only float64 ``values`` matrix
+    is a series of class ``labels[i]``, 1 causal and 0 non-causal, in a
+    read-only int64 vector. ``build_dataset`` makes one."""
+
+    values: np.ndarray = field(repr=False)
+    labels: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        self.values.setflags(write=False)
+        self.labels.setflags(write=False)
+
+
 def build_dataset(
     recipe: DatasetRecipe, n_per_class: int, length: int, master_seed: int
 ) -> Dataset:
-    """Simulate ``recipe``'s labeled rows: causal rows first, then non-causal
-    rows.
+    """Simulate ``recipe``'s rows and label them: causal rows first, labelled
+    1, then non-causal rows, labelled 0.
 
     Row i of a class draws its spec (causal rows only) and its series seed
     from the stream of ``np.random.default_rng(derive_seed(master_seed,
@@ -234,12 +247,14 @@ def build_dataset(
         for rng in rngs("causal"):
             specs.append(_draw_spec(recipe.causal, length, rng))
             seeds.append(int(rng.integers(0, 2**63)))
+    n_causal = len(specs)
     if recipe.noncausal is not None:
         spec = _noise_spec(recipe.noncausal, length)
         for rng in rngs("noncausal"):
             specs.append(spec)
             seeds.append(int(rng.integers(0, 2**63)))
-    return Dataset(generate_many(specs, seeds), tuple(specs), tuple(seeds))
+    labels = (np.arange(len(specs)) < n_causal).astype(np.int64)
+    return Dataset(generate_many(specs, seeds), labels)
 
 
 @dataclass(frozen=True)
@@ -318,6 +333,8 @@ class ExperimentConfig:
                 f"{self.n_train_per_class} rows per class for training; each class "
                 "needs at least one training and one held-out row"
             )
+        if self.model != "raw" and self.length < 2:
+            raise ValueError(f"length must be >= 2 for model {self.model!r}'s spectra, got {self.length}")
         if not 0 < self.headroom < 0.1:
             raise ValueError(f"headroom must lie in (0, 0.1), got {self.headroom}")
         if self.train_recipe.causal is None or self.train_recipe.noncausal is None:
@@ -327,9 +344,9 @@ class ExperimentConfig:
         if len(set(names)) != len(names):
             raise ValueError(f"recipe names must be unique within a config, got {names}")
         for i, recipe in enumerate(self.test_recipes):
-            if recipe.name in SPLIT_SLUGS:
+            if recipe.name in (*SPLIT_SLUGS, Path(FEATURES_MANIFEST).name):
                 raise ValueError(f"test_recipes[{i}].name {recipe.name!r} is the features "
-                                 "directory of a train_recipe split")
+                                 f"directory of a split or the name of {FEATURES_MANIFEST}")
         where = ["train_recipe", *(f"test_recipes[{i}]" for i in range(len(self.test_recipes)))]
         for path, recipe in zip(where, (self.train_recipe, *self.test_recipes)):
             family = recipe.causal

@@ -11,8 +11,9 @@ of consecutive like specs: each row of the matrix it returns is a pure
 function of its (spec, seed), bit-identical for the same inputs whatever
 else shares the batch. A seed names the stream of
 ``np.random.default_rng(seed)``; ``streams`` re-points one generator to each
-seed's stream instead of building one per series. A ``Dataset`` holds such a
-matrix with the labels, specs and seeds of its rows.
+seed's stream instead of building one per series. The module simulates
+processes and knows nothing of classes: ``pipeline.build_dataset`` labels
+each row by the recipe family it drew the row's spec from.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import itertools
 import math
 import operator
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -40,9 +41,6 @@ class Kind(str, Enum):
 
 
 CAUSAL_KINDS = frozenset({Kind.AR, Kind.ARMA, Kind.ARFIMA})
-
-NON_CAUSAL = 0
-CAUSAL = 1
 
 
 @dataclass(frozen=True)
@@ -120,26 +118,6 @@ class ProcessSpec:
             raise ValueError(
                 f"single-lag AR coefficient must satisfy |a| < 1, got {self.ar_terms[0][1]}"
             )
-
-    @property
-    def label(self) -> int:
-        return CAUSAL if self.kind in CAUSAL_KINDS else NON_CAUSAL
-
-
-@dataclass(frozen=True, eq=False)
-class Dataset:
-    """Simulated series: row i of the read-only float64 ``values`` matrix is
-    ``specs[i]`` simulated from ``seeds[i]``; read-only int64 ``labels`` follow."""
-
-    values: np.ndarray = field(repr=False)
-    specs: tuple[ProcessSpec, ...]
-    seeds: tuple[int, ...]
-    labels: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", np.array([s.label for s in self.specs], dtype=np.int64))
-        self.values.setflags(write=False)
-        self.labels.setflags(write=False)
 
 
 # SeedSequence's hash constants; XSHIFT is half a 32-bit word

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import persist_built
+from helpers import build_dataset_oracle, persist_built
 from tscausal import artifacts, pipeline
 from tscausal.classify import MODEL_SCHEMA_VERSION, LrModel
 from tscausal.cli import main
@@ -112,20 +112,31 @@ def test_a_manifest_round_trips_through_its_file(tmp_path, cls, relpath, version
     assert to_doc(again) == to_doc(document)
 
 
-@pytest.mark.parametrize("relpath, key, step", [
-    ("datasets/AR-train/manifest.json", "note", "featurize"),
-    ("features/manifest.json", "note", "train"),
-], ids=["dataset", "features"])
-def test_a_manifest_with_an_unknown_key_is_refused(tmp_path, capsys, relpath, key, step):
+@pytest.mark.parametrize("relpath, key, value, step, error", [
+    ("datasets/AR-train/manifest.json", "note", "hand-edited", "featurize", "unknown key 'note'"),
+    ("features/manifest.json", "note", "hand-edited", "train", "unknown key 'note'"),
+    # the features' config decodes under the manifest's path too
+    ("features/manifest.json", "config.note", "hand-edited", "train",
+     "unknown key 'config.note'"),
+    ("features/manifest.json", "config.note", "hand-edited", "evaluate",
+     "unknown key 'config.note'"),
+    ("features/manifest.json", "config.headroom", 0.5, "train",
+     "key 'config': headroom must lie in (0, 0.1), got 0.5"),
+], ids=["dataset", "features", "features-config-train", "features-config-evaluate",
+        "features-config-headroom"])
+def test_a_manifest_with_an_unknown_key_is_refused(tmp_path, capsys, relpath, key, value, step,
+                                                   error):
     run = tiny_run(tmp_path)
-    assert main(["featurize", str(run)]) == 0
+    for made_by in ("featurize", "train"):
+        assert main([made_by, str(run)]) == 0
     path = run / relpath
     manifest = json.loads(path.read_text())
-    manifest["note"] = "hand-edited"
+    *section, name = key.split(".")
+    (manifest[section[0]] if section else manifest)[name] = value
     path.write_text(json.dumps(manifest))
     capsys.readouterr()
     assert main([step, str(run)]) == 1
-    assert f"error [{step}]: {path}: unknown key '{key}'" in capsys.readouterr().err
+    assert f"error [{step}]: {path}: {error}" in capsys.readouterr().err
 
 
 def test_featurize_names_a_manifest_that_is_not_json(tmp_path, capsys):
@@ -433,9 +444,11 @@ def test_featurize_refuses_a_relabelled_manifest_of_the_previous_format(tmp_path
     # the labels from there: an AR row made noise moved the train split
     run = tiny_run(tmp_path)
     config = pipeline.config_from_dict(TINY)
-    data = pipeline.make_dataset(config, AR_TRAIN)
-    series = [{"label": s.label, "seed": seed, "spec": to_doc(s)}
-              for s, seed in zip(data.specs, data.seeds)]
+    labels = pipeline.make_dataset(config, AR_TRAIN).labels.tolist()
+    specs, seeds = build_dataset_oracle(AR_TRAIN, TINY["n_train_per_class"], TINY["length"],
+                                        TINY["master_seed"])
+    series = [{"label": label, "seed": seed, "spec": to_doc(s)}
+              for label, s, seed in zip(labels, specs, seeds)]
     series[0]["spec"].update(kind="noise_normal", ar_terms=[])
     series[0]["label"] = 0
     path = run / "datasets" / "AR-train" / "manifest.json"

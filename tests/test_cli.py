@@ -167,6 +167,20 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     ({"train_recipe": "AR100"}, "train_recipe 'AR100' must define both a causal and a noncausal"),
     ({"train_recipe": {"name": "noise", "noncausal": {"kind": "noise_normal"}}},
      "train_recipe 'noise' must define both a causal and a noncausal"),
+    # its features directory was features/manifest.json: featurize failed with
+    # exit 1, and the run directory refused every later featurize
+    ({"test_recipes": [{"name": "manifest.json", "causal": {"kind": "ar"}}]},
+     "test_recipes[0].name 'manifest.json' is the features directory of a split or the name "
+     "of features/manifest.json"),
+    # a spectrum needs two values; featurize used to fail with exit 1
+    ({"length": 1, "model": "fft", "test_recipes": [],
+      "train_recipe": {"name": "t", "causal": {"kind": "ar", "lag_hi": 1},
+                       "noncausal": {"kind": "noise_normal"}}},
+     "length must be >= 2 for model 'fft''s spectra, got 1"),
+    ({"length": 1, "test_recipes": [],
+      "train_recipe": {"name": "t", "causal": {"kind": "ar", "lag_hi": 1},
+                       "noncausal": {"kind": "noise_normal"}}},
+     "length must be >= 2 for model 'fft_chaosfex''s spectra, got 1"),
 ])
 def test_bad_config_fails_at_load_naming_the_key(tmp_path, capsys, doc, key):
     bad = tmp_path / "bad.json"
@@ -174,6 +188,19 @@ def test_bad_config_fails_at_load_naming_the_key(tmp_path, capsys, doc, key):
     assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "run")]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_a_raw_config_keeps_length_1(tmp_path):
+    # only the spectral models need two values per series
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps({
+        "length": 1, "model": "raw", "test_recipes": [], "n_train_per_class": 10,
+        "train_recipe": {"name": "t", "causal": {"kind": "ar", "lag_hi": 1},
+                         "noncausal": {"kind": "noise_normal"}}}))
+    run = tmp_path / "run"
+    assert main(["generate", "--config", str(path), "--out", str(run)]) == 0
+    for step in ("featurize", "train", "evaluate"):
+        assert main([step, str(run)]) == 0
 
 
 def test_featurize_before_generate_fails_cleanly(tmp_path, tiny_config_path, capsys):

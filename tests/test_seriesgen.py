@@ -12,8 +12,6 @@ from helpers import exact_convolution, gamma_ratio_weights, lag_autocorr, scalar
 from lifetimes import traced_peak
 from tscausal import seriesgen
 from tscausal.seriesgen import (
-    CAUSAL,
-    NON_CAUSAL,
     Kind,
     ProcessSpec,
     fractional_integration_weights,
@@ -181,11 +179,6 @@ def test_spec_takes_a_kind_by_its_value(kind, terms, error):
         spec = ProcessSpec(kind=kind, length=5, ar_terms=terms)
         assert spec.kind is Kind.AR
         assert spec == ProcessSpec(kind=Kind.AR, length=5, ar_terms=terms)
-
-
-def test_spec_labels():
-    assert ar_spec().label == CAUSAL
-    assert ProcessSpec(kind=Kind.NOISE_NORMAL, length=10).label == NON_CAUSAL
 
 
 # ---------------------------------------------------------------------------
