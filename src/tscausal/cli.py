@@ -54,7 +54,12 @@ def _apply_overrides(config: pipeline.ExperimentConfig, args) -> pipeline.Experi
     if getattr(args, "seed", None) is not None:
         config = replace(config, master_seed=args.seed)
     if getattr(args, "model", None) is not None:
-        config = replace(config, model=pipeline.canonical_model(args.model))
+        model = pipeline.canonical_model(args.model)
+        # a model the config cannot take is a config error, as in a config file
+        try:
+            config = replace(config, model=model)
+        except ValueError as exc:
+            raise ConfigError(f"--model {model}: {exc}") from exc
     return config
 
 

@@ -214,7 +214,10 @@ def _noise_spec(family: NoiseFamily, length: int) -> ProcessSpec:
 class Dataset:
     """A simulated dataset: row i of the read-only float64 ``values`` matrix
     is a series of class ``labels[i]``, 1 causal and 0 non-causal, in a
-    read-only int64 vector. ``build_dataset`` makes one."""
+    read-only int64 vector. ``build_dataset`` makes one, whose ``values``
+    own their memory. ``featurize_sets`` takes each dataset its
+    ``dataset_for`` returns and writes the set's features over its values,
+    so each call of ``dataset_for`` must return a new dataset."""
 
     values: np.ndarray = field(repr=False)
     labels: np.ndarray = field(repr=False)
@@ -437,10 +440,22 @@ class FeatureStage:
         block at a time, and the transients of the spectra, scaling and
         firing are those of a block, so the output is the one array the size
         of the set that a transform makes."""
+        return self._transform_into(values, rows, None)
+
+    def _transform_into(self, values: np.ndarray, rows: np.ndarray | None,
+                        memory: np.ndarray | None) -> np.ndarray:
+        """``transform``'s features, written into the front of the flat
+        float64 buffer ``memory`` if given, else into a new matrix. A block's
+        features are written once its rows are read, and a feature row is
+        never wider than a series, so ``memory`` may be ``values``' own when
+        no selected row precedes its place in the selection, as in sorted
+        rows: the block of rows [a, b) then writes below where row b starts."""
+        n = len(values) if rows is None else len(rows)
         out = None
         for start, feats in _map_blocks(self._transform_rows, values, rows):
             if out is None:
-                out = np.empty((len(values) if rows is None else len(rows), feats.shape[1]))
+                width = feats.shape[1]
+                out = np.empty((n, width)) if memory is None else memory[:n * width].reshape(n, width)
             out[start:start + len(feats)] = feats
         return out
 
@@ -567,32 +582,54 @@ def assemble_sets(config: ExperimentConfig,
     return [(rows, train_set.labels[rows]) for rows in split_indices(config, train_set.labels)]
 
 
+def _owned_values(dataset: Dataset, name: str) -> np.ndarray:
+    """The values of dataset ``name``, made writable so that featurize can
+    write its features over them; values that do not own their memory (a
+    view, say) are refused."""
+    values = dataset.values
+    if not (values.flags.owndata and values.flags.c_contiguous and values.dtype == np.float64):
+        raise ValueError(f"dataset {name!r}: featurize writes its features over its values, "
+                         "which must be a C-contiguous float64 matrix that owns its memory; "
+                         "dataset_for must return a new dataset")
+    values.setflags(write=True)
+    return values
+
+
 def featurize_sets(config: ExperimentConfig, dataset_for: Callable[[DatasetRecipe], Dataset]):
     """Yield (display name, features directory, features, labels) for each
     set ``set_names`` names, with the feature stage fitted on the train
     split. ``dataset_for(recipe)`` makes a recipe's dataset when its set's
-    turn comes. The train dataset lives through its two splits and every
-    other dataset is dropped once featurized, so no two datasets are ever
-    alive at once, and a caller that drops each set's features before asking
-    for the next never holds two sets' features."""
+    turn comes, and each call must return a new dataset: featurize owns it
+    and writes the set's features over its values, so a test set's features
+    are a view of its dataset's memory. The train dataset's held-out
+    features go to their own array first, while every series is intact;
+    its train rows, sorted, are then transformed over the front of its
+    memory. No two datasets are ever alive at once, and a caller that drops
+    each set's features before asking for the next holds one dataset's
+    memory, and the held-out features, at most."""
+    (train, train_dir), (held, held_dir), *tests = set_names(config)
     dataset = dataset_for(config.train_recipe)
-    splits = assemble_sets(config, dataset)
-    tests = iter(config.test_recipes)
-    stage = None
-    # no ``zip`` over made datasets: its reused result tuple would hold a
-    # set while the next is made
-    for name, set_dir in set_names(config):
-        if splits:
-            rows, labels = splits.pop(0)
-        else:
-            dataset = dataset_for(next(tests))
-            rows, labels = None, dataset.labels
+    values = _owned_values(dataset, config.train_recipe.name)
+    (rows, labels), (held_rows, held_labels) = assemble_sets(config, dataset)
+    del dataset
+    with in_stage("featurize", train):
+        stage = fit_feature_stage(config, values, rows)
+    with in_stage("featurize", held):
+        held_features = stage.transform(values, held_rows)
+    with in_stage("featurize", train):
+        features = stage._transform_into(values, rows, values.reshape(-1))
+    del values
+    yield train, train_dir, features, labels
+    del features
+    yield held, held_dir, held_features, held_labels
+    del held_features
+    for recipe, (name, set_dir) in zip(config.test_recipes, tests):
+        dataset = dataset_for(recipe)
+        values, labels = _owned_values(dataset, name), dataset.labels
+        del dataset
         with in_stage("featurize", name):
-            if stage is None:  # the first set is the train split
-                stage = fit_feature_stage(config, dataset.values, rows)
-            features = stage.transform(dataset.values, rows)
-        if not splits:  # a test set's dataset, or the train dataset after its last split
-            del dataset
+            features = stage._transform_into(values, None, values.reshape(-1))
+        del values
         yield name, set_dir, features, labels
         del features
 

@@ -3,13 +3,15 @@ and the traced allocation peak of a call.
 
 A streamed run makes each dataset, featurizes it, and lets it go before it
 makes the next; the train dataset lives through its two splits, which are
-row indices into it. ``watch_sets`` wraps the function that makes datasets
-(built or loaded) and ``FeatureStage.transform``, and each wrapped call first
-asserts which datasets are alive: none before a dataset is made, and exactly
-the newest one, the one it reads, before a transform; and no features made
-earlier. A run that keeps a set after its turn, such as a ``zip`` over
-lazily made test sets whose reused result tuple holds the last one, fails at
-its next set.
+row indices into it. Featurize writes a set's features over its dataset's
+memory, except the held-out set's, which it takes into their own array
+before the train split's overwrite the series. ``watch_sets`` wraps the
+function that makes datasets (built or loaded) and ``featurize_sets``. Each
+made dataset first asserts that no dataset and no features of an earlier
+set are alive, and each yielded set asserts that no features of an earlier
+set are alive and records which datasets are. A run that keeps a set after
+its turn, such as a ``zip`` over lazily made test sets whose reused result
+tuple holds the last one, fails at its next set.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import weakref
 from contextlib import contextmanager
 
 from tscausal import pipeline
-from tscausal.pipeline import FeatureStage
 
 
 class SetWatch:
@@ -28,6 +29,8 @@ class SetWatch:
         # per dataset, references to the Dataset and to its values matrix
         self.datasets: list[tuple[weakref.ref, weakref.ref]] = []
         self.features: list[weakref.ref] = []
+        # per yielded set, the datasets alive when it was yielded
+        self.alive_at_yield: list[list[int]] = []
 
     def live_datasets(self) -> list[int]:
         return [i for i, refs in enumerate(self.datasets) if any(r() is not None for r in refs)]
@@ -35,10 +38,8 @@ class SetWatch:
     def live_features(self) -> list[int]:
         return [i for i, ref in enumerate(self.features) if ref() is not None]
 
-    def check(self, call: str, datasets_alive: list[int]) -> None:
-        live = self.live_datasets()
-        assert live == datasets_alive, \
-            f"before {call}: datasets {live} are alive, expected {datasets_alive}"
+    def check(self, call: str) -> None:
+        assert not self.live_datasets(), f"before {call}: datasets {self.live_datasets()} are alive"
         assert not self.live_features(), \
             f"before {call}: feature matrices {self.live_features()} are alive"
 
@@ -46,26 +47,28 @@ class SetWatch:
 @contextmanager
 def watch_sets(monkeypatch, maker: str):
     """Watch the datasets ``pipeline.<maker>`` returns and the features
-    ``FeatureStage.transform`` returns for the duration of the block. The
+    ``pipeline.featurize_sets`` yields for the duration of the block. The
     cyclic collector is off, so that only reference counts free a set."""
     watch = SetWatch()
-    make, transform = getattr(pipeline, maker), FeatureStage.transform
+    make, featurize = getattr(pipeline, maker), pipeline.featurize_sets
 
     def watched_make(*args, **kwargs):
-        watch.check(f"{maker} #{len(watch.datasets)}", [])
+        watch.check(f"{maker} #{len(watch.datasets)}")
         dataset = make(*args, **kwargs)
         watch.datasets.append((weakref.ref(dataset), weakref.ref(dataset.values)))
         return dataset
 
-    def watched_transform(stage, values, rows=None):
-        # the dataset being transformed is the newest one
-        watch.check(f"transform #{len(watch.features)}", [len(watch.datasets) - 1])
-        features = transform(stage, values, rows)
-        watch.features.append(weakref.ref(features))
-        return features
+    def watched_featurize(*args, **kwargs):
+        for name, set_dir, features, labels in featurize(*args, **kwargs):
+            assert not watch.live_features(), \
+                f"at set {name!r}: feature matrices {watch.live_features()} are alive"
+            watch.alive_at_yield.append(watch.live_datasets())
+            watch.features.append(weakref.ref(features))
+            yield name, set_dir, features, labels
+            del features  # before the next set is made
 
     monkeypatch.setattr(pipeline, maker, watched_make)
-    monkeypatch.setattr(FeatureStage, "transform", watched_transform)
+    monkeypatch.setattr(pipeline, "featurize_sets", watched_featurize)
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -203,6 +203,25 @@ def test_a_raw_config_keeps_length_1(tmp_path):
         assert main([step, str(run)]) == 0
 
 
+def test_a_model_override_that_makes_the_config_invalid_is_a_config_error(tmp_path, capsys):
+    # a raw config keeps length 1, which has no spectra; `featurize --model
+    # fft` used to exit 1 as a runtime error
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps({
+        "length": 1, "model": "raw", "test_recipes": [], "n_train_per_class": 10,
+        "train_recipe": {"name": "t", "causal": {"kind": "ar", "lag_hi": 1},
+                         "noncausal": {"kind": "noise_normal"}}}))
+    run = tmp_path / "run"
+    for argv in (["generate", "--config", str(path), "--out", str(run)], ["featurize", str(run)]):
+        assert main(argv) == 0, capsys.readouterr().err
+    features = {p: p.read_bytes() for p in (run / "features").rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main(["featurize", str(run), "--model", "fft"]) == 2
+    assert ("config error: --model fft: length must be >= 2 for model 'fft''s spectra, got 1"
+            in capsys.readouterr().err)
+    assert {p: p.read_bytes() for p in (run / "features").rglob("*") if p.is_file()} == features
+
+
 def test_featurize_before_generate_fails_cleanly(tmp_path, tiny_config_path, capsys):
     run = tmp_path / "run"
     run.mkdir()
@@ -502,8 +521,11 @@ def test_featurize_holds_one_dataset_and_one_set_of_features_at_a_time(
     assert main(["generate", "--config", str(four_set_config_path), "--out", str(run)]) == 0
     with watch_sets(monkeypatch, "load_dataset") as watch:
         assert main(["featurize", str(run)]) == 0, capsys.readouterr().err
-    # the train dataset, alive through both, makes the train split and the held-out set
+    # the train dataset makes the train split and the held-out set; each
+    # set's features but the held-out set's are written over its dataset's
+    # memory, which they keep alive until dropped
     assert len(watch.datasets) == 4 and len(watch.features) == 5
+    assert watch.alive_at_yield == [[0], [], [1], [2], [3]]
     assert not watch.live_datasets() and not watch.live_features()
 
 

@@ -28,7 +28,6 @@ from tscausal.pipeline import (
     CausalFamily,
     DatasetRecipe,
     ExperimentConfig,
-    FeatureStage,
     NoiseFamily,
     assemble_sets,
     build_dataset,
@@ -495,6 +494,42 @@ def test_split_features_from_index_blocks_equal_a_transform_of_the_copied_split(
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+IN_PLACE_STAGES = {
+    "raw": dict(model="raw"),
+    "fft": dict(model="fft"),
+    "fft-no-dc": dict(model="fft", keep_dc=False),
+    "fft-demeaned": dict(model="fft", demean_first=True),
+    "chaos-fitted": dict(model="fft_chaosfex"),
+    "chaos-per-instance": dict(model="fft_chaosfex", per_instance_scaling=True),
+}
+
+
+@pytest.mark.parametrize("length", [2, 128])
+@pytest.mark.parametrize("stage_kw", IN_PLACE_STAGES.values(), ids=IN_PLACE_STAGES)
+def test_features_written_over_a_dataset_equal_a_transform_of_its_copy(monkeypatch, stage_kw,
+                                                                       length):
+    # blocks of 5 rows cut every set; a raw row, and at length 2 a spectrum
+    # of 2 // 2 + 1 values, is as wide as its series, so each block then
+    # overwrites exactly the rows it read
+    short = CausalFamily(Kind.AR, lag_hi=1)
+    config = tiny_config(
+        length=length, **stage_kw,
+        train_recipe=DatasetRecipe("t", causal=short, noncausal=NoiseFamily(Kind.NOISE_NORMAL)),
+        test_recipes=(DatasetRecipe("u", causal=short, noncausal=NoiseFamily(Kind.NOISE_UNIFORM)),
+                      DatasetRecipe("v", causal=short)))
+    monkeypatch.setattr(pipeline, "TRANSFORM_BLOCK_ROWS", 5)
+    sets = list(pipeline.featurize_sets(config, lambda recipe: make_dataset(config, recipe)))
+    train = make_dataset(config, config.train_recipe)
+    splits = split_indices(config, train.labels)
+    stage = fit_feature_stage(config, train.values, splits[0])
+    want = [stage.transform(train.values[idx].copy()) for idx in splits]
+    want += [stage.transform(make_dataset(config, r).values.copy()) for r in config.test_recipes]
+    assert [len(f) for _, _, f, _ in sets] == [16, 8, 12, 6]
+    for (name, _, features, _), expected in zip(sets, want):
+        assert features.shape == expected.shape, name
+        np.testing.assert_array_equal(features.view(np.uint64), expected.view(np.uint64), err_msg=name)
+
+
 def constant_dc_series(rows: int, length: int) -> np.ndarray:
     """Small-integer series that all sum to 5, so that the DC bin of every
     amplitude spectrum, a sum of integers, is exactly 5."""
@@ -590,43 +625,62 @@ def test_run_experiment_report_is_the_same_from_a_cached_firing_table():
     assert a == b
 
 
-def test_test_sets_reach_the_feature_stage_without_a_copy(monkeypatch):
-    built, seen = [], []
-    build, transform = pipeline.build_dataset, FeatureStage.transform
+def test_features_are_written_over_their_datasets_memory():
+    config = tiny_config(test_recipes=(SHIFT_I, AR100))
+    built = []
 
-    def recording_build(*args):
-        built.append(build(*args))
+    def dataset_for(recipe):
+        built.append(make_dataset(config, recipe))
         return built[-1]
 
-    def recording_transform(self, values, rows=None):
-        seen.append((values, rows))
-        return transform(self, values, rows)
+    sets = [(name, features) for name, _, features, _ in pipeline.featurize_sets(config, dataset_for)]
+    assert len(built) == 3 and len(sets) == 4
+    # the train split and each test set over its dataset's values; the
+    # held-out features, taken before the train split's overwrite the
+    # series, in their own array
+    for (name, features), dataset in zip(sets, [built[0], None, *built[1:]]):
+        if dataset is None:
+            assert not any(np.shares_memory(features, d.values) for d in built), name
+        else:
+            assert np.shares_memory(features, dataset.values), name
 
-    monkeypatch.setattr(pipeline, "build_dataset", recording_build)
-    monkeypatch.setattr(FeatureStage, "transform", recording_transform)
-    run_experiment(tiny_config(test_recipes=(SHIFT_I, AR100)))
-    # the train split and held-out set come first, as row indices into the
-    # train dataset's own matrix, then one whole matrix per test recipe
-    assert len(built) == 3 and len(seen) == 4
-    for dataset, (values, rows) in zip([built[0], *built], seen):
-        assert values is dataset.values
-        assert (rows is None) == (dataset is not built[0])
+
+@pytest.mark.parametrize("recipe", [AR_TRAIN, AR100], ids=lambda r: r.name)
+def test_featurize_sets_refuses_a_dataset_over_a_view(recipe):
+    # featurize writes a set's features over its dataset's values, so a
+    # dataset that does not own them is refused before any is written
+    config = tiny_config(test_recipes=(SHIFT_I, AR100))
+
+    def dataset_for(made):
+        dataset = make_dataset(config, made)
+        if made == recipe:
+            return pipeline.Dataset(dataset.values[:], dataset.labels)
+        return dataset
+
+    with pytest.raises(ValueError, match=f"^dataset {recipe.name!r}: featurize writes its "
+                                         "features over its values, which must be .* that owns "
+                                         "its memory; dataset_for must return a new dataset$"):
+        list(pipeline.featurize_sets(config, dataset_for))
 
 
 def test_run_experiment_holds_one_dataset_and_one_set_of_features_at_a_time(monkeypatch):
     config = tiny_config(test_recipes=(SHIFT_I, SHIFT_II, AR100))
     with watch_sets(monkeypatch, "build_dataset") as watch:
         run_experiment(config)
-    # the train dataset, alive through both, makes the train split and the held-out set
+    # the train dataset makes the train split and the held-out set; each
+    # set's features but the held-out set's are written over its dataset's
+    # memory, which they keep alive until dropped
     assert len(watch.datasets) == 4 and len(watch.features) == 5
+    assert watch.alive_at_yield == [[0], [], [1], [2], [3]]
     assert not watch.live_datasets() and not watch.live_features()
 
 
-def test_run_experiment_peak_memory_stays_below_0_7x_its_datasets():
-    # each set's values are freed once featurized, no series is held twice
-    # and every temporary is a block's, so the traced peak stays near the
-    # largest dataset and its features: it measures 0.61x the bytes of all
-    # datasets, where copies of the train splits took it to 0.75x
+def test_run_experiment_peak_memory_stays_below_0_58x_its_datasets():
+    # each set's features are written over its dataset's values, no series
+    # is held twice and every temporary is a block's, so the traced peak is
+    # the train dataset, its held-out features and a block: it measures
+    # 0.54x the bytes of all datasets, where features beside their values
+    # took it to 0.61x and copies of the train splits to 0.75x
     config = table_config("table3", scale="desk", seed=42)
     run_experiment(config)  # builds the firing table and other first-use state
     sizes = [(config.train_recipe, config.n_train_per_class),
@@ -634,7 +688,7 @@ def test_run_experiment_peak_memory_stays_below_0_7x_its_datasets():
     n_series = sum(n * ((r.causal is not None) + (r.noncausal is not None)) for r, n in sizes)
     dataset_bytes = n_series * config.length * np.dtype(np.float64).itemsize
     peak = traced_peak(run_experiment, config)
-    assert peak < 0.7 * dataset_bytes, f"traced peak is {peak / dataset_bytes:.2f}x the datasets"
+    assert peak < 0.58 * dataset_bytes, f"traced peak is {peak / dataset_bytes:.2f}x the datasets"
 
 
 def test_report_json_excludes_timings():
