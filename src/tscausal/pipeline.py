@@ -216,8 +216,10 @@ class Dataset:
     is a series of class ``labels[i]``, 1 causal and 0 non-causal, in a
     read-only int64 vector. ``build_dataset`` makes one, whose ``values``
     own their memory. ``featurize_sets`` takes each dataset its
-    ``dataset_for`` returns and writes the set's features over its values,
-    so each call of ``dataset_for`` must return a new dataset."""
+    ``dataset_for`` returns, makes its values writable and writes the set's
+    features over them, every row's in place; it refuses a dataset whose
+    values are writable, so each call of ``dataset_for`` must return a new
+    dataset."""
 
     values: np.ndarray = field(repr=False)
     labels: np.ndarray = field(repr=False)
@@ -433,28 +435,24 @@ class FeatureStage:
     scaler: MinMaxScaler | None
     config: ExperimentConfig
 
-    def transform(self, values: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        """Features of ``values[rows]``, or of every row of ``values`` if
-        ``rows`` is None, computed one block of ``TRANSFORM_BLOCK_ROWS`` rows
-        at a time into one preallocated matrix. The selection is gathered a
-        block at a time, and the transients of the spectra, scaling and
-        firing are those of a block, so the output is the one array the size
-        of the set that a transform makes."""
-        return self._transform_into(values, rows, None)
+    def transform(self, values: np.ndarray) -> np.ndarray:
+        """Features of every row of ``values``, computed one block of
+        ``TRANSFORM_BLOCK_ROWS`` rows at a time into one preallocated matrix.
+        The transients of the spectra, scaling and firing are those of a
+        block, so the output is the one array the size of the set that a
+        transform makes."""
+        return self._transform_into(values, None)
 
-    def _transform_into(self, values: np.ndarray, rows: np.ndarray | None,
-                        memory: np.ndarray | None) -> np.ndarray:
+    def _transform_into(self, values: np.ndarray, memory: np.ndarray | None) -> np.ndarray:
         """``transform``'s features, written into the front of the flat
         float64 buffer ``memory`` if given, else into a new matrix. A block's
         features are written once its rows are read, and a feature row is
-        never wider than a series, so ``memory`` may be ``values``' own when
-        no selected row precedes its place in the selection, as in sorted
-        rows: the block of rows [a, b) then writes below where row b starts."""
-        n = len(values) if rows is None else len(rows)
+        never wider than a series, so ``memory`` may be ``values``' own: the
+        block of rows [a, b) writes below where row b starts."""
         out = None
-        for start, feats in _map_blocks(self._transform_rows, values, rows):
+        for start, feats in _map_blocks(self._transform_rows, values, None):
             if out is None:
-                width = feats.shape[1]
+                n, width = len(values), feats.shape[1]
                 out = np.empty((n, width)) if memory is None else memory[:n * width].reshape(n, width)
             out[start:start + len(feats)] = feats
         return out
@@ -584,15 +582,41 @@ def assemble_sets(config: ExperimentConfig,
 
 def _owned_values(dataset: Dataset, name: str) -> np.ndarray:
     """The values of dataset ``name``, made writable so that featurize can
-    write its features over them; values that do not own their memory (a
-    view, say) are refused."""
+    write its features over them. Values that do not own their memory (a
+    view, say) are refused, and so are writable ones: a dataset's values are
+    read-only until featurize has taken them, so they hold features."""
     values = dataset.values
     if not (values.flags.owndata and values.flags.c_contiguous and values.dtype == np.float64):
         raise ValueError(f"dataset {name!r}: featurize writes its features over its values, "
                          "which must be a C-contiguous float64 matrix that owns its memory; "
                          "dataset_for must return a new dataset")
+    if values.flags.writeable:
+        raise ValueError(f"dataset {name!r}: its values are writable, so featurize has already "
+                         "written a set's features over them; dataset_for must return a new "
+                         "dataset")
     values.setflags(write=True)
     return values
+
+
+def _permute_rows(matrix: np.ndarray, order: np.ndarray) -> None:
+    """Reorder the rows of ``matrix`` in place into ``matrix[order]``,
+    ``order`` being a permutation of its row indices. Each cycle of the
+    permutation is followed through one row of scratch, so every row is
+    moved once and none is recomputed."""
+    order = order.tolist()  # a row moved is marked as a fixed point
+    scratch = np.empty(matrix.shape[1:], matrix.dtype)
+    for first in range(len(order)):
+        if order[first] == first:
+            continue
+        scratch[...] = matrix[first]
+        row = first
+        while order[row] != first:
+            source = order[row]
+            matrix[row] = matrix[source]
+            order[row] = row
+            row = source
+        matrix[row] = scratch
+        order[row] = row
 
 
 def featurize_sets(config: ExperimentConfig, dataset_for: Callable[[DatasetRecipe], Dataset]):
@@ -600,25 +624,27 @@ def featurize_sets(config: ExperimentConfig, dataset_for: Callable[[DatasetRecip
     set ``set_names`` names, with the feature stage fitted on the train
     split. ``dataset_for(recipe)`` makes a recipe's dataset when its set's
     turn comes, and each call must return a new dataset: featurize owns it
-    and writes the set's features over its values, so a test set's features
-    are a view of its dataset's memory. The train dataset's held-out
-    features go to their own array first, while every series is intact;
-    its train rows, sorted, are then transformed over the front of its
-    memory. No two datasets are ever alive at once, and a caller that drops
-    each set's features before asking for the next holds one dataset's
-    memory, and the held-out features, at most."""
+    and writes the set's features over its values, so every set's features
+    are a view of its dataset's memory. Every row of the train dataset is
+    transformed in order, as a test set's is; its feature rows are then
+    moved in place into split order, the train rows before the held-out
+    rows, and the two splits are disjoint views of the one buffer. No two
+    datasets are ever alive at once, and a caller that drops each set's
+    features before asking for the next holds one dataset's memory at most."""
     (train, train_dir), (held, held_dir), *tests = set_names(config)
+    train_name = config.train_recipe.name
     dataset = dataset_for(config.train_recipe)
-    values = _owned_values(dataset, config.train_recipe.name)
+    values = _owned_values(dataset, train_name)
     (rows, labels), (held_rows, held_labels) = assemble_sets(config, dataset)
     del dataset
     with in_stage("featurize", train):
         stage = fit_feature_stage(config, values, rows)
-    with in_stage("featurize", held):
-        held_features = stage.transform(values, held_rows)
-    with in_stage("featurize", train):
-        features = stage._transform_into(values, rows, values.reshape(-1))
+    with in_stage("featurize", train_name):
+        every = stage._transform_into(values, values.reshape(-1))
     del values
+    _permute_rows(every, np.concatenate([rows, held_rows]))
+    features, held_features = every[:len(rows)], every[len(rows):]
+    del every
     yield train, train_dir, features, labels
     del features
     yield held, held_dir, held_features, held_labels
@@ -628,7 +654,7 @@ def featurize_sets(config: ExperimentConfig, dataset_for: Callable[[DatasetRecip
         values, labels = _owned_values(dataset, name), dataset.labels
         del dataset
         with in_stage("featurize", name):
-            features = stage._transform_into(values, None, values.reshape(-1))
+            features = stage._transform_into(values, values.reshape(-1))
         del values
         yield name, set_dir, features, labels
         del features

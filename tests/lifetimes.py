@@ -2,16 +2,16 @@
 and the traced allocation peak of a call.
 
 A streamed run makes each dataset, featurizes it, and lets it go before it
-makes the next; the train dataset lives through its two splits, which are
-row indices into it. Featurize writes a set's features over its dataset's
-memory, except the held-out set's, which it takes into their own array
-before the train split's overwrite the series. ``watch_sets`` wraps the
-function that makes datasets (built or loaded) and ``featurize_sets``. Each
-made dataset first asserts that no dataset and no features of an earlier
-set are alive, and each yielded set asserts that no features of an earlier
-set are alive and records which datasets are. A run that keeps a set after
-its turn, such as a ``zip`` over lazily made test sets whose reused result
-tuple holds the last one, fails at its next set.
+makes the next. Featurize writes every set's features over its dataset's
+memory, so each set's features keep its dataset's values alive; the train
+dataset lives through its two splits, which are disjoint rows of its
+memory. ``watch_sets`` wraps the function that makes datasets (built or
+loaded) and ``featurize_sets``. Each made dataset first asserts that no
+dataset and no features of an earlier set are alive, and each yielded set
+asserts that no features of an earlier set are alive and records which
+datasets are. A run that keeps a set after its turn, such as a ``zip`` over
+lazily made test sets whose reused result tuple holds the last one, fails
+at its next set.
 """
 
 from __future__ import annotations

@@ -151,15 +151,15 @@ def test_criterion_4_chaos_model_at_paper_scale():
 
 
 @paper_scale
-def test_paper_scale_table3_array_peak_stays_below_58_mb():
-    # a warm pass holds one set's values, which its features overwrite, the
-    # held-out features and one block's temporaries at a time: its traced
-    # peak measures 50.2 MB (1 MB = 1e6 bytes), where features beside their
-    # values took it to 63.2 MB, and whole-split copies and whole-set noise
-    # and spectra to 80.5 MB
+def test_paper_scale_table3_array_peak_stays_below_47_mb():
+    # a warm pass holds one set's values, which its features overwrite, and
+    # one block's temporaries at a time: its traced peak measures 43.2 MB
+    # (1 MB = 1e6 bytes), where held-out features in their own array took
+    # it to 50.2 MB, features beside their values to 63.2 MB, and
+    # whole-split copies and whole-set noise and spectra to 80.5 MB
     run_experiment(table_config("table3", scale="desk", seed=42))  # first-use state
     peak = traced_peak(run_experiment, table_config("table3", scale="paper", seed=42))
-    assert peak < 58e6, f"traced peak is {peak / 1e6:.1f} MB"
+    assert peak < 47e6, f"traced peak is {peak / 1e6:.1f} MB"
 
 
 def test_criterion_5_extrema_counts_separate_classes():

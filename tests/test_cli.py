@@ -522,10 +522,10 @@ def test_featurize_holds_one_dataset_and_one_set_of_features_at_a_time(
     with watch_sets(monkeypatch, "load_dataset") as watch:
         assert main(["featurize", str(run)]) == 0, capsys.readouterr().err
     # the train dataset makes the train split and the held-out set; each
-    # set's features but the held-out set's are written over its dataset's
-    # memory, which they keep alive until dropped
+    # set's features are written over its dataset's memory, which they keep
+    # alive until dropped
     assert len(watch.datasets) == 4 and len(watch.features) == 5
-    assert watch.alive_at_yield == [[0], [], [1], [2], [3]]
+    assert watch.alive_at_yield == [[0], [0], [1], [2], [3]]
     assert not watch.live_datasets() and not watch.live_features()
 
 
