@@ -11,8 +11,9 @@ against a failing process, not against power loss.
 Manifests and ``model.json`` are dataclasses written by ``write_document``
 and read by ``read_document``; manifests carry ``ARTIFACT_SCHEMA_VERSION``.
 A dataset is its manifest alone (version 4): the generator and the
-``source``, from which ``pipeline.load_dataset`` simulates it; its values
-are not stored. The features manifest holds the config and each set's shape.
+``source``, from which ``pipeline.load_dataset`` draws it and featurize
+simulates it; its values are not stored. The features manifest holds the
+config and each set's shape.
 Version 3 also held the features manifest's model and each set's name and
 directory, and some datasets' ``values.npy``; version 2 listed each series'
 label, seed and spec, and version 1 was the CSV layout. Each is refused and
@@ -165,7 +166,7 @@ def read_document(path: str | Path, cls, version: int, command: str):
 @dataclass(frozen=True)
 class DatasetManifest:
     """A dataset's ``manifest.json``: its generator and ``source``, what
-    ``pipeline.build_dataset`` simulates it from (``pipeline.dataset_source``)."""
+    ``pipeline.build_dataset`` draws it from (``pipeline.dataset_source``)."""
 
     generator: str
     source: dict

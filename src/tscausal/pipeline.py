@@ -33,7 +33,7 @@ from .seriesgen import (
     Kind,
     ProcessSpec,
     generate,  # noqa: F401 -- bench/layertrace.py wraps pipeline.generate
-    generate_many,
+    generate_into,
     streams,
 )
 from .spectral import DEFAULT_HEADROOM, MinMaxScaler
@@ -212,28 +212,27 @@ def _noise_spec(family: NoiseFamily, length: int) -> ProcessSpec:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """A simulated dataset: row i of the read-only float64 ``values`` matrix
-    is a series of class ``labels[i]``, 1 causal and 0 non-causal, in a
-    read-only int64 vector. ``build_dataset`` makes one, whose ``values``
-    own their memory. ``featurize_sets`` takes each dataset its
-    ``dataset_for`` returns, makes its values writable and writes the set's
-    features over them, every row's in place; it refuses a dataset whose
-    values are writable, so each call of ``dataset_for`` must return a new
-    dataset."""
+    """What ``build_dataset`` draws for a recipe: row i is the series of
+    ``specs[i]`` simulated from the stream of ``seeds[i]``, of class
+    ``labels[i]`` (a read-only int64 vector), 1 causal and 0 non-causal, the
+    causal rows first. A dataset holds no values: ``featurize_sets``
+    simulates each dataset its ``dataset_for`` returns into that set's
+    features, and ``generate_many(dataset.specs, dataset.seeds)`` simulates
+    its whole matrix."""
 
-    values: np.ndarray = field(repr=False)
+    specs: tuple[ProcessSpec, ...] = field(repr=False)
+    seeds: tuple[int, ...] = field(repr=False)
     labels: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.values.setflags(write=False)
         self.labels.setflags(write=False)
 
 
 def build_dataset(
     recipe: DatasetRecipe, n_per_class: int, length: int, master_seed: int
 ) -> Dataset:
-    """Simulate ``recipe``'s rows and label them: causal rows first, labelled
-    1, then non-causal rows, labelled 0.
+    """Draw ``recipe``'s rows and label them: causal rows first, labelled 1,
+    then non-causal rows, labelled 0. Nothing is simulated here.
 
     Row i of a class draws its spec (causal rows only) and its series seed
     from the stream of ``np.random.default_rng(derive_seed(master_seed,
@@ -259,12 +258,12 @@ def build_dataset(
             specs.append(spec)
             seeds.append(int(rng.integers(0, 2**63)))
     labels = (np.arange(len(specs)) < n_causal).astype(np.int64)
-    return Dataset(generate_many(specs, seeds), labels)
+    return Dataset(tuple(specs), tuple(seeds), labels)
 
 
 @dataclass(frozen=True)
 class DatasetSource:
-    """Everything ``build_dataset`` simulates a dataset from: a dataset manifest's ``source``."""
+    """Everything ``build_dataset`` draws a dataset from: a dataset manifest's ``source``."""
 
     master_seed: int
     recipe: DatasetRecipe
@@ -276,8 +275,8 @@ class DatasetSource:
 
 
 def load_dataset(dir_path: str | Path, manifest: DatasetManifest | None = None) -> Dataset:
-    """The dataset simulated from the ``source`` of ``dir_path``'s manifest, as
-    ``make_dataset`` simulates it; an error is prefixed with the manifest's path.
+    """The dataset drawn from the ``source`` of ``dir_path``'s manifest, as
+    ``make_dataset`` draws it; an error is prefixed with the manifest's path.
     ``manifest``, if already read with ``read_dataset_manifest``, is not read again."""
     if manifest is None:
         manifest = read_dataset_manifest(dir_path)
@@ -406,31 +405,55 @@ def table_config(table: str, scale: str = "desk", seed: int = 42) -> ExperimentC
 TRANSFORM_BLOCK_ROWS = 64
 
 
-def _map_blocks(fn: Callable[[np.ndarray], np.ndarray], values: np.ndarray,
-                rows: np.ndarray | None) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (first row, ``fn(block)``) for each block of
-    ``TRANSFORM_BLOCK_ROWS`` rows of ``values[rows]``, or of ``values`` if
-    ``rows`` is None, in order. Only a block is gathered, never the whole
-    selection. An empty selection is one empty block, so a caller meets its
-    width or its error. A row an error in a later block names counts from
-    the block's first row, which the error names too."""
-    n = len(values) if rows is None else len(rows)
-    for start in range(0, max(n, 1), TRANSFORM_BLOCK_ROWS):
-        stop = start + TRANSFORM_BLOCK_ROWS
-        block = values[start:stop] if rows is None else values[rows[start:stop]]
+def _map_blocks(fn: Callable[[np.ndarray], np.ndarray], rows: range,
+                block_of: Callable[[int, int], np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (first row, ``fn(block_of(a, b))``) for each block [a, b) of
+    ``TRANSFORM_BLOCK_ROWS`` rows of ``rows``, in order, so that only a
+    block is ever made or gathered. An empty range is one empty block, so a
+    caller meets its error. An error in a block that does not start at row 0
+    names the block's first row, and a row it names counts from there."""
+    for start in range(rows.start, max(rows.stop, rows.start + 1), TRANSFORM_BLOCK_ROWS):
+        stop = min(start + TRANSFORM_BLOCK_ROWS, rows.stop)
         try:
+            block = block_of(start, stop)
             result = fn(block)
         except ValueError as exc:
             if not start:
                 raise
             raise ValueError(f"in the block from row {start}: {exc}") from exc
-        del block  # the caller works on the result with the gathered rows freed
+        del block  # the caller works on the result with the block freed
         yield start, result
+
+
+def _feature_width(config: ExperimentConfig, length: int) -> int:
+    """Features per row of series of ``length`` values: the values under
+    ``raw``, else the bins of the amplitude spectrum that ``keep_dc`` keeps.
+    It is never more than ``length``."""
+    if config.model == "raw":
+        return length
+    return length // 2 + 1 - (not config.keep_dc)
+
+
+def _write_unscaled(config: ExperimentConfig, out: np.ndarray, rows: range,
+                    block_of: Callable[[int, int], np.ndarray]) -> None:
+    """Write the unscaled features of the series ``block_of`` gives for
+    ``rows``, a block at a time, into the same rows of ``out``."""
+    def unscaled(block: np.ndarray) -> np.ndarray:
+        return _unscaled_features(config, block)
+
+    for start, feats in _map_blocks(unscaled, rows, block_of):
+        out[start:start + len(feats)] = feats
 
 
 @dataclass(frozen=True)
 class FeatureStage:
-    """Feature transform fitted on the training split (scaler may be None)."""
+    """Feature transform fitted on the training split (scaler may be None).
+
+    A transform has two passes. The first writes every row's unscaled
+    features (``_unscaled_features``) into the output; under
+    ``fft_chaosfex`` the second scales each block of them into the neuron
+    domain and writes its TTSS features over it. Every step acts on each row
+    alone, so neither the block size nor the passes change a feature bit."""
 
     scaler: MinMaxScaler | None
     config: ExperimentConfig
@@ -441,33 +464,27 @@ class FeatureStage:
         The transients of the spectra, scaling and firing are those of a
         block, so the output is the one array the size of the set that a
         transform makes."""
-        return self._transform_into(values, None)
-
-    def _transform_into(self, values: np.ndarray, memory: np.ndarray | None) -> np.ndarray:
-        """``transform``'s features, written into the front of the flat
-        float64 buffer ``memory`` if given, else into a new matrix. A block's
-        features are written once its rows are read, and a feature row is
-        never wider than a series, so ``memory`` may be ``values``' own: the
-        block of rows [a, b) writes below where row b starts."""
-        out = None
-        for start, feats in _map_blocks(self._transform_rows, values, None):
-            if out is None:
-                n, width = len(values), feats.shape[1]
-                out = np.empty((n, width)) if memory is None else memory[:n * width].reshape(n, width)
-            out[start:start + len(feats)] = feats
+        out = np.empty((len(values), _feature_width(self.config, values.shape[1])))
+        _write_unscaled(self.config, out, range(len(values)), lambda a, b: values[a:b])
+        self._fire(out)
         return out
 
-    def _transform_rows(self, values: np.ndarray) -> np.ndarray:
+    def _fire(self, features: np.ndarray) -> None:
+        """The second pass, in place: under ``fft_chaosfex``, write each block
+        of ``features``' TTSS features over its unscaled spectra."""
+        if self.config.model != "fft_chaosfex":
+            return
+        for start, feats in _map_blocks(self._scale_and_fire, range(len(features)),
+                                        lambda a, b: features[a:b]):
+            features[start:start + len(feats)] = feats
+
+    def _scale_and_fire(self, spectra: np.ndarray) -> np.ndarray:
         cfg = self.config
-        feats = _unscaled_features(cfg, values)
-        if cfg.model != "fft_chaosfex":
-            return feats
-        # rebinding ``feats`` frees each step's input before the next allocates
         if cfg.per_instance_scaling:
-            feats = spectral.scale_per_instance(feats, cfg.headroom)
+            scaled = spectral.scale_per_instance(spectra, cfg.headroom)
         else:
-            feats = spectral.apply_scaler(self.scaler, feats)
-        return extract_ttss(feats, cfg.gls)
+            scaled = spectral.apply_scaler(self.scaler, spectra)
+        return extract_ttss(scaled, cfg.gls)
 
 
 def _unscaled_features(config: ExperimentConfig, values: np.ndarray) -> np.ndarray:
@@ -485,24 +502,30 @@ def _unscaled_features(config: ExperimentConfig, values: np.ndarray) -> np.ndarr
     return amps if config.keep_dc else amps[:, 1:]
 
 
-def fit_feature_stage(config: ExperimentConfig, values: np.ndarray,
-                      rows: np.ndarray | None = None) -> FeatureStage:
-    """The feature stage fitted on the training rows ``values[rows]``, or on
-    all of ``values`` if ``rows`` is None. A train-fitted scaler is fitted on
-    each block's spectra in turn and its per-feature minima and maxima are
-    reduced across blocks, so the split's spectra are never held whole;
-    min and max do not round, so the result equals a fit on the whole
-    split bit for bit."""
+def _fit(config: ExperimentConfig, rows: range,
+         unscaled_of: Callable[[int, int], np.ndarray]) -> FeatureStage:
+    """The feature stage fitted on the training rows' unscaled features,
+    which ``unscaled_of`` gives a block of ``rows`` at a time. A
+    train-fitted scaler is fitted on each block in turn and its per-feature
+    minima and maxima are reduced across blocks, so the split's features are
+    never held whole; min and max do not round, so the result equals a fit
+    on the whole split bit for bit."""
     scaler = None
     if config.model == "fft_chaosfex" and not config.per_instance_scaling:
         def fit(block: np.ndarray) -> MinMaxScaler:
-            return spectral.fit_scaler(_unscaled_features(config, block), config.headroom)
+            return spectral.fit_scaler(block, config.headroom)
 
-        for _, block_scaler in _map_blocks(fit, values, rows):
+        for _, block_scaler in _map_blocks(fit, rows, unscaled_of):
             scaler = block_scaler if scaler is None else MinMaxScaler(
                 np.minimum(scaler.minimum, block_scaler.minimum),
                 np.maximum(scaler.maximum, block_scaler.maximum), config.headroom)
     return FeatureStage(scaler=scaler, config=config)
+
+
+def fit_feature_stage(config: ExperimentConfig, values: np.ndarray) -> FeatureStage:
+    """The feature stage fitted on the training series ``values``, a block
+    of ``TRANSFORM_BLOCK_ROWS`` rows at a time."""
+    return _fit(config, range(len(values)), lambda a, b: _unscaled_features(config, values[a:b]))
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +582,8 @@ def dataset_source(config: ExperimentConfig, recipe: DatasetRecipe) -> DatasetSo
 
 
 def make_dataset(config: ExperimentConfig, recipe: DatasetRecipe) -> Dataset:
-    """``recipe``'s dataset as ``config`` sizes and seeds it; an error names the recipe."""
+    """``recipe``'s dataset as ``config`` sizes and seeds it, drawn and not
+    simulated; an error names the recipe."""
     with in_stage("generate", recipe.name):
         return dataset_source(config, recipe).build()
 
@@ -575,27 +599,9 @@ def set_names(config: ExperimentConfig) -> list[tuple[str, str]]:
 def assemble_sets(config: ExperimentConfig,
                   train_set: Dataset) -> list[tuple[np.ndarray, np.ndarray]]:
     """The (row indices, labels) of the training dataset's two splits, train
-    split first: a pure function of the config, and indices into
-    ``train_set.values``, which the feature stage gathers a block at a time."""
+    split first: a pure function of the config, and indices into the
+    rows of ``train_set``, which the feature stage gathers a block at a time."""
     return [(rows, train_set.labels[rows]) for rows in split_indices(config, train_set.labels)]
-
-
-def _owned_values(dataset: Dataset, name: str) -> np.ndarray:
-    """The values of dataset ``name``, made writable so that featurize can
-    write its features over them. Values that do not own their memory (a
-    view, say) are refused, and so are writable ones: a dataset's values are
-    read-only until featurize has taken them, so they hold features."""
-    values = dataset.values
-    if not (values.flags.owndata and values.flags.c_contiguous and values.dtype == np.float64):
-        raise ValueError(f"dataset {name!r}: featurize writes its features over its values, "
-                         "which must be a C-contiguous float64 matrix that owns its memory; "
-                         "dataset_for must return a new dataset")
-    if values.flags.writeable:
-        raise ValueError(f"dataset {name!r}: its values are writable, so featurize has already "
-                         "written a set's features over them; dataset_for must return a new "
-                         "dataset")
-    values.setflags(write=True)
-    return values
 
 
 def _permute_rows(matrix: np.ndarray, order: np.ndarray) -> None:
@@ -619,29 +625,82 @@ def _permute_rows(matrix: np.ndarray, order: np.ndarray) -> None:
         order[row] = row
 
 
+def _buffer_floats(config: ExperimentConfig) -> int:
+    """The floats of every set's buffer: the most that any of ``config``'s
+    sets needs for its features or for its causal series."""
+    width, most = _feature_width(config, config.length), 0
+    for recipe in (config.train_recipe, *config.test_recipes):
+        per_class = dataset_source(config, recipe).n_per_class
+        causal = per_class * (recipe.causal is not None)
+        rows = causal + per_class * (recipe.noncausal is not None)
+        most = max(most, rows * width, causal * config.length)
+    return most
+
+
+def _simulate_unscaled(config: ExperimentConfig, dataset: Dataset, floats: int) -> np.ndarray:
+    """The first pass over ``dataset``: every row's unscaled features, in row
+    order, as the front of a new zeroed buffer of ``floats`` float64 values.
+
+    The dataset is simulated into the buffer class by class. Its causal
+    rows, one recursive run, are simulated whole at the front of the buffer
+    and their features written over them a block at a time, as a block of
+    rows [a, b) writes below where row b starts. The white-noise rows are
+    then simulated one ``TRANSFORM_BLOCK_ROWS`` block at a time, and each
+    block's features go into the rows after the causal ones, over causal
+    series already read. So the buffer holds max(rows x feature width,
+    causal rows x length) values, and no more than one class's series are
+    ever whole."""
+    specs, seeds, length = dataset.specs, dataset.seeds, config.length
+    n, causal = len(specs), int(np.count_nonzero(dataset.labels))
+    buffer = np.zeros(floats)
+    series = buffer[:causal * length].reshape(causal, length)
+    generate_into(specs[:causal], seeds[:causal], series)
+    out = buffer[:n * _feature_width(config, length)].reshape(n, -1)
+
+    def white(a: int, b: int) -> np.ndarray:
+        block = np.zeros((b - a, length))
+        generate_into(specs[a:b], seeds[a:b], block)
+        return block
+
+    _write_unscaled(config, out, range(causal), lambda a, b: series[a:b])
+    _write_unscaled(config, out, range(causal, n), white)
+    return out
+
+
 def featurize_sets(config: ExperimentConfig, dataset_for: Callable[[DatasetRecipe], Dataset]):
     """Yield (display name, features directory, features, labels) for each
     set ``set_names`` names, with the feature stage fitted on the train
-    split. ``dataset_for(recipe)`` makes a recipe's dataset when its set's
-    turn comes, and each call must return a new dataset: featurize owns it
-    and writes the set's features over its values, so every set's features
-    are a view of its dataset's memory. Every row of the train dataset is
-    transformed in order, as a test set's is; its feature rows are then
-    moved in place into split order, the train rows before the held-out
-    rows, and the two splits are disjoint views of the one buffer. No two
-    datasets are ever alive at once, and a caller that drops each set's
-    features before asking for the next holds one dataset's memory at most."""
+    split. ``dataset_for(recipe)`` draws a recipe's dataset when its set's
+    turn comes.
+
+    Each dataset is simulated straight into its set's own buffer, class by
+    class, and the set's features are a view of that buffer: the first pass
+    (``_simulate_unscaled``) writes every row's unscaled features, a
+    train-fitted scaler is fitted on the train rows' spectra already in the
+    buffer, and the second pass (``FeatureStage._fire``) scales and fires
+    each block in place. Every row of the train dataset is transformed in
+    order, as a test set's is; its feature rows are then moved in place into
+    split order, the train rows before the held-out rows, and the two splits
+    are disjoint views of the one buffer.
+
+    Every set's buffer has the size of the largest set's, a pure function of
+    the config. glibc's malloc raises its mmap threshold to the size of a
+    mapping it frees, so once the first buffer is dropped every later one
+    comes from its heap. At one size each buffer fits the chunk the set
+    before it freed, and the heap holds one buffer; a larger buffer after a
+    smaller one would not fit and would grow the heap by a second buffer,
+    which stays resident. No two sets' buffers are ever alive at once, and a
+    caller that drops each set's features before asking for the next holds
+    one buffer at most."""
     (train, train_dir), (held, held_dir), *tests = set_names(config)
-    train_name = config.train_recipe.name
+    floats = _buffer_floats(config)
     dataset = dataset_for(config.train_recipe)
-    values = _owned_values(dataset, train_name)
     (rows, labels), (held_rows, held_labels) = assemble_sets(config, dataset)
-    del dataset
-    with in_stage("featurize", train):
-        stage = fit_feature_stage(config, values, rows)
-    with in_stage("featurize", train_name):
-        every = stage._transform_into(values, values.reshape(-1))
-    del values
+    with in_stage("featurize", config.train_recipe.name):
+        every = _simulate_unscaled(config, dataset, floats)
+        del dataset
+        stage = _fit(config, range(len(rows)), lambda a, b: every[rows[a:b]])
+        stage._fire(every)
     _permute_rows(every, np.concatenate([rows, held_rows]))
     features, held_features = every[:len(rows)], every[len(rows):]
     del every
@@ -651,11 +710,11 @@ def featurize_sets(config: ExperimentConfig, dataset_for: Callable[[DatasetRecip
     del held_features
     for recipe, (name, set_dir) in zip(config.test_recipes, tests):
         dataset = dataset_for(recipe)
-        values, labels = _owned_values(dataset, name), dataset.labels
-        del dataset
+        labels = dataset.labels
         with in_stage("featurize", name):
-            features = stage._transform_into(values, values.reshape(-1))
-        del values
+            features = _simulate_unscaled(config, dataset, floats)
+            del dataset
+            stage._fire(features)
         yield name, set_dir, features, labels
         del features
 
@@ -681,8 +740,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     Sets stream through the stages one at a time: the model is trained on
     the first set featurized, the train split, and every set is scored as
-    soon as it is featurized and then dropped, so no two datasets and no two
-    sets' features are alive at once. Each timing sums its stage over the sets.
+    soon as it is featurized and then dropped, so no two sets' features are
+    alive at once. Each timing sums its stage over the sets: ``generate``
+    times the draws of each dataset's specs and seeds, and ``featurize`` its
+    simulation too.
     """
     clock = time.perf_counter
     timings = dict.fromkeys(("generate", "featurize", "train", "evaluate"), 0.0)

@@ -6,10 +6,11 @@ differencing (Biometrika, 1981) applied to an ARMA core, as one FFT
 convolution per series on the calling thread. Non-causal series are
 i.i.d. draws from a normal or uniform distribution. ``ProcessSpec`` decides
 whether a process is valid, so a bad spec fails when it is built, and
-``generate_many`` is the one simulation entry point, one loop over the runs
-of consecutive like specs: each row of the matrix it returns is a pure
-function of its (spec, seed), bit-identical for the same inputs whatever
-else shares the batch. A seed names the stream of
+``generate_into`` is the one simulation entry point, one loop over the runs
+of consecutive like specs, writing into a matrix its caller owns;
+``generate_many`` wraps it with a new matrix. Each row is a pure function
+of its (spec, seed), bit-identical for the same inputs whatever else
+shares the batch. A seed names the stream of
 ``np.random.default_rng(seed)``; ``streams`` re-points one generator to each
 seed's stream instead of building one per series. The module simulates
 processes and knows nothing of classes: ``pipeline.build_dataset`` labels
@@ -51,7 +52,7 @@ class ProcessSpec:
     spec needs at least one AR term and no MA terms; an ARMA/ARFIMA spec must
     carry the instantaneous noise term (0, 1.0) in ``ma_terms``. A single AR
     term needs |a| < 1; dense term lists are only guarded by the finiteness
-    check in ``generate_many``. ``d`` is the fractional difference parameter
+    check in ``generate_into``. ``d`` is the fractional difference parameter
     and must stay 0 except for ARFIMA; noise kinds carry no terms. Noise is
     Normal(noise_mean, noise_variance) except for NOISE_UNIFORM, which draws
     from U(uniform_lo, uniform_hi).
@@ -224,6 +225,18 @@ def _noise(spec: ProcessSpec, rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.normal(spec.noise_mean, math.sqrt(spec.noise_variance), n)
 
 
+def _noise_columns(out: np.ndarray, first: int, head: np.ndarray, values: np.ndarray) -> None:
+    """Copy the noise of columns [first, first + width of ``out``) into ``out``:
+    a column before the width of ``head`` from ``head``, a later one from
+    ``values``, which has not yet overwritten it. A column before 0 or past
+    the series is left as it is."""
+    stop = first + out.shape[1]
+    for src, lo, hi in ((head, 0, head.shape[1]), (values, head.shape[1], values.shape[1])):
+        a, b = max(first, lo), min(stop, hi)
+        if a < b:
+            out[:, a - first:b - first] = src[:, a:b]
+
+
 def _simulate_run(specs: list[ProcessSpec], rngs: Iterator[np.random.Generator],
                   values: np.ndarray, n_ar: int, n_ma: int) -> None:
     """Simulate specs that share a kind, a length and their term counts into
@@ -232,15 +245,19 @@ def _simulate_run(specs: list[ProcessSpec], rngs: Iterator[np.random.Generator],
 
     Row i takes the next generator of ``rngs`` and draws (``_noise``) its
     first ``start`` values, its largest lag, i.i.d. from its noise law, then
-    its noise sequence, each written contiguously into its row. Each later
-    value is its lagged terms plus fresh noise. An ARMA run keeps its noise
-    in a (k, length) matrix, since its MA terms read the noise of past
-    steps. An AR or white-noise run reads only the current step's, so each
-    row's noise is drawn into the row itself from its start on. A
-    white-noise row has no lag, so its start is 0 and it is done once
-    drawn. An AR recursion runs in place: a block reads its noise before it
-    overwrites it, and the run needs no matrix beside ``values``. A value m
-    or more steps back is final once the steps before the current block
+    its noise sequence. Each later value is its lagged terms plus fresh
+    noise. The noise is drawn into the row itself, from its start on in an
+    AR or white-noise run, which reads only the current step's; a
+    white-noise row has no lag, so its start is 0 and it is done once drawn.
+    An ARMA run's MA terms read the noise of past steps, so it keeps the
+    noise of the columns before the run's last start in a (k, last start)
+    head, draws the rest into ``values``, and reads its MA terms from a
+    window of the noise of the largest MA lag's columns and a span of at
+    least one step, copied from the head and from ``values`` before the
+    recursion overwrites them and moved on once a step would pass its end.
+    So a run needs no (k, length) matrix beside ``values``. The recursion
+    runs in place: a block reads its noise before it overwrites it. A value
+    m or more steps back is final once the steps before the current block
     are, so one iteration advances every row by m, the run's least AR lag
     (AR100 takes 19 iterations for 1,900 steps). A term whose lag every row
     shares reads a slice of columns, any other a gather. Each value adds its
@@ -255,37 +272,58 @@ def _simulate_run(specs: list[ProcessSpec], rngs: Iterator[np.random.Generator],
     start = np.concatenate([ar_lag, ma_lag]).max(axis=0)
 
     length = values.shape[1]
-    eps = np.empty((k, length)) if n_ma else values
+    last = int(start.max())
+    head = np.empty((k, last)) if n_ma else None
     for row, (spec, s) in enumerate(zip(specs, start.tolist())):
         rng = next(rngs)
         values[row, :s] = _noise(spec, rng, s)
+        drawn = _noise(spec, rng, length)
+        if n_ma:
+            head[row] = drawn[:last]
         # in place, the noise of the steps before the start is drawn and dropped
-        first = 0 if n_ma else s
-        eps[row, first:] = _noise(spec, rng, length)[first:]
+        first = last if n_ma else s
+        values[row, first:] = drawn[first:]
     if not (n_ar or n_ma):
         return
 
     # with no AR term nothing recurs, and a block of one column keeps the
     # temporaries small
     step = int(ar_lag.min()) if n_ar else 1
-    # the flat index of [row, t + j - lag] is row * length - lag + j, plus t;
-    # for a row whose start lies ahead it can fall in the row before (or wrap
-    # to the last row), cells that stay finite because ``values`` came
-    # zeroed, so no spurious warning is raised, and the result is dropped
-    rows, cols = np.arange(k) * length, np.arange(step)
+    t = int(start.min())
+    # the MA terms read ``noise``'s columns from ``lo`` on; an AR run's noise
+    # is its own rows
+    noise, lo = values, 0
+    if n_ma:
+        # a window of the noise of columns [lo, lo + its width); columns
+        # before 0 stay 0
+        reach = int(ma_lag.max())
+        noise, lo = np.zeros((k, reach + max(step, reach))), t - reach
+        _noise_columns(noise, lo, head, values)
+    # the flat index of [row, t + j - lag] is row * width - lag + j, plus t;
+    # for a row of ``values`` whose start lies ahead it can fall in the row
+    # before (or wrap to the last row), cells that stay finite because
+    # ``values`` came zeroed, so no spurious warning is raised, and the
+    # result is dropped; a window's reads stay in their rows
+    cols = np.arange(step)
     terms = []
-    for src, lags, coefs in ((values, ar_lag, ar_coef), (eps, ma_lag, ma_coef)):
+    for src, lags, coefs in ((values, ar_lag, ar_coef), (noise, ma_lag, ma_coef)):
+        rows = np.arange(k) * src.shape[1]
         for lag, coef in zip(lags, coefs):
             shared = lag.min() == lag.max()
             terms.append((src, coef[:, None], int(lag[0]),
                           None if shared else (rows - lag)[:, None] + cols))
-    last = int(start.max())
-    t = int(start.min())
     while t < length:
         m = min(step, length - t)
+        if n_ma and t + m > lo + noise.shape[1]:
+            # move on: keep the columns from t - reach, copy in the next ones
+            shift = t - reach - lo
+            noise[:, :-shift] = noise[:, shift:]
+            _noise_columns(noise[:, -shift:], lo + noise.shape[1], head, values)
+            lo += shift
         acc = 0.0
         for src, coef, lag, index in terms:
-            block = src[:, t - lag:t - lag + m] if index is None else src.take(index[:, :m] + t)
+            at = t - lo if src is noise else t
+            block = src[:, at - lag:at - lag + m] if index is None else src.take(index[:, :m] + at)
             acc = acc + coef * block
         if t < last:
             np.copyto(values[:, t:t + m], acc, where=start[:, None] <= t + np.arange(m))
@@ -329,26 +367,41 @@ def _fractionally_integrate(core: np.ndarray, d: list[float]) -> None:
 
 def generate_many(specs: Sequence[ProcessSpec], seeds: Sequence[int]) -> np.ndarray:
     """Simulate ``specs[i]`` from the stream of ``np.random.default_rng(seeds[i])``,
-    for every i.
+    for every i, into a new read-only matrix by ``generate_into``.
 
-    The simulation entry point. All specs share one length; row i of the
-    read-only result is the series of ``specs[i]``, a pure function of its
-    own (spec, seed): batching changes no bit. One generator, local to the
-    call, is re-pointed to each seed's stream in row order (``streams``), so
-    no series builds its own; a seed outside [0, 2**64) is refused. Each
-    run of consecutive specs that share a kind and their term counts is
-    simulated in place in its rows of the result (``_simulate_run``);
-    ARFIMA then convolves each core, in place, with its fractional
-    integration weights, truncated at the series start, by FFT in blocks of
-    rows on the calling thread.
+    All specs share one length; row i of the result is the series of
+    ``specs[i]``, a pure function of its own (spec, seed): batching changes
+    no bit.
     """
-    if len(specs) != len(seeds):
-        raise ValueError(f"got {len(specs)} specs but {len(seeds)} seeds")
     lengths = {spec.length for spec in specs}
     if len(lengths) != 1:
         raise ValueError(f"need specs of one length, got lengths {sorted(lengths)}")
-    (length,) = lengths
-    out = np.zeros((len(specs), length))
+    out = np.zeros((len(specs), *lengths))
+    generate_into(specs, seeds, out)
+    out.setflags(write=False)
+    return out
+
+
+def generate_into(specs: Sequence[ProcessSpec], seeds: Sequence[int], out: np.ndarray) -> None:
+    """Simulate ``specs[i]`` from the stream of ``np.random.default_rng(seeds[i])``
+    into row i of the caller's zeroed C-contiguous float64 ``out``, for every i.
+
+    The simulation entry point: every row has its spec's length, and each is
+    a pure function of its own (spec, seed), whatever else shares the batch.
+    One generator, local to the call, is re-pointed to each seed's stream in
+    row order (``streams``), so no series builds its own; a seed outside
+    [0, 2**64) is refused. Each run of consecutive specs that share a kind
+    and their term counts is simulated in place in its rows of ``out``
+    (``_simulate_run``); ARFIMA then convolves each core, in place, with its
+    fractional integration weights, truncated at the series start, by FFT in
+    blocks of rows on the calling thread. A row that is not finite is
+    refused by the kind of its spec.
+    """
+    if len(specs) != len(seeds):
+        raise ValueError(f"got {len(specs)} specs but {len(seeds)} seeds")
+    if len(out) != len(specs) or any(spec.length != out.shape[1] for spec in specs):
+        raise ValueError(f"need one row of out per spec, as long as its spec; got out of shape "
+                         f"{out.shape} for {len(specs)} specs")
     rngs, a = streams(seeds), 0
     # a row that overflows is refused below, by the kind of its spec
     with np.errstate(over="ignore", invalid="ignore"):
@@ -365,8 +418,6 @@ def generate_many(specs: Sequence[ProcessSpec], seeds: Sequence[int]) -> np.ndar
     if not finite.all():
         kind = specs[int(np.argmin(finite))].kind
         raise ValueError(f"generated series contains non-finite values (kind={kind.value})")
-    out.setflags(write=False)
-    return out
 
 
 def generate(spec: ProcessSpec, rng_seed: int) -> np.ndarray:

@@ -7,9 +7,12 @@ the classifier, closed-form gamma ratios for the fractional weights, a
 per-series scalar recursion for the simulated processes, and one fresh
 generator per row for a dataset's specs and seeds. None of it shares code
 with the library under test, bar the spec drawing and seed derivation of
-the dataset oracle, which define a dataset. ``persist_built`` is a fixture,
-not a reference: it persists the manifest of a built dataset, the source
-the dataset is simulated from.
+the dataset oracle, which define a dataset. ``persist_built``,
+``series_of`` and ``plant_row`` are fixtures, not references:
+``persist_built`` persists the manifest of a built dataset, the source the
+dataset is drawn from, ``series_of`` simulates a drawn dataset's whole
+matrix, and ``plant_row`` makes the simulation of one row give a fixed
+value.
 """
 
 from __future__ import annotations
@@ -194,6 +197,41 @@ def persist_built(dir_path, recipe, n_per_class: int, length: int, master_seed: 
 
     persist_dataset(dir_path, DatasetSource(master_seed, recipe, n_per_class, length))
     return build_dataset(recipe, n_per_class, length, master_seed)
+
+
+def series_of(dataset) -> np.ndarray:
+    """The whole (rows, length) matrix of a drawn dataset, by ``generate_many``."""
+    from tscausal.seriesgen import generate_many
+
+    return generate_many(dataset.specs, dataset.seeds)
+
+
+def plant_row(monkeypatch, name: str, row: int, value: float) -> None:
+    """Make ``pipeline``'s simulation give row ``row`` of recipe ``name``'s
+    dataset the value ``value`` throughout, as a series that the finiteness
+    check of the simulation let through would.
+
+    ``pipeline.build_dataset`` is wrapped to learn the row's series seed,
+    and ``pipeline.generate_into`` to overwrite the row of that seed once it
+    is simulated."""
+    from tscausal import pipeline
+
+    build, simulate, planted = pipeline.build_dataset, pipeline.generate_into, set()
+
+    def drawn(recipe, *args):
+        dataset = build(recipe, *args)
+        if recipe.name == name:
+            planted.add(dataset.seeds[row])
+        return dataset
+
+    def simulated(specs, seeds, out):
+        simulate(specs, seeds, out)
+        for i, seed in enumerate(seeds):
+            if seed in planted:
+                out[i] = value
+
+    monkeypatch.setattr(pipeline, "build_dataset", drawn)
+    monkeypatch.setattr(pipeline, "generate_into", simulated)
 
 
 def exact_convolution(w, x) -> np.ndarray:

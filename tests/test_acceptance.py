@@ -19,6 +19,7 @@ from helpers import (
     grid_search_lr,
     naive_dft_amplitudes,
     rational_fire,
+    series_of,
 )
 from lifetimes import traced_peak
 from tscausal import classify, spectral
@@ -151,21 +152,22 @@ def test_criterion_4_chaos_model_at_paper_scale():
 
 
 @paper_scale
-def test_paper_scale_table3_array_peak_stays_below_47_mb():
-    # a warm pass holds one set's values, which its features overwrite, and
-    # one block's temporaries at a time: its traced peak measures 43.2 MB
-    # (1 MB = 1e6 bytes), where held-out features in their own array took
-    # it to 50.2 MB, features beside their values to 63.2 MB, and
-    # whole-split copies and whole-set noise and spectra to 80.5 MB
+def test_paper_scale_table3_array_peak_stays_below_27_mb():
+    # a warm pass holds one set's buffer, one class's series (20 MB) that
+    # its features overwrite, and one block's temporaries at a time: its
+    # traced peak measures 23.6 MB (1 MB = 1e6 bytes), where a whole set's
+    # series took it to 43.2 MB, held-out features in their own array to
+    # 50.2 MB, features beside their values to 63.2 MB, and whole-split
+    # copies and whole-set noise and spectra to 80.5 MB
     run_experiment(table_config("table3", scale="desk", seed=42))  # first-use state
     peak = traced_peak(run_experiment, table_config("table3", scale="paper", seed=42))
-    assert peak < 47e6, f"traced peak is {peak / 1e6:.1f} MB"
+    assert peak < 27e6, f"traced peak is {peak / 1e6:.1f} MB"
 
 
 def test_criterion_5_extrema_counts_separate_classes():
     config = table_config("table3", scale="desk", seed=42)
     data = build_dataset(AR_TRAIN, n_per_class=50, length=config.length, master_seed=42)
-    values = data.values
+    values = series_of(data)
     labels = data.labels
     stage = fit_feature_stage(config, values)
     curves = stage.transform(values)

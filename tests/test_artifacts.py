@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import build_dataset_oracle, persist_built
+from helpers import build_dataset_oracle, persist_built, series_of
 from tscausal import artifacts, pipeline
 from tscausal.classify import MODEL_SCHEMA_VERSION, LrModel
 from tscausal.cli import main
@@ -156,7 +156,7 @@ def test_featurize_refuses_an_old_csv_run_directory(tmp_path, capsys):
     manifest["schema_version"] = 1
     del manifest["source"]
     manifest_path.write_text(json.dumps(manifest))
-    values = pipeline.make_dataset(pipeline.config_from_dict(TINY), AR_TRAIN).values
+    values = series_of(pipeline.make_dataset(pipeline.config_from_dict(TINY), AR_TRAIN))
     np.savetxt(data_dir / "values.csv", values, fmt="%.17g", delimiter=",")
     capsys.readouterr()
     assert main(["featurize", str(run)]) == 1

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import json
 import os
@@ -12,6 +11,7 @@ import numpy as np
 import pytest
 
 import tscausal
+from helpers import plant_row
 from lifetimes import watch_sets
 from tscausal import classify, pipeline
 from tscausal.cli import build_parser, main
@@ -31,22 +31,6 @@ def tiny_config_path(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(TINY))
     return path
-
-
-def plant_row(monkeypatch, name: str, row: int, value: float) -> None:
-    """Make ``pipeline.build_dataset`` give row ``row`` of recipe ``name``'s
-    dataset the value ``value`` throughout."""
-    build = pipeline.build_dataset
-
-    def planted(recipe, *args):
-        data = build(recipe, *args)
-        if recipe.name != name:
-            return data
-        values = data.values.copy()
-        values[row] = value
-        return dataclasses.replace(data, values=values)
-
-    monkeypatch.setattr(pipeline, "build_dataset", planted)
 
 
 def run_chain(tmp_path, config_path, capsys):
@@ -306,7 +290,8 @@ def test_evaluate_names_the_set_and_row_of_an_overflowed_margin(tmp_path, capsys
 
 def test_featurize_refuses_a_recipe_that_overflows_by_its_name(tmp_path, capsys):
     # generate writes the manifest only; the simulation overflows in featurize,
-    # which names the set, and no numpy warning escapes
+    # which names the set in the chained and the in-process run alike, and
+    # no numpy warning escapes
     config = {**TINY, "test_recipes": [{"name": "big", "causal": {"kind": "ar",
                                                                  "noise_mean": 1e308}}]}
     config_path = tmp_path / "config.json"
@@ -315,11 +300,10 @@ def test_featurize_refuses_a_recipe_that_overflows_by_its_name(tmp_path, capsys)
     assert main(["generate", "--config", str(config_path), "--out", str(run)]) == 0
     capsys.readouterr()
     assert main(["featurize", str(run)]) == 1
-    path = run / "datasets" / "big" / "manifest.json"
-    assert (f"error [featurize]: {path}: generated series contains non-finite values "
-            "(kind=ar)") in capsys.readouterr().err
+    message = "featurize stage failed on 'big': generated series contains non-finite values (kind=ar)"
+    assert f"error [featurize]: {message}" in capsys.readouterr().err
     assert not (run / "features" / "manifest.json").exists()
-    with pytest.raises(RuntimeError, match=re.escape("generate stage failed on 'big': ")):
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
         pipeline.run_experiment(pipeline.config_from_dict(config))
 
 
@@ -504,7 +488,7 @@ def four_set_config_path(tmp_path):
 def test_generate_simulates_nothing(tmp_path, four_set_config_path, capsys, monkeypatch):
     # a dataset is its manifest; featurize simulates it at its set's turn
     calls = []
-    for name in ("build_dataset", "generate_many"):
+    for name in ("build_dataset", "generate_into"):
         monkeypatch.setattr(pipeline, name, lambda *args, name=name: calls.append(name))
     run = tmp_path / "run"
     argv = ["generate", "--config", str(four_set_config_path), "--out", str(run)]
@@ -522,11 +506,11 @@ def test_featurize_holds_one_dataset_and_one_set_of_features_at_a_time(
     with watch_sets(monkeypatch, "load_dataset") as watch:
         assert main(["featurize", str(run)]) == 0, capsys.readouterr().err
     # the train dataset makes the train split and the held-out set; each
-    # set's features are written over its dataset's memory, which they keep
-    # alive until dropped
-    assert len(watch.datasets) == 4 and len(watch.features) == 5
+    # set's features are a view of its own buffer, which they keep alive
+    # until dropped
+    assert len(watch.datasets) == 4 and len(watch.features) == 5 and len(watch.buffers) == 4
     assert watch.alive_at_yield == [[0], [0], [1], [2], [3]]
-    assert not watch.live_datasets() and not watch.live_features()
+    assert not watch.live_datasets() and not watch.live_buffers() and not watch.live_features()
 
 
 def test_seed_override_changes_generated_data(tmp_path, tiny_config_path, capsys):
@@ -537,8 +521,8 @@ def test_seed_override_changes_generated_data(tmp_path, tiny_config_path, capsys
                  "--out", str(run_b)]) == 0
     echo = json.loads((run_b / "config.json").read_text())
     assert echo["master_seed"] == 99
-    a, b = (pipeline.load_dataset(run / "datasets" / "AR-train").values for run in (run_a, run_b))
-    assert not np.array_equal(a, b)
+    a, b = (pipeline.load_dataset(run / "datasets" / "AR-train").seeds for run in (run_a, run_b))
+    assert set(a).isdisjoint(b)
 
 
 def test_model_override_at_featurize(tmp_path, tiny_config_path, capsys):

@@ -9,9 +9,11 @@ from helpers import (
     build_dataset_oracle,
     count_local_extrema,
     persist_built,
+    plant_row,
     scalar_series,
+    series_of,
 )
-from lifetimes import traced_peak, watch_sets
+from lifetimes import buffer_of, traced_peak, watch_sets
 from tscausal.chaosfex import GlsParams, firing_table
 from tscausal.classify import CHAOSFEX_LR, DEFAULT_LR, LrHyper
 from tscausal import pipeline, seriesgen, spectral
@@ -137,16 +139,18 @@ def test_build_dataset_layout_and_determinism():
     labels = data.labels
     assert np.array_equal(labels, [1, 1, 1, 1, 0, 0, 0, 0])
     again = build_dataset(AR_TRAIN, n_per_class=4, length=64, master_seed=1)
-    assert np.array_equal(data.values, again.values)
+    assert data.specs == again.specs and data.seeds == again.seeds
+    assert np.array_equal(series_of(data), series_of(again))
 
 
 def test_build_dataset_per_index_seeds_are_independent():
     few = build_dataset(AR_TRAIN, n_per_class=3, length=64, master_seed=1)
     many = build_dataset(AR_TRAIN, n_per_class=5, length=64, master_seed=1)
     # growing the dataset must not disturb earlier rows of either class
+    few_values, many_values = series_of(few), series_of(many)
     for i in range(3):
-        assert np.array_equal(few.values[i], many.values[i])
-        assert np.array_equal(few.values[3 + i], many.values[5 + i])
+        assert np.array_equal(few_values[i], many_values[i])
+        assert np.array_equal(few_values[3 + i], many_values[5 + i])
 
 
 def test_build_dataset_draws_lags_in_range():
@@ -160,7 +164,7 @@ def test_build_dataset_draws_lags_in_range():
 
 def test_build_dataset_causal_only_recipe():
     data = build_dataset(AR100, n_per_class=3, length=128, master_seed=2)
-    assert data.values.shape == (3, 128)
+    assert series_of(data).shape == (3, 128)
     assert all(data.labels == 1)
     specs, _ = build_dataset_oracle(AR100, 3, 128, 2)
     assert all(spec.ar_terms[0][0] == 100 for spec in specs)
@@ -170,6 +174,7 @@ def test_build_dataset_causal_only_recipe():
 def test_build_dataset_equals_its_per_series_oracle_bit_for_bit(recipe):
     data = build_dataset(recipe, n_per_class=5, length=SERIES_LENGTH, master_seed=7)
     specs, seeds = build_dataset_oracle(recipe, 5, SERIES_LENGTH, 7)
+    assert data.specs == tuple(specs) and data.seeds == tuple(seeds)
     assert data.labels.tolist() == [1 if s.kind in CAUSAL_KINDS else 0 for s in specs]
     # an ARFIMA row is its scalar ARMA core, convolved as generate_many does
     want = np.array([scalar_series(dataclasses.replace(spec, kind=Kind.ARMA, d=0.0)
@@ -180,7 +185,7 @@ def test_build_dataset_equals_its_per_series_oracle_bit_for_bit(recipe):
         cores = want[arfima]
         seriesgen._fractionally_integrate(cores, [specs[i].d for i in arfima])
         want[arfima] = cores
-    assert np.array_equal(data.values.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(series_of(data).view(np.uint64), want.view(np.uint64))
 
 
 def test_build_dataset_rejects_bad_count():
@@ -483,12 +488,13 @@ def test_split_features_from_index_blocks_equal_a_transform_of_the_copied_split(
     config = tiny_config(**stage_kw)
     dataset = make_dataset(config, config.train_recipe)
     splits = split_indices(config, dataset.labels)
-    stage = fit_feature_stage(config, dataset.values[splits[0]])
+    values = series_of(dataset)
+    stage = fit_feature_stage(config, values[splits[0]])
     monkeypatch.setattr(pipeline, "TRANSFORM_BLOCK_ROWS", 5)
     sets = list(pipeline.featurize_sets(config, lambda recipe: make_dataset(config, recipe)))
     for (_, _, features, labels), idx in zip(sets, splits):
         np.testing.assert_array_equal(labels, dataset.labels[idx])
-        want = stage.transform(dataset.values[idx])
+        want = stage.transform(values[idx])
         np.testing.assert_array_equal(features.view(np.uint64), want.view(np.uint64))
 
 
@@ -504,25 +510,28 @@ IN_PLACE_STAGES = {
 
 @pytest.mark.parametrize("length", [2, 128])
 @pytest.mark.parametrize("stage_kw", IN_PLACE_STAGES.values(), ids=IN_PLACE_STAGES)
-def test_features_written_over_a_dataset_equal_a_transform_of_its_copy(monkeypatch, stage_kw,
-                                                                       length):
-    # blocks of 5 rows cut every set; a raw row, and at length 2 a spectrum
-    # of 2 // 2 + 1 values, is as wide as its series, so each block then
-    # overwrites exactly the rows it read
+def test_every_set_equals_a_transform_of_its_simulated_series(monkeypatch, stage_kw, length):
+    # a two-class train recipe and test recipes of both classes, of the
+    # causal class alone (ARMA) and of the noise class alone, each simulated
+    # class by class into its own buffer; blocks of 5 rows cut both classes
+    # of every set. A raw row, and at length 2 a spectrum of 2 // 2 + 1
+    # values, is as wide as its series, so each block then overwrites exactly
+    # the rows it read
     short = CausalFamily(Kind.AR, lag_hi=1)
     config = tiny_config(
         length=length, **stage_kw,
         train_recipe=DatasetRecipe("t", causal=short, noncausal=NoiseFamily(Kind.NOISE_NORMAL)),
         test_recipes=(DatasetRecipe("u", causal=short, noncausal=NoiseFamily(Kind.NOISE_UNIFORM)),
-                      DatasetRecipe("v", causal=short)))
+                      DatasetRecipe("v", causal=CausalFamily(Kind.ARMA, lag_hi=1, ma_lag_hi=1)),
+                      DatasetRecipe("w", noncausal=NoiseFamily(Kind.NOISE_UNIFORM))))
     monkeypatch.setattr(pipeline, "TRANSFORM_BLOCK_ROWS", 5)
     sets = list(pipeline.featurize_sets(config, lambda recipe: make_dataset(config, recipe)))
-    train = make_dataset(config, config.train_recipe)
-    splits = split_indices(config, train.labels)
-    stage = fit_feature_stage(config, train.values, splits[0])
-    want = [stage.transform(train.values[idx].copy()) for idx in splits]
-    want += [stage.transform(make_dataset(config, r).values.copy()) for r in config.test_recipes]
-    assert [len(f) for _, _, f, _ in sets] == [16, 8, 12, 6]
+    train = series_of(make_dataset(config, config.train_recipe))
+    splits = split_indices(config, make_dataset(config, config.train_recipe).labels)
+    stage = fit_feature_stage(config, train[splits[0]])
+    want = [stage.transform(train[idx]) for idx in splits]
+    want += [stage.transform(series_of(make_dataset(config, r))) for r in config.test_recipes]
+    assert [len(f) for _, _, f, _ in sets] == [16, 8, 12, 6, 6]
     for (name, _, features, _), expected in zip(sets, want):
         assert features.shape == expected.shape, name
         np.testing.assert_array_equal(features.view(np.uint64), expected.view(np.uint64), err_msg=name)
@@ -546,11 +555,10 @@ def test_block_fitted_scaler_equals_a_whole_split_fit_bit_for_bit():
     for config in (tiny_config(model="fft_chaosfex"),
                    tiny_config(model="fft_chaosfex", keep_dc=False)):
         keep = slice(None) if config.keep_dc else slice(1, None)
-        for got in (fit_feature_stage(config, values, rows).scaler,
-                    fit_feature_stage(config, values[rows]).scaler):
-            np.testing.assert_array_equal(got.minimum.view(np.uint64), want.minimum[keep].view(np.uint64))
-            np.testing.assert_array_equal(got.maximum.view(np.uint64), want.maximum[keep].view(np.uint64))
-            assert got.headroom == config.headroom
+        got = fit_feature_stage(config, values[rows]).scaler
+        np.testing.assert_array_equal(got.minimum.view(np.uint64), want.minimum[keep].view(np.uint64))
+        np.testing.assert_array_equal(got.maximum.view(np.uint64), want.maximum[keep].view(np.uint64))
+        assert got.headroom == config.headroom
 
 
 def test_the_scaler_fit_never_holds_the_whole_split_spectra():
@@ -559,8 +567,9 @@ def test_the_scaler_fit_never_holds_the_whole_split_spectra():
     rows = np.arange(0, 3000, 2)
     spectra_bytes = len(rows) * (256 // 2 + 1) * 8
     # a fit on the whole split's spectra peaked at 4.99x their bytes; in
-    # blocks of 64 rows it measures 0.22x
-    peak = traced_peak(fit_feature_stage, config, values, rows)
+    # blocks of 64 rows it measures 0.13x
+    split = values[rows]
+    peak = traced_peak(fit_feature_stage, config, split)
     assert peak < 0.3 * spectra_bytes, f"traced peak is {peak / spectra_bytes:.2f}x the split's spectra"
 
 
@@ -590,7 +599,7 @@ def test_assemble_sets_names_and_shapes():
     assert np.array_equal(np.sort(np.concatenate([train_rows, held_rows])), np.arange(24))
     assert np.array_equal(train_labels, dataset.labels[train_rows])
     assert np.array_equal(held_labels, dataset.labels[held_rows])
-    assert make_dataset(cfg, SHIFT_I).values.shape == (12, 128)
+    assert series_of(make_dataset(cfg, SHIFT_I)).shape == (12, 128)
 
 
 def test_run_experiment_report_layout():
@@ -623,21 +632,38 @@ def test_run_experiment_report_is_the_same_from_a_cached_firing_table():
     assert a == b
 
 
-def test_features_are_written_over_their_datasets_memory():
-    config = tiny_config(test_recipes=(SHIFT_I, AR100))
-    built = []
+@pytest.mark.parametrize("model", ["raw", "fft"])
+def test_every_set_is_a_view_of_a_buffer_of_one_size(model):
+    # every set's buffer has the size of the largest set's: 24 rows of
+    # features (the train set and shift-I) or 12 causal series of 128
+    # values (all three), whichever is more
+    config = tiny_config(model=model, test_recipes=(SHIFT_I, AR100), n_test_per_class=12)
+    sets = [(name, features) for name, _, features, _ in
+            pipeline.featurize_sets(config, lambda recipe: make_dataset(config, recipe))]
+    buffers = [buffer_of(features) for _, features in sets]
+    width = 128 if model == "raw" else 65
+    assert [b.size for b in buffers] == [max(24 * width, 12 * 128)] * 4
+    # the train dataset's two splits are disjoint rows of one buffer
+    assert buffers[0] is buffers[1] and not np.shares_memory(sets[0][1], sets[1][1])
+    assert len({id(b) for b in buffers}) == 3
+
+
+def test_a_dataset_featurized_twice_gives_the_same_features():
+    # a dataset is drawn specs and seeds, which featurize simulates into a
+    # buffer of its own, so a dataset_for that caches its datasets is
+    # featurized from its series each time
+    config = tiny_config(model="fft_chaosfex", test_recipes=(SHIFT_I, AR100))
+    cache = {}
 
     def dataset_for(recipe):
-        built.append(make_dataset(config, recipe))
-        return built[-1]
+        if recipe.name not in cache:
+            cache[recipe.name] = make_dataset(config, recipe)
+        return cache[recipe.name]
 
-    sets = [(name, features) for name, _, features, _ in pipeline.featurize_sets(config, dataset_for)]
-    assert len(built) == 3 and len(sets) == 4
-    # every set over its dataset's values, the train dataset's two splits
-    # over disjoint rows of its memory
-    for (name, features), dataset in zip(sets, [built[0], *built]):
-        assert np.shares_memory(features, dataset.values), name
-    assert not np.shares_memory(sets[0][1], sets[1][1])
+    first, again = ([features.copy() for _, _, features, _ in pipeline.featurize_sets(config, dataset_for)]
+                    for _ in range(2))
+    for a, b in zip(first, again, strict=True):
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 PERMUTATIONS = {
@@ -665,66 +691,28 @@ def test_rows_permuted_in_place_equal_an_indexed_copy_bit_for_bit(permutation, w
     np.testing.assert_array_equal(buffer[rows * width:].view(np.uint64), rest.view(np.uint64))
 
 
-def test_featurize_sets_refuses_a_dataset_it_has_featurized():
-    # a dataset_for that caches its datasets hands a second pass the
-    # features the first pass wrote over each dataset's series, which must
-    # not be taken for series
-    config = tiny_config(test_recipes=(SHIFT_I, AR100))
-    cache = {}
-
-    def dataset_for(recipe):
-        if recipe.name not in cache:
-            cache[recipe.name] = make_dataset(config, recipe)
-        return cache[recipe.name]
-
-    list(pipeline.featurize_sets(config, dataset_for))
-    with pytest.raises(ValueError, match="^dataset 'AR-train': its values are writable, so "
-                                         "featurize has already written a set's features "
-                                         "over them; dataset_for must return a new dataset$"):
-        list(pipeline.featurize_sets(config, dataset_for))
-
-
 @pytest.mark.parametrize("split", [0, 1], ids=["train-split", "held-out"])
-@pytest.mark.parametrize("model", ["raw", "fft"])
+@pytest.mark.parametrize("stage_kw", FEATURE_STAGES.values(), ids=FEATURE_STAGES)
 def test_a_non_finite_train_row_is_refused_by_the_train_recipe_and_its_dataset_row(
-        monkeypatch, model, split):
-    # the train dataset is transformed whole, so a row past the first block
-    # is counted within the dataset, not within its split
-    config = tiny_config(model=model)
+        monkeypatch, stage_kw, split):
+    # the train dataset's first pass reads every row in order, before any
+    # scaler is fitted, so a row past the first block is counted within
+    # the dataset, not within its split, under a train-fitted scaler too
+    # (whose fit once met the row first and named the split and its split
+    # row); blocks start at row 0 in the causal class and at its end, row
+    # 12, in the noise class
+    config = tiny_config(**stage_kw)
     splits = split_indices(config, make_dataset(config, config.train_recipe).labels)
-    row = int(splits[split][splits[split] >= 5][0])
-
-    def dataset_for(recipe):
-        dataset = make_dataset(config, recipe)
-        values = dataset.values.copy()
-        values[row] = np.nan
-        return pipeline.Dataset(values, dataset.labels)
-
-    monkeypatch.setattr(pipeline, "TRANSFORM_BLOCK_ROWS", 5)
-    start = row - row % 5
-    what = "series value" if model == "raw" else "amplitude spectrum"
-    with pytest.raises(RuntimeError, match=rf"^featurize stage failed on 'AR-train': in the block "
-                                           rf"from row {start}: non-finite {what} at row "
-                                           rf"{row - start}\b"):
-        list(pipeline.featurize_sets(config, dataset_for))
-
-
-@pytest.mark.parametrize("recipe", [AR_TRAIN, AR100], ids=lambda r: r.name)
-def test_featurize_sets_refuses_a_dataset_over_a_view(recipe):
-    # featurize writes a set's features over its dataset's values, so a
-    # dataset that does not own them is refused before any is written
-    config = tiny_config(test_recipes=(SHIFT_I, AR100))
-
-    def dataset_for(made):
-        dataset = make_dataset(config, made)
-        if made == recipe:
-            return pipeline.Dataset(dataset.values[:], dataset.labels)
-        return dataset
-
-    with pytest.raises(ValueError, match=f"^dataset {recipe.name!r}: featurize writes its "
-                                         "features over its values, which must be .* that owns "
-                                         "its memory; dataset_for must return a new dataset$"):
-        list(pipeline.featurize_sets(config, dataset_for))
+    for row in (int(splits[split][splits[split] >= 5][0]), int(splits[split][splits[split] >= 12][1])):
+        monkeypatch.undo()
+        plant_row(monkeypatch, config.train_recipe.name, row, np.nan)
+        monkeypatch.setattr(pipeline, "TRANSFORM_BLOCK_ROWS", 5)
+        start = row - (row - (0 if row < 12 else 12)) % 5
+        what = "series value" if stage_kw["model"] == "raw" else "amplitude spectrum"
+        with pytest.raises(RuntimeError, match=rf"^featurize stage failed on 'AR-train': in the "
+                                               rf"block from row {start}: non-finite {what} at row "
+                                               rf"{row - start}\b"):
+            list(pipeline.featurize_sets(config, lambda recipe: make_dataset(config, recipe)))
 
 
 def test_run_experiment_holds_one_dataset_and_one_set_of_features_at_a_time(monkeypatch):
@@ -732,20 +720,21 @@ def test_run_experiment_holds_one_dataset_and_one_set_of_features_at_a_time(monk
     with watch_sets(monkeypatch, "build_dataset") as watch:
         run_experiment(config)
     # the train dataset makes the train split and the held-out set; each
-    # set's features are written over its dataset's memory, which they keep
-    # alive until dropped
-    assert len(watch.datasets) == 4 and len(watch.features) == 5
+    # set's features are a view of its own buffer, which they keep alive
+    # until dropped
+    assert len(watch.datasets) == 4 and len(watch.features) == 5 and len(watch.buffers) == 4
     assert watch.alive_at_yield == [[0], [0], [1], [2], [3]]
-    assert not watch.live_datasets() and not watch.live_features()
+    assert not watch.live_datasets() and not watch.live_buffers() and not watch.live_features()
 
 
-def test_run_experiment_peak_memory_stays_below_0_50x_its_datasets():
-    # each set's features, the held-out set's too, are written over its
-    # dataset's values, no series is held twice and every temporary is a
-    # block's, so the traced peak is the train dataset and a block: it
-    # measures 0.45x the bytes of all datasets, where held-out features in
-    # their own array took it to 0.54x, features beside their values to
-    # 0.61x and copies of the train splits to 0.75x
+def test_run_experiment_peak_memory_stays_below_0_32x_its_datasets():
+    # each dataset is simulated class by class into its set's buffer, which
+    # its features overwrite, no series is held twice and every temporary
+    # is a block's, so the traced peak is the train set's buffer and a
+    # block: it measures 0.29x the bytes of all datasets, where a whole
+    # set's series took it to 0.45x, held-out features in their own array
+    # to 0.54x, features beside their values to 0.61x and copies of the
+    # train splits to 0.75x
     config = table_config("table3", scale="desk", seed=42)
     run_experiment(config)  # builds the firing table and other first-use state
     sizes = [(config.train_recipe, config.n_train_per_class),
@@ -753,7 +742,7 @@ def test_run_experiment_peak_memory_stays_below_0_50x_its_datasets():
     n_series = sum(n * ((r.causal is not None) + (r.noncausal is not None)) for r, n in sizes)
     dataset_bytes = n_series * config.length * np.dtype(np.float64).itemsize
     peak = traced_peak(run_experiment, config)
-    assert peak < 0.50 * dataset_bytes, f"traced peak is {peak / dataset_bytes:.2f}x the datasets"
+    assert peak < 0.32 * dataset_bytes, f"traced peak is {peak / dataset_bytes:.2f}x the datasets"
 
 
 def test_report_json_excludes_timings():
@@ -819,29 +808,27 @@ def test_emit_plot_data_rejects_empty(tmp_path):
 def test_dataset_round_trip_is_bit_exact(tmp_path):
     data = persist_built(tmp_path / "d", AR_TRAIN, n_per_class=3, length=64, master_seed=4)
     loaded = load_dataset(tmp_path / "d")
-    assert loaded.values.shape == data.values.shape
-    assert np.array_equal(data.values, loaded.values)
+    assert loaded.specs == data.specs and loaded.seeds == data.seeds
     assert np.array_equal(data.labels, loaded.labels)
 
 
 @pytest.mark.parametrize("name", sorted(RECIPES))
 def test_a_loaded_desk_dataset_equals_the_built_one(tmp_path, name):
-    # the dataset is simulated again from the manifest's source
+    # the dataset is drawn again from the manifest's source
     config, recipe = ExperimentConfig(), RECIPES[name]
     data = make_dataset(config, recipe)
     persist_dataset(tmp_path / "d", dataset_source(config, recipe))
     loaded = load_dataset(tmp_path / "d")
     assert np.array_equal(loaded.labels, data.labels)
-    assert np.array_equal(loaded.values.view(np.uint64), data.values.view(np.uint64))
+    assert loaded.specs == data.specs and loaded.seeds == data.seeds
 
 
-def test_dataset_arrays_are_read_only(tmp_path):
+def test_dataset_labels_are_read_only(tmp_path):
     data = persist_built(tmp_path / "d", AR_TRAIN, n_per_class=3, length=64, master_seed=4)
     for dataset in (data, load_dataset(tmp_path / "d")):
-        for array in (dataset.values, dataset.labels):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
+        assert not dataset.labels.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            dataset.labels[0] = 0
 
 
 def edit_source(dir_path, edit) -> str:

@@ -16,6 +16,7 @@ from tscausal.seriesgen import (
     ProcessSpec,
     fractional_integration_weights,
     generate,
+    generate_into,
     generate_many,
 )
 
@@ -494,6 +495,33 @@ BATCHES = st.sampled_from(LENGTHS).flatmap(lambda length: st.lists(
                  ma_terms=((0, 1.0), (4, 0.3))), 26),
     (ProcessSpec(kind=Kind.AR, length=12, ar_terms=((2, 0.7),)), 27),
 ])
+@hypothesis.example([
+    # one ARMA run whose MA terms read a window of the noise: MA lags up to
+    # 11 against an AR step of 1, a second MA term whose lag 2 every row
+    # shares and a third whose lag each row has its own, and rows that
+    # start at 5 and 11, ahead of the run's least start, 2; the window,
+    # 22 columns wide, moves on at step 13
+    (ProcessSpec(kind=Kind.ARMA, length=24, ar_terms=((1, 0.5),),
+                 ma_terms=((0, 1.0), (2, 0.3), (5, 0.2))), 31),
+    (ProcessSpec(kind=Kind.ARMA, length=24, ar_terms=((3, -0.4),),
+                 ma_terms=((0, 1.0), (2, -0.3), (11, 0.5))), 32),
+    (ProcessSpec(kind=Kind.ARMA, length=24, ar_terms=((2, 0.7),), noise_mean=0.5,
+                 ma_terms=((0, 1.0), (2, 0.6), (1, -0.2))), 33),
+])
+@hypothesis.example([
+    # an ARMA run with an MA lag equal to the length, so that the noise of
+    # every column sits in the head; an ARFIMA run whose window of 8
+    # columns moves on every 4 steps; and a pure MA run, whose step is 1
+    (ProcessSpec(kind=Kind.ARMA, length=16, ar_terms=((1, 0.5),),
+                 ma_terms=((0, 1.0), (16, 0.3))), 41),
+    (ProcessSpec(kind=Kind.ARMA, length=16, ar_terms=((2, 0.4),),
+                 ma_terms=((0, 1.0), (3, 0.6))), 42),
+    (ProcessSpec(kind=Kind.ARFIMA, length=16, ar_terms=((1, 0.4),),
+                 ma_terms=((0, 1.0), (4, 0.3)), d=0.3), 43),
+    (ProcessSpec(kind=Kind.ARFIMA, length=16, ar_terms=((4, 0.4),),
+                 ma_terms=((0, 1.0), (1, 0.3)), d=-0.2), 44),
+    (ProcessSpec(kind=Kind.ARMA, length=16, ma_terms=((0, 1.0), (3, 0.5))), 45),
+])
 def test_generate_many_equals_the_scalar_oracle_bit_for_bit(pairs):
     batch, seeds = [list(x) for x in zip(*pairs)]
     assert_matches_oracle(batch, seeds)
@@ -518,20 +546,29 @@ def test_generate_many_names_the_kind_of_a_divergent_series(kind):
                 generate_many([tame, dense, ar_spec()], [1, 2, 3])
 
 
-@pytest.mark.parametrize("kind", ["ar", "white_noise"])
-def test_an_ar_or_white_noise_run_allocates_no_noise_matrix(kind):
+@pytest.mark.parametrize("kind", ["ar", "white_noise", "arma", "arfima"])
+def test_a_run_allocates_no_noise_matrix(kind):
     # the noise is drawn into the output's rows; a (k, length) noise matrix
     # beside them would take the traced peak to 2.05x the output
     if kind == "ar":
         batch = [ar_spec(lag=1 if i % 2 else 20, length=500) for i in range(1000)]
-    else:
+    elif kind == "white_noise":
         batch = [ProcessSpec(kind=Kind.NOISE_UNIFORM if i < 500 else Kind.NOISE_NORMAL, length=500)
+                 for i in range(1000)]
+    else:
+        batch = [ProcessSpec(kind=Kind(kind), length=500, ar_terms=((1 if i % 2 else 20, 0.85),),
+                             ma_terms=((0, 1.0), (1 + i % 20, 0.8)),
+                             d=0.3 if kind == "arfima" else 0.0, noise_variance=0.01)
                  for i in range(1000)]
     generate_many(batch[:2], [0, 1])  # first-use state
     out_bytes = len(batch) * 500 * 8
     peak = traced_peak(generate_many, batch, range(len(batch)))
-    # measured 1.05x (AR) and 1.04x (white noise): the output and small blocks
-    assert peak < 1.1 * out_bytes, f"traced peak is {peak / out_bytes:.2f}x the output"
+    # measured 1.05x (AR) and 1.04x (white noise): the output and small
+    # blocks; 1.20x (ARMA and ARFIMA): an MA run's head of 20 columns, its
+    # window of 40 and the copy that moves the window on, against the 500
+    # columns of the output
+    bound = 1.1 if kind in ("ar", "white_noise") else 1.25
+    assert peak < bound * out_bytes, f"traced peak is {peak / out_bytes:.2f}x the output"
 
 
 def test_generate_many_requires_one_seed_per_spec():
@@ -544,6 +581,20 @@ def test_generate_many_requires_one_length():
         generate_many([ar_spec(), ar_spec(length=64)], [1, 2])
     with pytest.raises(ValueError, match=re.escape("one length, got lengths []")):
         generate_many([], [])
+
+
+def test_generate_into_fills_the_rows_of_a_callers_matrix():
+    # the rows of a slice of a larger buffer, as featurize simulates a
+    # set's causal rows; the rest of the buffer is left as it was
+    specs = [ar_spec(length=64), ProcessSpec(kind=Kind.NOISE_UNIFORM, length=64)]
+    buffer = np.zeros(3 * 64 + 5)
+    generate_into(specs, [3, 4], buffer[:128].reshape(2, 64))
+    want = generate_many(specs, [3, 4])
+    np.testing.assert_array_equal(buffer[:128].view(np.uint64), want.reshape(-1).view(np.uint64))
+    assert not buffer[128:].any()
+    for out in (np.zeros((3, 64)), np.zeros((2, 65))):
+        with pytest.raises(ValueError, match="need one row of out per spec, as long as its spec"):
+            generate_into(specs, [3, 4], out)
 
 
 def test_build_dataset_shaped_batch_equals_the_oracle():
