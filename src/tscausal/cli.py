@@ -159,6 +159,8 @@ def cmd_reproduce(args) -> int:
     config = pipeline.table_config(args.table, scale=args.scale, seed=args.seed)
     run_dir = _run_dir(args.out, config.master_seed, args.run_name)
     report = pipeline.run_experiment(config)
+    # a chained run's files in run_dir are not this config's
+    artifacts.invalidate_datasets(run_dir)
     artifacts.write_config(run_dir, config)
     pipeline.write_report(report, run_dir)
     print(pipeline.report_to_text(report), end="")

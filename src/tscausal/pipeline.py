@@ -140,10 +140,16 @@ class DatasetRecipe:
     def __post_init__(self):
         if self.causal is None and self.noncausal is None:
             raise ValueError(f"recipe {self.name!r} defines no generator family")
-        # a run-directory entry under datasets/ and features/
-        if self.name in ("", ".", "..") or "/" in self.name or "\\" in self.name:
+        # a run-directory entry under datasets/ and features/, whose name a
+        # file system takes as at most 255 bytes with no NUL
+        try:
+            fits = len(self.name.encode()) <= 255
+        except UnicodeEncodeError:  # a lone surrogate
+            fits = False
+        if not fits or self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
             raise ValueError(f"recipe name {self.name!r} must not be empty, '.' or '..', "
-                             "nor contain '/' or '\\'")
+                             "nor contain '/', '\\' or NUL, and must encode as at most 255 "
+                             "bytes of UTF-8")
 
     @classmethod
     def from_name(cls, name: str) -> DatasetRecipe:
@@ -405,24 +411,20 @@ def table_config(table: str, scale: str = "desk", seed: int = 42) -> ExperimentC
 TRANSFORM_BLOCK_ROWS = 64
 
 
-def _map_blocks(fn: Callable[[np.ndarray], np.ndarray], rows: range,
-                block_of: Callable[[int, int], np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (first row, ``fn(block_of(a, b))``) for each block [a, b) of
-    ``TRANSFORM_BLOCK_ROWS`` rows of ``rows``, in order, so that only a
-    block is ever made or gathered. An empty range is one empty block, so a
-    caller meets its error. An error in a block that does not start at row 0
-    names the block's first row, and a row it names counts from there."""
-    for start in range(rows.start, max(rows.stop, rows.start + 1), TRANSFORM_BLOCK_ROWS):
-        stop = min(start + TRANSFORM_BLOCK_ROWS, rows.stop)
+def _write_blocks(out: np.ndarray, fn: Callable[[np.ndarray], np.ndarray], rows: range,
+                  block_of: Callable[[int, int], np.ndarray]) -> None:
+    """Set ``out[a:b] = fn(block_of(a, b))`` for each block [a, b) of
+    ``TRANSFORM_BLOCK_ROWS`` rows of ``rows``, in order, so that a step's
+    temporaries are a block's. An error in a block that does not start at
+    row 0 names the block's first row, and a row it names counts from there."""
+    for a in range(rows.start, rows.stop, TRANSFORM_BLOCK_ROWS):
+        b = min(a + TRANSFORM_BLOCK_ROWS, rows.stop)
         try:
-            block = block_of(start, stop)
-            result = fn(block)
+            out[a:b] = fn(block_of(a, b))
         except ValueError as exc:
-            if not start:
+            if not a:
                 raise
-            raise ValueError(f"in the block from row {start}: {exc}") from exc
-        del block  # the caller works on the result with the block freed
-        yield start, result
+            raise ValueError(f"in the block from row {a}: {exc}") from exc
 
 
 def _feature_width(config: ExperimentConfig, length: int) -> int:
@@ -434,57 +436,40 @@ def _feature_width(config: ExperimentConfig, length: int) -> int:
     return length // 2 + 1 - (not config.keep_dc)
 
 
-def _write_unscaled(config: ExperimentConfig, out: np.ndarray, rows: range,
-                    block_of: Callable[[int, int], np.ndarray]) -> None:
-    """Write the unscaled features of the series ``block_of`` gives for
-    ``rows``, a block at a time, into the same rows of ``out``."""
-    def unscaled(block: np.ndarray) -> np.ndarray:
-        return _unscaled_features(config, block)
-
-    for start, feats in _map_blocks(unscaled, rows, block_of):
-        out[start:start + len(feats)] = feats
-
-
 @dataclass(frozen=True)
 class FeatureStage:
-    """Feature transform fitted on the training split (scaler may be None).
+    """Feature transform fitted on the training split; ``scaler`` is None
+    unless ``fft_chaosfex`` scales on ranges fitted there.
 
-    A transform has two passes. The first writes every row's unscaled
-    features (``_unscaled_features``) into the output; under
-    ``fft_chaosfex`` the second scales each block of them into the neuron
-    domain and writes its TTSS features over it. Every step acts on each row
-    alone, so neither the block size nor the passes change a feature bit."""
+    The first pass writes each block's unscaled features; under
+    ``fft_chaosfex`` the second scales each block in place and fires it."""
 
     scaler: MinMaxScaler | None
     config: ExperimentConfig
 
     def transform(self, values: np.ndarray) -> np.ndarray:
-        """Features of every row of ``values``, computed one block of
-        ``TRANSFORM_BLOCK_ROWS`` rows at a time into one preallocated matrix.
-        The transients of the spectra, scaling and firing are those of a
-        block, so the output is the one array the size of the set that a
+        """Features of every row of ``values``, written a block at a time into
+        one preallocated matrix, the one array the size of the set that a
         transform makes."""
         out = np.empty((len(values), _feature_width(self.config, values.shape[1])))
-        _write_unscaled(self.config, out, range(len(values)), lambda a, b: values[a:b])
+        _write_blocks(out, lambda block: _unscaled_features(self.config, block),
+                      range(len(values)), lambda a, b: values[a:b])
         self._fire(out)
         return out
 
     def _fire(self, features: np.ndarray) -> None:
         """The second pass, in place: under ``fft_chaosfex``, write each block
         of ``features``' TTSS features over its unscaled spectra."""
-        if self.config.model != "fft_chaosfex":
-            return
-        for start, feats in _map_blocks(self._scale_and_fire, range(len(features)),
-                                        lambda a, b: features[a:b]):
-            features[start:start + len(feats)] = feats
+        if self.config.model == "fft_chaosfex":
+            _write_blocks(features, self._scale_and_fire, range(len(features)),
+                          lambda a, b: features[a:b])
 
     def _scale_and_fire(self, spectra: np.ndarray) -> np.ndarray:
-        cfg = self.config
-        if cfg.per_instance_scaling:
-            scaled = spectral.scale_per_instance(spectra, cfg.headroom)
+        if self.scaler is None:
+            scaled = spectral.scale_per_instance(spectra, self.config.headroom)
         else:
             scaled = spectral.apply_scaler(self.scaler, spectra)
-        return extract_ttss(scaled, cfg.gls)
+        return extract_ttss(scaled, self.config.gls)
 
 
 def _unscaled_features(config: ExperimentConfig, values: np.ndarray) -> np.ndarray:
@@ -502,30 +487,15 @@ def _unscaled_features(config: ExperimentConfig, values: np.ndarray) -> np.ndarr
     return amps if config.keep_dc else amps[:, 1:]
 
 
-def _fit(config: ExperimentConfig, rows: range,
-         unscaled_of: Callable[[int, int], np.ndarray]) -> FeatureStage:
-    """The feature stage fitted on the training rows' unscaled features,
-    which ``unscaled_of`` gives a block of ``rows`` at a time. A
-    train-fitted scaler is fitted on each block in turn and its per-feature
-    minima and maxima are reduced across blocks, so the split's features are
-    never held whole; min and max do not round, so the result equals a fit
-    on the whole split bit for bit."""
-    scaler = None
-    if config.model == "fft_chaosfex" and not config.per_instance_scaling:
-        def fit(block: np.ndarray) -> MinMaxScaler:
-            return spectral.fit_scaler(block, config.headroom)
-
-        for _, block_scaler in _map_blocks(fit, rows, unscaled_of):
-            scaler = block_scaler if scaler is None else MinMaxScaler(
-                np.minimum(scaler.minimum, block_scaler.minimum),
-                np.maximum(scaler.maximum, block_scaler.maximum), config.headroom)
-    return FeatureStage(scaler=scaler, config=config)
+def _fitted(config: ExperimentConfig, unscaled: np.ndarray) -> FeatureStage:
+    """The feature stage fitted on the training split's unscaled features."""
+    fits = config.model == "fft_chaosfex" and not config.per_instance_scaling
+    return FeatureStage(spectral.fit_scaler(unscaled, config.headroom) if fits else None, config)
 
 
 def fit_feature_stage(config: ExperimentConfig, values: np.ndarray) -> FeatureStage:
-    """The feature stage fitted on the training series ``values``, a block
-    of ``TRANSFORM_BLOCK_ROWS`` rows at a time."""
-    return _fit(config, range(len(values)), lambda a, b: _unscaled_features(config, values[a:b]))
+    """The feature stage fitted on the training series ``values``."""
+    return _fitted(config, _unscaled_features(config, values))
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +570,7 @@ def assemble_sets(config: ExperimentConfig,
                   train_set: Dataset) -> list[tuple[np.ndarray, np.ndarray]]:
     """The (row indices, labels) of the training dataset's two splits, train
     split first: a pure function of the config, and indices into the
-    rows of ``train_set``, which the feature stage gathers a block at a time."""
+    rows of ``train_set``."""
     return [(rows, train_set.labels[rows]) for rows in split_indices(config, train_set.labels)]
 
 
@@ -662,8 +632,11 @@ def _simulate_unscaled(config: ExperimentConfig, dataset: Dataset, floats: int) 
         generate_into(specs[a:b], seeds[a:b], block)
         return block
 
-    _write_unscaled(config, out, range(causal), lambda a, b: series[a:b])
-    _write_unscaled(config, out, range(causal, n), white)
+    def unscaled(block: np.ndarray) -> np.ndarray:
+        return _unscaled_features(config, block)
+
+    _write_blocks(out, unscaled, range(causal), lambda a, b: series[a:b])
+    _write_blocks(out, unscaled, range(causal, n), white)
     return out
 
 
@@ -673,25 +646,21 @@ def featurize_sets(config: ExperimentConfig, dataset_for: Callable[[DatasetRecip
     split. ``dataset_for(recipe)`` draws a recipe's dataset when its set's
     turn comes.
 
-    Each dataset is simulated straight into its set's own buffer, class by
-    class, and the set's features are a view of that buffer: the first pass
-    (``_simulate_unscaled``) writes every row's unscaled features, a
-    train-fitted scaler is fitted on the train rows' spectra already in the
-    buffer, and the second pass (``FeatureStage._fire``) scales and fires
-    each block in place. Every row of the train dataset is transformed in
-    order, as a test set's is; its feature rows are then moved in place into
-    split order, the train rows before the held-out rows, and the two splits
-    are disjoint views of the one buffer.
+    Each dataset is simulated into its set's own buffer, and the set's
+    features are a view of it: the first pass (``_simulate_unscaled``) writes
+    every row's unscaled features in row order, and the second
+    (``FeatureStage._fire``) scales and fires them in place. Between the two,
+    the train dataset's rows are moved in place into split order, so the
+    stage is fitted on the train split's rows at the front of the buffer and
+    the two splits are disjoint views of it.
 
-    Every set's buffer has the size of the largest set's, a pure function of
-    the config. glibc's malloc raises its mmap threshold to the size of a
-    mapping it frees, so once the first buffer is dropped every later one
-    comes from its heap. At one size each buffer fits the chunk the set
-    before it freed, and the heap holds one buffer; a larger buffer after a
-    smaller one would not fit and would grow the heap by a second buffer,
-    which stays resident. No two sets' buffers are ever alive at once, and a
-    caller that drops each set's features before asking for the next holds
-    one buffer at most."""
+    Every set's buffer has the largest set's size, a pure function of the
+    config: glibc's malloc raises its mmap threshold to the size of a
+    mapping it frees, so every buffer after the first comes from its heap,
+    where a buffer of one size fits the chunk the set before it freed and a
+    larger one would grow the heap by a second buffer that stays resident.
+    A caller that drops each set's features before asking for the next
+    holds one buffer at most."""
     (train, train_dir), (held, held_dir), *tests = set_names(config)
     floats = _buffer_floats(config)
     dataset = dataset_for(config.train_recipe)
@@ -699,9 +668,9 @@ def featurize_sets(config: ExperimentConfig, dataset_for: Callable[[DatasetRecip
     with in_stage("featurize", config.train_recipe.name):
         every = _simulate_unscaled(config, dataset, floats)
         del dataset
-        stage = _fit(config, range(len(rows)), lambda a, b: every[rows[a:b]])
+        _permute_rows(every, np.concatenate([rows, held_rows]))
+        stage = _fitted(config, every[:len(rows)])
         stage._fire(every)
-    _permute_rows(every, np.concatenate([rows, held_rows]))
     features, held_features = every[:len(rows)], every[len(rows):]
     del every
     yield train, train_dir, features, labels

@@ -144,6 +144,15 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
      "'test_recipes[0]': recipe name '' must not be"),
     ({"test_recipes": [{"name": "..", "causal": {"kind": "ar"}}]},
      "'test_recipes[0]': recipe name '..' must not be"),
+    # no file system takes these names: generate failed with exit 1 after it
+    # had written config.json and the train set's manifest
+    ({"test_recipes": [{"name": "a\u0000b", "causal": {"kind": "ar"}}]},
+     "'test_recipes[0]': recipe name 'a\\x00b' must not be"),
+    ({"test_recipes": [{"name": "a\ud800b", "causal": {"kind": "ar"}}]},
+     "'test_recipes[0]': recipe name 'a\\ud800b' must not be"),
+    # 128 characters, 256 bytes
+    ({"test_recipes": [{"name": "\u00e9" * 128, "causal": {"kind": "ar"}}]},
+     "'test_recipes[0]': recipe name '" + "\u00e9" * 128 + "' must not be"),
     ({"train_recipe": {"name": "a\\b", "causal": {"kind": "ar"},
                        "noncausal": {"kind": "noise_normal"}}},
      "'train_recipe': recipe name 'a\\\\b' must not be"),
@@ -695,6 +704,20 @@ def test_reproduce_writes_report_and_echo(tmp_path, capsys, monkeypatch):
     assert {r["dataset"] for r in report["rows"]} == {
         "AR-train (train split)", "AR-train (held-out)", "shift-I", "shift-II",
     }
+
+
+def test_reproduce_over_a_chained_run_leaves_only_its_own_files(
+        tmp_path, tiny_config_path, capsys, monkeypatch):
+    # the fft chain's datasets, features and model once stayed next to the
+    # preset's raw config, and evaluate then rewrote the report from them
+    run = run_chain(tmp_path, tiny_config_path, capsys)
+    monkeypatch.setattr(pipeline, "DESK_TRAIN_PER_CLASS", 10)
+    monkeypatch.setattr(pipeline, "DESK_TEST_PER_CLASS", 5)
+    assert main(["reproduce", "table1-lr", "--out", str(run)]) == 0
+    assert sorted(p.name for p in run.iterdir()) == ["config.json", "report.json", "report.txt"]
+    capsys.readouterr()
+    assert main(["evaluate", str(run)]) == 1
+    assert "features/manifest.json" in capsys.readouterr().err
 
 
 def test_plot_emits_expected_panels(tmp_path, capsys):

@@ -537,40 +537,53 @@ def test_every_set_equals_a_transform_of_its_simulated_series(monkeypatch, stage
         np.testing.assert_array_equal(features.view(np.uint64), expected.view(np.uint64), err_msg=name)
 
 
-def constant_dc_series(rows: int, length: int) -> np.ndarray:
-    """Small-integer series that all sum to 5, so that the DC bin of every
-    amplitude spectrum, a sum of integers, is exactly 5."""
-    values = np.random.default_rng(11).integers(-3, 4, size=(rows, length)).astype(np.float64)
-    values[:, -1] += 5 - values.sum(axis=1)
-    return values
+def record_fits(monkeypatch) -> list:
+    """Patch ``spectral.fit_scaler`` to record each call's (matrix, scaler,
+    traced peak of the fit)."""
+    fits, fit = [], spectral.fit_scaler
+
+    def recorded(unscaled, headroom):
+        fits.append((unscaled, fit(unscaled, headroom), traced_peak(fit, unscaled, headroom)))
+        return fits[-1][1]
+
+    monkeypatch.setattr(spectral, "fit_scaler", recorded)
+    return fits
 
 
-def test_block_fitted_scaler_equals_a_whole_split_fit_bit_for_bit():
-    block = pipeline.TRANSFORM_BLOCK_ROWS
-    values = constant_dc_series(3 * block + 40, 128)
-    rows = np.random.default_rng(12).permutation(len(values))[:2 * block + 17]
-    spectra = spectral.amplitude_spectra(values[rows])
-    assert np.all(spectra[:, 0] == 5.0) and np.ptp(spectra[:, 1:], axis=0).min() > 0
-    want = spectral.fit_scaler(spectra)
-    for config in (tiny_config(model="fft_chaosfex"),
-                   tiny_config(model="fft_chaosfex", keep_dc=False)):
-        keep = slice(None) if config.keep_dc else slice(1, None)
-        got = fit_feature_stage(config, values[rows]).scaler
-        np.testing.assert_array_equal(got.minimum.view(np.uint64), want.minimum[keep].view(np.uint64))
-        np.testing.assert_array_equal(got.maximum.view(np.uint64), want.maximum[keep].view(np.uint64))
-        assert got.headroom == config.headroom
+@pytest.mark.parametrize("keep_dc", [True, False], ids=["dc-kept", "dc-dropped"])
+def test_the_scaler_featurize_fits_equals_a_fit_on_the_gathered_split_bit_for_bit(
+        monkeypatch, keep_dc):
+    config = tiny_config(model="fft_chaosfex", keep_dc=keep_dc, test_recipes=())
+    dataset = make_dataset(config, config.train_recipe)
+    rows, _ = split_indices(config, dataset.labels)
+    spectra = spectral.amplitude_spectra(series_of(dataset))[:, int(not keep_dc):]
+    want = spectral.fit_scaler(spectra[rows], config.headroom)
+    # the held-out rows widen some feature's range, so a fit that took any of
+    # them in would differ
+    whole = spectral.fit_scaler(spectra, config.headroom)
+    assert not np.array_equal(np.stack([want.minimum, want.maximum]),
+                              np.stack([whole.minimum, whole.maximum]))
+    fits = record_fits(monkeypatch)
+    # blocks of 5 rows cut both classes of the 24-row train dataset
+    monkeypatch.setattr(pipeline, "TRANSFORM_BLOCK_ROWS", 5)
+    list(pipeline.featurize_sets(config, lambda recipe: make_dataset(config, recipe)))
+    [(_, got, _)] = fits
+    np.testing.assert_array_equal(got.minimum.view(np.uint64), want.minimum.view(np.uint64))
+    np.testing.assert_array_equal(got.maximum.view(np.uint64), want.maximum.view(np.uint64))
+    assert got.headroom == config.headroom
 
 
-def test_the_scaler_fit_never_holds_the_whole_split_spectra():
-    config = tiny_config(model="fft_chaosfex", length=256)
-    values = np.random.default_rng(13).normal(size=(4096, 256))
-    rows = np.arange(0, 3000, 2)
-    spectra_bytes = len(rows) * (256 // 2 + 1) * 8
-    # a fit on the whole split's spectra peaked at 4.99x their bytes; in
-    # blocks of 64 rows it measures 0.13x
-    split = values[rows]
-    peak = traced_peak(fit_feature_stage, config, split)
-    assert peak < 0.3 * spectra_bytes, f"traced peak is {peak / spectra_bytes:.2f}x the split's spectra"
+def test_featurize_fits_the_scaler_on_the_train_splits_rows_in_its_buffer(monkeypatch):
+    # a fit on a gathered copy of the split's spectra peaked at 4.99x their
+    # bytes, and gathered a block at a time 0.13x; over the rows in the
+    # buffer it allocates only its minima and maxima, and measures 0.0036x
+    config = tiny_config(model="fft_chaosfex", length=1024, n_train_per_class=500, test_recipes=())
+    fits = record_fits(monkeypatch)
+    _, _, features, _ = next(pipeline.featurize_sets(config, lambda recipe: make_dataset(config, recipe)))
+    [(unscaled, _, peak)] = fits
+    assert np.shares_memory(unscaled, features) and unscaled.shape == features.shape
+    spectra_bytes = features.size * 8
+    assert peak < 0.01 * spectra_bytes, f"traced peak is {peak / spectra_bytes:.4f}x the split's spectra"
 
 
 # ---------------------------------------------------------------------------
