@@ -3,17 +3,23 @@ deletes the files of a run directory, bar the reports ``pipeline.write_report``
 writes under the names given here.
 
 Arrays are NumPy ``.npy`` files (NEP 1). They hold the raw bits, so every
-feature and label round-trips exactly. Every file is written to a hidden
-sibling and then renamed into place, so a command that fails or is killed
-leaves no partial file under a final name. There is no fsync, so this guards
-against a failing process, not against power loss.
+feature and label round-trips exactly. Features that take only a known list
+of values, as every ``fft_chaosfex`` feature is one of its firing table's
+TTSS values, are stored as their indices into that list, in the least
+unsigned integer type that holds them (uint8 at the default ``GlsParams``);
+the list is in the features manifest, and a set is decoded to the same
+float64 bits when it is read. Every file is written to a hidden sibling and
+then renamed into place, so a command that fails or is killed leaves no
+partial file under a final name. There is no fsync, so this guards against
+a failing process, not against power loss.
 
 Manifests and ``model.json`` are dataclasses written by ``write_document``
 and read by ``read_document``; manifests carry ``ARTIFACT_SCHEMA_VERSION``.
-A dataset is its manifest alone (version 4): the generator and the
+A dataset is its manifest alone (version 5): the generator and the
 ``source``, from which ``pipeline.load_dataset`` draws it and featurize
 simulates it; its values are not stored. The features manifest holds the
-config and each set's shape.
+config, each set's shape and the values its features are coded against.
+Version 4 stored every model's features as float64 and had no ``values``.
 Version 3 also held the features manifest's model and each set's name and
 directory, and some datasets' ``values.npy``; version 2 listed each series'
 label, seed and spec, and version 1 was the CSV layout. Each is refused and
@@ -26,7 +32,7 @@ import contextlib
 import json
 import os
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO
 
@@ -35,7 +41,7 @@ import numpy as np
 from .codec import from_doc, to_doc
 from .seriesgen import GENERATOR_NAME
 
-ARTIFACT_SCHEMA_VERSION = 4
+ARTIFACT_SCHEMA_VERSION = 5
 CONFIG_FILE, MODEL_FILE = "config.json", "model.json"
 FEATURES_MANIFEST = "features/manifest.json"
 REPORT_JSON, REPORT_TEXT = "report.json", "report.txt"
@@ -177,18 +183,26 @@ class DatasetManifest:
                              f"generates with {GENERATOR_NAME!r}; run `generate` again")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeaturesManifest:
-    """``features/manifest.json``: the resolved config and each set's [rows,
-    columns], in the order ``pipeline.set_names`` names the config's sets."""
+    """``features/manifest.json``: the resolved config, each set's [rows,
+    columns], in the order ``pipeline.set_names`` names the config's sets,
+    and ``values``, the strictly increasing doubles that every feature of
+    the sets is one of (``pipeline.feature_values``). Each set's
+    ``features.npy`` holds its features' indices into ``values``, or, when
+    ``values`` is empty, the float64 features themselves."""
 
     config: dict
     shapes: tuple[tuple[int, int], ...]
+    values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         for i, shape in enumerate(self.shapes):
             if min(shape) < 0:
                 raise ValueError(f"shapes[{i}] must be non-negative, got {list(shape)}")
+        if self.values.ndim != 1 or not (self.values[1:] > self.values[:-1]).all():
+            raise ValueError("values must be strictly increasing")
+        self.values.setflags(write=False)
 
 
 # ---------------------------------------------------------------------------
@@ -246,18 +260,63 @@ def read_dataset_manifest(dir_path: str | Path, source=None) -> DatasetManifest:
 # feature sets
 
 
-def persist_features(run_dir: str | Path, config: dict, sets) -> FeaturesManifest:
+# rows a set's features are coded a block at a time, so that the coding's
+# temporaries are a block's and the codes are the one array of the set's size
+_CODE_BLOCK_ROWS = 64
+# a feature's code is first looked up by a multiplicative hash of its bits in
+# a table of 2**16 slots, in a seventh of the time of a binary search over
+# the values; a feature whose slot holds another value is then searched for
+_HASH_MULTIPLIER, _HASH_SHIFT = np.uint64(0x9E3779B97F4A7C15), np.uint64(64 - 16)
+
+
+def _code_type(values: np.ndarray) -> np.dtype:
+    """The dtype of a set's ``features.npy``: the least unsigned integer type
+    that holds every index into ``values``; float64 if ``values`` is empty."""
+    return np.min_scalar_type(len(values) - 1) if len(values) else np.dtype(np.float64)
+
+
+def _encode(path: Path, features: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each feature's index into ``values``, coded a block of rows at a time.
+    Every block's codes are checked to decode to its features bit for bit,
+    and a feature that is none of ``values`` is a ValueError naming ``path``
+    and its row."""
+    codes = np.empty(features.shape, _code_type(values))
+    bits = values.view(np.uint64)
+    slots = np.zeros(1 << 16, codes.dtype)
+    # of two values in one slot, the later keeps it
+    slots[bits * _HASH_MULTIPLIER >> _HASH_SHIFT] = np.arange(len(values))
+    for a in range(0, len(features), _CODE_BLOCK_ROWS):
+        block = features[a:a + _CODE_BLOCK_ROWS]
+        index = slots[block.view(np.uint64) * _HASH_MULTIPLIER >> _HASH_SHIFT]
+        miss = bits[index] != block.view(np.uint64)
+        if miss.any():
+            stray = block[miss]
+            index[miss] = found = np.minimum(np.searchsorted(values, stray), len(values) - 1)
+            miss[miss] = bits[found] != stray.view(np.uint64)
+        if miss.any():
+            row, column = np.argwhere(miss)[0]
+            raise ValueError(f"{path}: feature {float(block[row, column])!r} at row {a + row}, "
+                             f"column {column} is none of the manifest's {len(values)} values")
+        codes[a:a + len(block)] = index
+    return codes
+
+
+def persist_features(run_dir: str | Path, config: dict, sets,
+                     values: np.ndarray) -> FeaturesManifest:
     """Write each (name, directory, features, labels) of ``sets`` to ``features/<directory>/``,
-    dropping it before the next is made, then the manifest of ``config``."""
+    dropping it before the next is made, then the manifest of ``config`` and
+    ``values``. With ``values``, every feature must be one of them, and each
+    is written as its index into them."""
     root = Path(run_dir) / "features"
     shapes = []
     for _, set_dir, features, labels in sets:
         (root / set_dir).mkdir(parents=True, exist_ok=True)
-        save_array(root / set_dir / "features.npy", features)
+        path = root / set_dir / "features.npy"
+        save_array(path, _encode(path, features, values) if len(values) else features)
         save_array(root / set_dir / "labels.npy", labels)
         shapes.append(features.shape)
         del features
-    manifest = FeaturesManifest(config, tuple(shapes))
+    manifest = FeaturesManifest(config, tuple(shapes), values)
     write_document(Path(run_dir) / FEATURES_MANIFEST, manifest, ARTIFACT_SCHEMA_VERSION)
     return manifest
 
@@ -270,12 +329,15 @@ def read_features_manifest(run_dir: str | Path) -> FeaturesManifest:
     return read_document(path, FeaturesManifest, ARTIFACT_SCHEMA_VERSION, "featurize")
 
 
-def load_feature_set(run_dir: str | Path, set_dir: str,
-                     shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The features and labels in ``run_dir``'s ``features/<set_dir>/``,
-    which must be of the manifest's ``shape``."""
+def load_feature_set(run_dir: str | Path, set_dir: str, shape: tuple[int, int],
+                     values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 features and the labels in ``run_dir``'s
+    ``features/<set_dir>/``, which must be of the manifest's ``shape``; with
+    the manifest's ``values``, the features are decoded from their indices.
+    A label other than 0 or 1, or an index past ``values``, is a ValueError
+    naming the file."""
     set_dir = Path(run_dir) / "features" / set_dir
-    features = load_array(set_dir / "features.npy", np.float64, 2)
+    features = load_array(set_dir / "features.npy", _code_type(values), 2)
     labels = load_array(set_dir / "labels.npy", np.int64, 1)
     rows, columns = shape
     if features.shape != (rows, columns) or labels.shape != (rows,):
@@ -283,4 +345,14 @@ def load_feature_set(run_dir: str | Path, set_dir: str,
             f"{set_dir}: corrupt feature set: {features.shape[0]}x{features.shape[1]} features "
             f"and {labels.size} labels for a manifest shape of {rows}x{columns}"
         )
+    bad = np.flatnonzero((labels != 0) & (labels != 1))
+    if bad.size:
+        raise ValueError(f"{set_dir / 'labels.npy'}: label {labels[bad[0]]} at row {bad[0]} "
+                         "is not 0 or 1")
+    if len(values):
+        if features.size and features.max() >= len(values):
+            row, column = np.argwhere(features >= len(values))[0]
+            raise ValueError(f"{set_dir / 'features.npy'}: code {features[row, column]} at row "
+                             f"{row}, column {column} is past the manifest's {len(values)} values")
+        features = values[features]
     return features, labels

@@ -98,13 +98,16 @@ def cmd_featurize(args) -> int:
 
     artifacts.invalidate_features(run_dir)
     manifest = artifacts.persist_features(run_dir, pipeline.config_to_dict(config),
-                                          pipeline.featurize_sets(config, load))
+                                          pipeline.featurize_sets(config, load),
+                                          pipeline.feature_values(config))
     print(f"wrote {len(manifest.shapes)} feature sets ({config.model}) under {run_dir}")
     return 0
 
 
 def _feature_sets(run_dir: Path) -> tuple[pipeline.ExperimentConfig, list[tuple]]:
-    """The features' config and each set's (display name, directory, shape)."""
+    """The features' config and each set's (display name, directory, shape,
+    the values its features are coded against): ``load_feature_set``'s
+    arguments after the run directory, led by the set's name."""
     manifest = artifacts.read_features_manifest(run_dir)
     try:
         config = from_doc(pipeline.ExperimentConfig, manifest.config, "config")
@@ -114,14 +117,14 @@ def _feature_sets(run_dir: Path) -> tuple[pipeline.ExperimentConfig, list[tuple]
     if len(manifest.shapes) != len(names):
         raise ValueError(f"{run_dir / artifacts.FEATURES_MANIFEST}: {len(manifest.shapes)} "
                          f"shapes for its config's {len(names)} sets; run `featurize` again")
-    return config, [(*name, shape) for name, shape in zip(names, manifest.shapes)]
+    return config, [(*name, shape, manifest.values) for name, shape in zip(names, manifest.shapes)]
 
 
 def cmd_train(args) -> int:
     run_dir = Path(args.run_dir)
     config, sets = _feature_sets(run_dir)
-    name, set_dir, shape = sets[0]
-    features, labels = artifacts.load_feature_set(run_dir, set_dir, shape)
+    name, *where = sets[0]
+    features, labels = artifacts.load_feature_set(run_dir, *where)
     model = pipeline.train_model(config, name, features, labels)
     out_path = Path(args.model_out) if args.model_out else run_dir / artifacts.MODEL_FILE
     classify.save_model(model, out_path)
@@ -145,8 +148,8 @@ def cmd_evaluate(args) -> int:
         )
     # a set's files are read before its stage starts, so load errors name the file alone
     rows = tuple(
-        pipeline.score_set(model, name, *artifacts.load_feature_set(run_dir, set_dir, shape))
-        for name, set_dir, shape in sets
+        pipeline.score_set(model, name, *artifacts.load_feature_set(run_dir, *where))
+        for name, *where in sets
     )
     report = pipeline.ExperimentReport(config=config, rows=rows)
     out_dir = Path(args.out) if args.out else run_dir

@@ -25,7 +25,7 @@ from . import classify, spectral
 from .artifacts import (FEATURES_MANIFEST, REPORT_JSON, REPORT_TEXT, DatasetManifest,
                         dataset_manifest_path, read_dataset_manifest, write_text)
 from .artifacts import persist_dataset  # noqa: F401 -- the CLI calls it through pipeline
-from .chaosfex import GlsParams, extract_ttss
+from .chaosfex import GlsParams, extract_ttss, firing_table
 from .classify import CHAOSFEX_LR, DEFAULT_LR, ClassReport, LrHyper, LrModel
 from .codec import DecodeError, from_doc, to_doc
 from .seriesgen import (
@@ -470,6 +470,16 @@ class FeatureStage:
         else:
             scaled = spectral.apply_scaler(self.scaler, spectra)
         return extract_ttss(scaled, self.config.gls)
+
+
+def feature_values(config: ExperimentConfig) -> np.ndarray:
+    """The sorted distinct values that every feature of ``config`` is one
+    of: under ``fft_chaosfex``, the TTSS values of its firing table, as the
+    firing time is piecewise constant in the stimulus; none under ``raw``
+    and ``fft``, whose features are any doubles."""
+    if config.model != "fft_chaosfex":
+        return np.empty(0)
+    return np.unique(firing_table(config.gls)[2])
 
 
 def _unscaled_features(config: ExperimentConfig, values: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import build_dataset_oracle, persist_built, series_of
+from lifetimes import traced_peak
 from tscausal import artifacts, pipeline
 from tscausal.classify import MODEL_SCHEMA_VERSION, LrModel
 from tscausal.cli import main
@@ -64,6 +65,55 @@ def test_array_round_trip_is_bit_exact(tmp_path):
     assert no_temporary_files(tmp_path)
 
 
+def coded_set(rng, rows: int, columns: int, values: np.ndarray) -> np.ndarray:
+    return values[rng.integers(0, len(values), size=(rows, columns))]
+
+
+def persist_one(run, features: np.ndarray, values: np.ndarray) -> artifacts.FeaturesManifest:
+    labels = np.arange(len(features), dtype=np.int64) % 2
+    return artifacts.persist_features(run, {}, [("set", "set", features, labels)], values)
+
+
+# 4,000 values share some of the coding's hash slots
+@pytest.mark.parametrize("count, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16),
+                                          (4_000, np.uint16)])
+def test_coded_features_round_trip_bit_for_bit(tmp_path, count, dtype):
+    values = np.unique(finite_doubles(np.random.default_rng(2), 4 * count))[:count]
+    assert len(values) == count
+    features = coded_set(np.random.default_rng(3), 150, 40, values)
+    manifest = persist_one(tmp_path, features, values)
+    assert np.load(tmp_path / "features" / "set" / "features.npy").dtype == dtype
+    again = artifacts.read_features_manifest(tmp_path)
+    assert np.array_equal(again.values.view(np.uint64), values.view(np.uint64))
+    loaded, _ = artifacts.load_feature_set(tmp_path, "set", manifest.shapes[0], again.values)
+    assert loaded.dtype == np.float64
+    assert np.array_equal(loaded.view(np.uint64), features.view(np.uint64))
+
+
+@pytest.mark.parametrize("planted", [0.5, -0.0, np.nextafter(1 / 3, 1)],
+                         ids=["between", "negative-zero", "next-double"])
+def test_a_feature_that_is_none_of_the_values_is_refused_by_its_set_and_row(tmp_path, planted):
+    # -0.0 equals 0.0 but is not its bits; the coding keeps every bit
+    values = np.array([0.0, 1 / 3, 0.75])
+    features = coded_set(np.random.default_rng(4), 150, 8, values)
+    features[100, 6] = planted
+    path = tmp_path / "features" / "set" / "features.npy"
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: feature {float(planted)!r} at row 100, column 6 is none of the manifest's 3 values")):
+        persist_one(tmp_path, features, values)
+    assert not path.exists()
+    assert not (tmp_path / "features" / "manifest.json").exists()
+
+
+def test_the_codes_are_the_one_array_of_the_sets_size_the_coding_makes(tmp_path):
+    values = np.unique(np.random.default_rng(5).random(87))
+    features = coded_set(np.random.default_rng(6), 2_000, 1_001, values)
+    peak = traced_peak(persist_one, tmp_path, features, values)
+    # the codes take features.nbytes / 8; an index per feature would take as
+    # much as the features, and the blocks' temporaries take 64 rows each
+    assert peak < features.nbytes / 8 + 5 * 64 * 1_001 * 8
+
+
 # ---------------------------------------------------------------------------
 # refusals
 
@@ -76,20 +126,20 @@ def feature_run(tmp_path):
 
 def test_load_feature_set_refuses_an_int64_features_file(tmp_path):
     run = feature_run(tmp_path)
-    shape = artifacts.read_features_manifest(run).shapes[0]
+    manifest = artifacts.read_features_manifest(run)
     path = run / "features" / "train-split" / "features.npy"
-    np.save(path, np.zeros(shape, dtype=np.int64))
+    np.save(path, np.zeros(manifest.shapes[0], dtype=np.int64))
     with pytest.raises(ValueError, match=re.escape(f"{path}: expected a 2-d float64 array, got a 2-d int64")):
-        artifacts.load_feature_set(run, "train-split", shape)
+        artifacts.load_feature_set(run, "train-split", manifest.shapes[0], manifest.values)
 
 
 def test_load_feature_set_refuses_an_object_features_file(tmp_path):
     run = feature_run(tmp_path)
-    shape = artifacts.read_features_manifest(run).shapes[0]
+    manifest = artifacts.read_features_manifest(run)
     path = run / "features" / "train-split" / "features.npy"
     np.save(path, np.array([[1.0, "x"]], dtype=object), allow_pickle=True)
     with pytest.raises(ValueError, match=re.escape(f"{path}: not a readable .npy array")):
-        artifacts.load_feature_set(run, "train-split", shape)
+        artifacts.load_feature_set(run, "train-split", manifest.shapes[0], manifest.values)
 
 
 @pytest.mark.parametrize("cls, relpath, version, command", [
@@ -175,8 +225,30 @@ def test_train_refuses_an_old_features_manifest(tmp_path, capsys):
     capsys.readouterr()
     assert main(["train", str(run)]) == 1
     err = capsys.readouterr().err
-    assert f"{path}: unsupported schema version 3 (this release reads 4)" in err
+    assert f"{path}: unsupported schema version 3 (this release reads 5)" in err
     assert "run `featurize` again" in err
+
+
+@pytest.mark.parametrize("step", ["train", "evaluate"])
+def test_a_version_4_features_manifest_is_refused_naming_featurize(tmp_path, capsys, step):
+    # version 4 stored every model's float64 features and had no values
+    run = tiny_run(tmp_path, {**TINY, "model": "fft_chaosfex"})
+    for made_by in ("featurize", "train"):
+        assert main([made_by, str(run)]) == 0
+    manifest = artifacts.read_features_manifest(run)
+    for set_dir, shape in zip(("train-split", "held-out", "shift-I"), manifest.shapes):
+        features, _ = artifacts.load_feature_set(run, set_dir, shape, manifest.values)
+        np.save(run / "features" / set_dir / "features.npy", features)
+    path = run / "features" / "manifest.json"
+    doc = json.loads(path.read_text())
+    del doc["values"]
+    path.write_text(json.dumps({**doc, "schema_version": 4}))
+    capsys.readouterr()
+    assert main([step, str(run), "--model-out" if step == "train" else "--out",
+                 str(tmp_path / "out")]) == 1
+    assert (f"error [{step}]: {path}: unsupported schema version 4 (this release reads 5); "
+            "run `featurize` again") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_evaluate_refuses_a_model_of_another_schema_version_naming_train(tmp_path, capsys):
@@ -457,6 +529,6 @@ def test_featurize_refuses_a_relabelled_manifest_of_the_previous_format(tmp_path
                                 "length": TINY["length"], "series": series}))
     capsys.readouterr()
     assert main(["featurize", str(run)]) == 1
-    assert (f"error [featurize]: {path}: unsupported schema version 2 (this release reads 4); "
+    assert (f"error [featurize]: {path}: unsupported schema version 2 (this release reads 5); "
             "run `generate` again") in capsys.readouterr().err
     assert not (run / "features").exists()

@@ -13,7 +13,7 @@ import pytest
 import tscausal
 from helpers import plant_row
 from lifetimes import watch_sets
-from tscausal import classify, pipeline
+from tscausal import artifacts, classify, pipeline
 from tscausal.cli import build_parser, main
 
 TINY = {
@@ -449,8 +449,10 @@ def test_chain_produces_expected_layout(tmp_path, tiny_config_path, capsys):
         manifest = json.loads((run / "datasets" / name / "manifest.json").read_text())
         assert list(manifest) == ["schema_version", "generator", "source"]
     manifest = json.loads((run / "features" / "manifest.json").read_text())
-    assert list(manifest) == ["schema_version", "config", "shapes"]
+    assert list(manifest) == ["schema_version", "config", "shapes", "values"]
     assert manifest["shapes"] == [[16, 65], [8, 65], [12, 65]]
+    # fft features are any doubles, stored as they are
+    assert manifest["values"] == []
 
 
 def test_chain_matches_in_process_run(tmp_path, tiny_config_path, capsys):
@@ -461,6 +463,25 @@ def test_chain_matches_in_process_run(tmp_path, tiny_config_path, capsys):
     assert chained == direct
 
 
+def assert_files_decode_to_the_stage_functions(run, config, dtype) -> list[tuple]:
+    """Check that every set's files in ``run`` decode to what ``featurize_sets``
+    gives for ``config`` bit for bit, and that each ``features.npy`` is of
+    ``dtype``; return each set's (name, features, labels)."""
+    manifest = artifacts.read_features_manifest(run)
+    assert np.array_equal(manifest.values, pipeline.feature_values(config))
+    featurized = []
+    for (name, set_dir, features, labels), shape in zip(pipeline.featurize_sets(
+            config, functools.partial(pipeline.make_dataset, config)), manifest.shapes, strict=True):
+        assert np.load(run / "features" / set_dir / "features.npy").dtype == dtype
+        assert shape == features.shape
+        decoded, stored_labels = artifacts.load_feature_set(run, set_dir, shape, manifest.values)
+        assert decoded.dtype == np.float64
+        np.testing.assert_array_equal(decoded.view(np.uint64), features.view(np.uint64))
+        np.testing.assert_array_equal(stored_labels, labels)
+        featurized.append((name, features, labels))
+    return featurized
+
+
 @pytest.mark.parametrize("per_instance", [False, True], ids=["fitted", "per-instance"])
 def test_chain_artifacts_equal_the_stage_functions_bit_for_bit(tmp_path, capsys, per_instance):
     config_path = tmp_path / "config.json"
@@ -468,23 +489,110 @@ def test_chain_artifacts_equal_the_stage_functions_bit_for_bit(tmp_path, capsys,
         {**TINY, "model": "fft_chaosfex", "per_instance_scaling": per_instance}))
     run = run_chain(tmp_path, config_path, capsys)
     config = pipeline.config_from_dict(json.loads(config_path.read_text()))
-    featurized, shapes = [], []
-    for name, set_dir, features, labels in pipeline.featurize_sets(
-            config, functools.partial(pipeline.make_dataset, config)):
-        files = run / "features" / set_dir
-        np.testing.assert_array_equal(np.load(files / "features.npy").view(np.uint64),
-                                      features.view(np.uint64))
-        np.testing.assert_array_equal(np.load(files / "labels.npy"), labels)
-        featurized.append((name, features, labels))
-        shapes.append(list(features.shape))
-    manifest = json.loads((run / "features" / "manifest.json").read_text())
-    assert manifest["shapes"] == shapes
+    # one byte a feature: the default firing table has 87 distinct TTSS values
+    featurized = assert_files_decode_to_the_stage_functions(run, config, np.uint8)
+    assert len(pipeline.feature_values(config)) == 87
     model = pipeline.train_model(config, *featurized[0])
     classify.save_model(model, tmp_path / "direct-model.json")
     assert (run / "model.json").read_bytes() == (tmp_path / "direct-model.json").read_bytes()
     rows = tuple(pipeline.score_set(model, *s) for s in featurized)
     report = pipeline.ExperimentReport(config=config, rows=rows)
     assert json.loads((run / "report.json").read_text()) == pipeline.report_to_dict(report)
+
+
+@pytest.mark.parametrize("settings, dtype", [
+    ({"model": "raw"}, np.float64),
+    ({"model": "fft"}, np.float64),
+    # a firing table with 448 distinct TTSS values, past what a byte codes
+    ({"model": "fft_chaosfex", "gls": {"eps": 0.002}}, np.uint16),
+], ids=["raw", "fft", "wide-table"])
+def test_chain_files_decode_bit_for_bit_in_their_models_type(tmp_path, capsys, settings, dtype):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**TINY, **settings}))
+    run = run_chain(tmp_path, config_path, capsys)
+    config = pipeline.config_from_dict(json.loads(config_path.read_text()))
+    assert_files_decode_to_the_stage_functions(run, config, dtype)
+    if dtype == np.uint16:
+        assert len(pipeline.feature_values(config)) == 448
+        codes = np.load(run / "features" / "train-split" / "features.npy")
+        assert codes.max() > 255
+    direct = pipeline.report_to_dict(pipeline.run_experiment(config))
+    assert json.loads((run / "report.json").read_text()) == direct
+
+
+CHAOSFEX_TINY = {**TINY, "model": "fft_chaosfex", "test_recipes": ["ARMA"]}
+
+
+def chain_before(tmp_path, capsys, step: str) -> Path:
+    """A run of ``CHAOSFEX_TINY`` made by the chained steps before ``step``."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(CHAOSFEX_TINY))
+    run = tmp_path / "run"
+    before = [["generate", "--config", str(config_path), "--out", str(run)],
+              ["featurize", str(run)], ["train", str(run)]]
+    for argv in before[:("featurize", "train", "evaluate").index(step) + 1]:
+        assert main(argv) == 0, capsys.readouterr().err
+    return run
+
+
+# each step reads a set, and leaves the file it makes unmade when it fails
+STEPS = [("train", "train-split", "model.json"), ("evaluate", "ARMA", "report.json")]
+
+
+@pytest.mark.parametrize("step, set_dir, made", STEPS, ids=["train", "evaluate"])
+def test_a_label_other_than_0_or_1_is_refused_naming_its_file(
+        tmp_path, capsys, step, set_dir, made):
+    run = chain_before(tmp_path, capsys, step)
+    path = run / "features" / set_dir / "labels.npy"
+    labels = np.load(path)
+    labels[[1, 2, 4]] = 7
+    np.save(path, labels)
+    capsys.readouterr()
+    assert main([step, str(run)]) == 1
+    assert f"error [{step}]: {path}: label 7 at row 1 is not 0 or 1" in capsys.readouterr().err
+    assert not (run / made).exists()
+
+
+def past_the_values(path: Path, values: list) -> str:
+    codes = np.load(path)
+    codes[2, 3] = len(values)
+    np.save(path, codes)
+    return f"{path}: code {len(values)} at row 2, column 3 is past the manifest's 87 values"
+
+
+def decoded(path: Path, values: list) -> str:
+    np.save(path, np.array(values)[np.load(path)])
+    return f"{path}: expected a 2-d uint8 array, got a 2-d float64 array"
+
+
+def edit_values(edit):
+    def tamper(path: Path, values: list) -> str:
+        manifest = path.parent.parent / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["values"] = edit(values)
+        manifest.write_text(json.dumps(doc))
+        if not doc["values"]:  # refused at the first set a step reads
+            first = path.parent.parent / "train-split" / "features.npy"
+            return f"{first}: expected a 2-d float64 array, got a 2-d uint8 array"
+        return f"{manifest}: values must be strictly increasing"
+    return tamper
+
+
+@pytest.mark.parametrize("tamper", [
+    past_the_values, decoded, edit_values(lambda values: []),
+    edit_values(lambda values: values[::-1]), edit_values(lambda values: [values[0], *values]),
+], ids=["code-past-the-values", "float64-file-under-values", "uint8-file-under-no-values",
+        "decreasing-values", "repeated-value"])
+@pytest.mark.parametrize("step, set_dir, made", STEPS, ids=["train", "evaluate"])
+def test_coded_features_that_do_not_match_their_manifest_are_refused(
+        tmp_path, capsys, tamper, step, set_dir, made):
+    run = chain_before(tmp_path, capsys, step)
+    values = json.loads((run / "features" / "manifest.json").read_text())["values"]
+    message = tamper(run / "features" / set_dir / "features.npy", values)
+    capsys.readouterr()
+    assert main([step, str(run)]) == 1
+    assert f"error [{step}]: {message}" in capsys.readouterr().err
+    assert not (run / made).exists()
 
 
 @pytest.fixture
