@@ -200,9 +200,12 @@ class FeaturesManifest:
         for i, shape in enumerate(self.shapes):
             if min(shape) < 0:
                 raise ValueError(f"shapes[{i}] must be non-negative, got {list(shape)}")
-        if self.values.ndim != 1 or not (self.values[1:] > self.values[:-1]).all():
+        # a read-only copy, so the caller's array is left as it was
+        values = np.array(self.values, dtype=np.float64)
+        if values.ndim != 1 or not (values[1:] > values[:-1]).all():
             raise ValueError("values must be strictly increasing")
-        self.values.setflags(write=False)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +266,6 @@ def read_dataset_manifest(dir_path: str | Path, source=None) -> DatasetManifest:
 # rows a set's features are coded a block at a time, so that the coding's
 # temporaries are a block's and the codes are the one array of the set's size
 _CODE_BLOCK_ROWS = 64
-# a feature's code is first looked up by a multiplicative hash of its bits in
-# a table of 2**16 slots, in a seventh of the time of a binary search over
-# the values; a feature whose slot holds another value is then searched for
-_HASH_MULTIPLIER, _HASH_SHIFT = np.uint64(0x9E3779B97F4A7C15), np.uint64(64 - 16)
 
 
 def _code_type(values: np.ndarray) -> np.dtype:
@@ -282,17 +281,11 @@ def _encode(path: Path, features: np.ndarray, values: np.ndarray) -> np.ndarray:
     and its row."""
     codes = np.empty(features.shape, _code_type(values))
     bits = values.view(np.uint64)
-    slots = np.zeros(1 << 16, codes.dtype)
-    # of two values in one slot, the later keeps it
-    slots[bits * _HASH_MULTIPLIER >> _HASH_SHIFT] = np.arange(len(values))
     for a in range(0, len(features), _CODE_BLOCK_ROWS):
         block = features[a:a + _CODE_BLOCK_ROWS]
-        index = slots[block.view(np.uint64) * _HASH_MULTIPLIER >> _HASH_SHIFT]
+        # a feature past the last value searches to len(values): clamped, it fails the check
+        index = np.minimum(np.searchsorted(values, block), len(values) - 1)
         miss = bits[index] != block.view(np.uint64)
-        if miss.any():
-            stray = block[miss]
-            index[miss] = found = np.minimum(np.searchsorted(values, stray), len(values) - 1)
-            miss[miss] = bits[found] != stray.view(np.uint64)
         if miss.any():
             row, column = np.argwhere(miss)[0]
             raise ValueError(f"{path}: feature {float(block[row, column])!r} at row {a + row}, "

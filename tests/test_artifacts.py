@@ -74,7 +74,6 @@ def persist_one(run, features: np.ndarray, values: np.ndarray) -> artifacts.Feat
     return artifacts.persist_features(run, {}, [("set", "set", features, labels)], values)
 
 
-# 4,000 values share some of the coding's hash slots
 @pytest.mark.parametrize("count, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16),
                                           (4_000, np.uint16)])
 def test_coded_features_round_trip_bit_for_bit(tmp_path, count, dtype):
@@ -82,6 +81,8 @@ def test_coded_features_round_trip_bit_for_bit(tmp_path, count, dtype):
     assert len(values) == count
     features = coded_set(np.random.default_rng(3), 150, 40, values)
     manifest = persist_one(tmp_path, features, values)
+    # the manifest freezes a copy and leaves the caller's array writable
+    assert values.flags.writeable and not manifest.values.flags.writeable
     assert np.load(tmp_path / "features" / "set" / "features.npy").dtype == dtype
     again = artifacts.read_features_manifest(tmp_path)
     assert np.array_equal(again.values.view(np.uint64), values.view(np.uint64))
@@ -90,8 +91,8 @@ def test_coded_features_round_trip_bit_for_bit(tmp_path, count, dtype):
     assert np.array_equal(loaded.view(np.uint64), features.view(np.uint64))
 
 
-@pytest.mark.parametrize("planted", [0.5, -0.0, np.nextafter(1 / 3, 1)],
-                         ids=["between", "negative-zero", "next-double"])
+@pytest.mark.parametrize("planted", [0.5, -0.0, np.nextafter(1 / 3, 1), 1.0],
+                         ids=["between", "negative-zero", "next-double", "past-the-last"])
 def test_a_feature_that_is_none_of_the_values_is_refused_by_its_set_and_row(tmp_path, planted):
     # -0.0 equals 0.0 but is not its bits; the coding keeps every bit
     values = np.array([0.0, 1 / 3, 0.75])
