@@ -42,12 +42,23 @@ def _load_config(path: str | Path) -> pipeline.ExperimentConfig:
 
 
 def _run_dir(out: str | None, seed: int, run_name: str | None) -> Path:
-    """Explicit --out wins; otherwise runs/<timestamp>-seed<seed>[-<name>]."""
+    """Explicit --out wins; otherwise a new directory
+    runs/<timestamp>-seed<seed>[-<name>], with -2, -3, ... appended while
+    the name is taken. It is made here, by a mkdir that fails on an existing
+    name, so two runs in the same second, even racing ones, never share one."""
     if out is not None:
         return Path(out)
     stamp = time.strftime("%Y%m%d-%H%M%S")
     suffix = f"-{run_name}" if run_name else ""
-    return Path("runs") / f"{stamp}-seed{seed}{suffix}"
+    base = path = Path("runs") / f"{stamp}-seed{seed}{suffix}"
+    n = 1
+    while True:
+        try:
+            path.mkdir(parents=True)
+            return path
+        except FileExistsError:
+            n += 1
+            path = Path(f"{base}-{n}")
 
 
 def _apply_overrides(config: pipeline.ExperimentConfig, args) -> pipeline.ExperimentConfig:
@@ -160,8 +171,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_reproduce(args) -> int:
     config = pipeline.table_config(args.table, scale=args.scale, seed=args.seed)
-    run_dir = _run_dir(args.out, config.master_seed, args.run_name)
     report = pipeline.run_experiment(config)
+    run_dir = _run_dir(args.out, config.master_seed, args.run_name)
     # a chained run's files in run_dir are not this config's
     artifacts.invalidate_datasets(run_dir)
     artifacts.write_config(run_dir, config)
@@ -187,8 +198,6 @@ def _panel_specs(length: int) -> list[tuple[str, ProcessSpec]]:
 
 def cmd_plot(args) -> int:
     config = pipeline.table_config("table3", scale="desk", seed=args.seed)
-    run_dir = _run_dir(args.out, config.master_seed, args.run_name)
-
     names, specs = zip(*_panel_specs(config.length))
     seeds = [pipeline.derive_seed(config.master_seed, "plot", name) for name in names]
     values = generate_many(specs, seeds)
@@ -199,6 +208,7 @@ def cmd_plot(args) -> int:
     curves = {f"spectrum-{n}": spectra[names.index(n)]
               for n in ("ar15", "noise-normal", "noise-uniform")}
     curves.update((f"ttss-{n}", ttss) for n, ttss in zip(names, stage.transform(values)))
+    run_dir = _run_dir(args.out, config.master_seed, args.run_name)
     for stem, curve in curves.items():
         pipeline.emit_plot_data(curve, run_dir / f"{stem}.dat")
     print(f"wrote {len(curves)} plot data files under {run_dir}")

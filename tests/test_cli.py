@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -370,25 +371,35 @@ def test_evaluate_names_a_damaged_model_file(tmp_path, tiny_config_path, capsys,
     assert f"error [evaluate]: {path}: {message}" in capsys.readouterr().err
 
 
-def test_evaluate_before_train_fails_cleanly(tmp_path, tiny_config_path, capsys):
+@pytest.mark.parametrize("before, step, message", [
+    ([], "train", "run `featurize` first"),
+    (["featurize"], "evaluate", "run `train` first"),
+], ids=["train-before-featurize", "evaluate-before-train"])
+def test_a_step_before_the_step_it_reads_fails_cleanly(
+        tmp_path, tiny_config_path, capsys, before, step, message):
     run = tmp_path / "run"
     assert main(["generate", "--config", str(tiny_config_path), "--out", str(run)]) == 0
-    assert main(["featurize", str(run)]) == 0
+    for earlier in before:
+        assert main([earlier, str(run)]) == 0
     capsys.readouterr()
-    assert main(["evaluate", str(run)]) == 1
-    assert "run `train` first" in capsys.readouterr().err
+    assert main([step, str(run)]) == 1
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
 # cold start: no step loads scipy or concurrent.futures
 
 
+# this tree's source, for a fresh interpreter: an installed `tscausal` that
+# `shutil.which` finds can be another checkout's
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(tscausal.__file__).resolve().parents[1])}
+
+
 def modules_after(code, cwd, package="scipy"):
     """The modules of ``package`` a fresh interpreter holds after running ``code``."""
-    src = str(Path(tscausal.__file__).resolve().parents[1])
     code += ("\nimport sys; print('loaded:', *sorted(m for m in sys.modules "
              f"if m.split('.')[0] == {package!r}))")
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+    out = subprocess.run([sys.executable, "-c", code], env=SRC_ENV,
                          cwd=cwd, capture_output=True, text=True, check=True).stdout
     return out.splitlines()[-1].split()[1:]
 
@@ -422,6 +433,42 @@ def test_every_step_runs_without_scipy(tmp_path):
     assert modules_after(code, tmp_path) == []
     assert (tmp_path / "run" / "report.json").is_file()
     assert (tmp_path / "reproduced" / "report.json").is_file()
+
+
+# ---------------------------------------------------------------------------
+# the CLI as a process: what the exit status and streams add to main(argv)
+
+
+def cli_process(*argv, cwd) -> subprocess.CompletedProcess:
+    """``python -m tscausal.cli argv`` run from this tree's source in ``cwd``."""
+    return subprocess.run([sys.executable, "-m", "tscausal.cli", *map(str, argv)], env=SRC_ENV,
+                          cwd=cwd, capture_output=True, text=True)
+
+
+def test_the_chain_runs_as_processes(tmp_path, tiny_config_path, capsys):
+    run = tmp_path / "run"
+    for argv in (["generate", "--config", tiny_config_path, "--out", run], ["featurize", run],
+                 ["train", run], ["evaluate", run]):
+        done = cli_process(*argv, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+    in_process = run_chain(tmp_path / "in-process", tiny_config_path, capsys)
+    assert (run / "report.json").read_bytes() == (in_process / "report.json").read_bytes()
+
+
+def test_a_step_before_the_step_it_reads_exits_1_as_a_process(tmp_path, tiny_config_path):
+    assert main(["generate", "--config", str(tiny_config_path), "--out", str(tmp_path / "run")]) == 0
+    done = cli_process("train", "run", cwd=tmp_path)
+    assert done.returncode == 1
+    assert "run `featurize` first" in done.stderr
+
+
+def test_a_config_refused_at_load_exits_2_as_a_process_and_makes_no_run_directory(tmp_path):
+    (tmp_path / "clash.json").write_text(json.dumps(
+        {"test_recipes": [{"name": "manifest.json", "causal": {"kind": "ar"}}]}))
+    done = cli_process("generate", "--config", "clash.json", cwd=tmp_path)
+    assert done.returncode == 2
+    assert done.stderr.startswith("config error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["clash.json"]
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +529,15 @@ def assert_files_decode_to_the_stage_functions(run, config, dtype) -> list[tuple
     return featurized
 
 
-@pytest.mark.parametrize("per_instance", [False, True], ids=["fitted", "per-instance"])
-def test_chain_artifacts_equal_the_stage_functions_bit_for_bit(tmp_path, capsys, per_instance):
+@pytest.mark.parametrize("settings", [
+    {},
+    {"per_instance_scaling": True},
+    # a noise-only and a causal-only test set: featurize simulates a set class by class
+    {"test_recipes": [{"name": "U", "noncausal": {"kind": "noise_uniform"}}, "ARMA"]},
+], ids=["fitted", "per-instance", "one-class-test-sets"])
+def test_chain_artifacts_equal_the_stage_functions_bit_for_bit(tmp_path, capsys, settings):
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(
-        {**TINY, "model": "fft_chaosfex", "per_instance_scaling": per_instance}))
+    config_path.write_text(json.dumps({**TINY, "model": "fft_chaosfex", **settings}))
     run = run_chain(tmp_path, config_path, capsys)
     config = pipeline.config_from_dict(json.loads(config_path.read_text()))
     # one byte a feature: the default firing table has 87 distinct TTSS values
@@ -675,10 +726,11 @@ def test_an_unknown_featurize_model_is_a_usage_error(tmp_path, capsys):
     assert "argument --model: invalid choice: 'bogus'" in capsys.readouterr().err
 
 
-def test_a_chain_over_another_configs_run_leaves_only_its_own_files(tmp_path, capsys):
+@pytest.mark.parametrize("tests", [["shift-I"], []], ids=["one-test-set", "no-test-sets"])
+def test_a_chain_over_another_configs_run_leaves_only_its_own_files(tmp_path, capsys, tests):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     a.write_text(json.dumps({**TINY, "test_recipes": ["shift-I", "shift-II"]}))
-    b.write_text(json.dumps(TINY))
+    b.write_text(json.dumps({**TINY, "test_recipes": tests}))
     run = run_chain(tmp_path, a, capsys)
     # an earlier release's values beside each manifest, and a file of the user's
     for name in ("AR-train", "shift-I", "shift-II"):
@@ -686,12 +738,31 @@ def test_a_chain_over_another_configs_run_leaves_only_its_own_files(tmp_path, ca
     (run / "datasets" / "x").mkdir()
     (run / "datasets" / "x" / "notes.txt").write_text("mine\n")
     run_chain(tmp_path, b, capsys)
-    assert files_under(run) == readme_layout("shift-I") | {"datasets/x/notes.txt"}
-    # no directory of shift-II is left, empty or not
-    assert {p.name for p in (run / "datasets").iterdir()} == {"AR-train", "shift-I", "x"}
+    assert files_under(run) == readme_layout(*tests) | {"datasets/x/notes.txt"}
+    # no directory of a set that b lacks is left, empty or not
+    assert {p.name for p in (run / "datasets").iterdir()} == {"AR-train", *tests, "x"}
     assert {p.name for p in (run / "features").iterdir()} == {
-        "manifest.json", "train-split", "held-out", "shift-I"}
+        "manifest.json", "train-split", "held-out", *tests}
     assert (run / "datasets" / "x" / "notes.txt").read_text() == "mine\n"
+
+
+def test_two_default_run_directories_of_one_second_are_both_kept(tmp_path, capsys, monkeypatch):
+    # the second generate wrote into the first's directory and deleted its shift-I
+    monkeypatch.setattr(time, "strftime", lambda *args: "20261021-175132")
+    monkeypatch.chdir(tmp_path)
+    for name, doc in (("a", TINY), ("b", {**TINY, "test_recipes": ["shift-II"]}),
+                      ("bad", {"modle": "fft"})):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    for name in ("a", "b"):
+        assert main(["generate", "--config", f"{name}.json", "--run-name", "x"]) == 0
+    assert main(["generate", "--config", "bad.json", "--run-name", "x"]) == 2
+    first, second = "20261021-175132-seed7-x", "20261021-175132-seed7-x-2"
+    assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == [first, second]
+    assert files_under(tmp_path / "runs") == {
+        f"{run}/{file}" for run, test in ((first, "shift-I"), (second, "shift-II"))
+        for file in ("config.json", "datasets/AR-train/manifest.json",
+                     f"datasets/{test}/manifest.json")}
+    assert f"under {Path('runs', second)}" in capsys.readouterr().out
 
 
 def test_generate_invalidates_the_features_of_the_datasets_it_replaces(
