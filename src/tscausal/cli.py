@@ -61,25 +61,14 @@ def _run_dir(out: str | None, seed: int, run_name: str | None) -> Path:
             path = Path(f"{base}-{n}")
 
 
-def _apply_overrides(config: pipeline.ExperimentConfig, args) -> pipeline.ExperimentConfig:
-    if getattr(args, "seed", None) is not None:
-        config = replace(config, master_seed=args.seed)
-    if getattr(args, "model", None) is not None:
-        model = pipeline.canonical_model(args.model)
-        # a model the config cannot take is a config error, as in a config file
-        try:
-            config = replace(config, model=model)
-        except ValueError as exc:
-            raise ConfigError(f"--model {model}: {exc}") from exc
-    return config
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_generate(args) -> int:
-    config = _apply_overrides(_load_config(args.config), args)
+    config = _load_config(args.config)
+    if args.seed is not None:
+        config = replace(config, master_seed=args.seed)
     run_dir = _run_dir(args.out, config.master_seed, args.run_name)
     artifacts.invalidate_datasets(run_dir)
     artifacts.write_config(run_dir, config)
@@ -93,10 +82,10 @@ def cmd_generate(args) -> int:
 
 def cmd_featurize(args) -> int:
     run_dir = Path(args.run_dir)
-    config = _apply_overrides(_load_config(args.config or run_dir / artifacts.CONFIG_FILE), args)
+    config = _load_config(run_dir / artifacts.CONFIG_FILE)
 
-    # every dataset manifest is checked against the config before anything of
-    # the run is deleted; each dataset is simulated when its set's turn comes
+    # every dataset manifest is checked against config.json before anything
+    # of the run is deleted; each dataset is simulated when its set's turn comes
     manifests = {
         recipe.name: artifacts.read_dataset_manifest(artifacts.dataset_dir(run_dir, recipe.name),
                                                      pipeline.dataset_source(config, recipe))
@@ -219,9 +208,18 @@ def cmd_plot(args) -> int:
 # parser
 
 
+def _run_name(name: str) -> str:
+    """A --run-name ends one directory name under runs/, so, like a recipe
+    name, it holds no '/', '\\' or NUL."""
+    if any(c in name for c in "/\\\0"):
+        raise argparse.ArgumentTypeError(f"{name!r} must not contain '/', '\\' or NUL")
+    return name
+
+
 def _add_common_output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="output directory (default: runs/<timestamp>-seed<seed>)")
-    sub.add_argument("--run-name", help="suffix for the default output directory name")
+    sub.add_argument("--run-name", type=_run_name,
+                     help="suffix for the default output directory name")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,10 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("featurize", help="extract features for every dataset in a run directory")
-    p.add_argument("run_dir", help="run directory produced by `generate`")
-    p.add_argument("--config", help="config JSON (default: <run_dir>/config.json)")
-    p.add_argument("--model", type=str.lower, choices=pipeline.MODEL_ALIASES, metavar="NAME",
-                   help="override the feature pipeline (raw, fft, fft_chaosfex)")
+    p.add_argument("run_dir",
+                   help="run directory produced by `generate`, featurized under its config.json")
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train", help="train the classifier on the train-split features")

@@ -3,6 +3,7 @@ name the file, atomic writes and datasets bound to their config."""
 
 import json
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -417,14 +418,16 @@ def changed_train_recipe():
 ])
 def test_featurize_refuses_datasets_generated_from_another_config(
         default_run, tmp_path, capsys, override, key, got, want):
-    config = tmp_path / "other.json"
-    config.write_text(json.dumps(override))
+    # a config.json edited after generate to size or seed a dataset otherwise
+    run = tmp_path / "run"
+    shutil.copytree(default_run, run)
+    (run / "config.json").write_text(json.dumps(override))
     capsys.readouterr()
-    assert main(["featurize", str(default_run), "--config", str(config)]) == 1
+    assert main(["featurize", str(run)]) == 1
     err = capsys.readouterr().err
     assert f"dataset was generated with {key} {got}, but the config gives {key} {want}" in err
-    assert not (default_run / "features").exists()
-    assert no_temporary_files(default_run)
+    assert not (run / "features").exists()
+    assert no_temporary_files(run)
 
 
 def test_featurize_refuses_a_dataset_whose_source_lacks_a_key(tmp_path, capsys):
@@ -442,13 +445,14 @@ def test_featurize_refuses_a_dataset_whose_source_lacks_a_key(tmp_path, capsys):
 
 
 def test_featurize_accepts_a_config_that_changes_only_the_features(default_run, tmp_path, capsys):
-    config = tmp_path / "same-data.json"
-    config.write_text(json.dumps({"model": "raw", "test_recipes": ["shift-I"]}))
+    # how a run switches model in place: edit config.json, featurize again
     out = tmp_path / "run"
     (out / "datasets").mkdir(parents=True)
+    (out / "config.json").write_text(json.dumps({"model": "raw", "test_recipes": ["shift-I"]}))
     for name in ("AR-train", "shift-I"):
         (out / "datasets" / name).symlink_to(default_run / "datasets" / name)
-    assert main(["featurize", str(out), "--config", str(config)]) == 0, capsys.readouterr().err
+    assert main(["featurize", str(out)]) == 0, capsys.readouterr().err
+    assert artifacts.read_features_manifest(out).config["model"] == "raw"
 
 
 def test_featurize_refuses_a_dataset_trimmed_below_its_config(tmp_path, capsys):
@@ -474,10 +478,10 @@ def test_a_featurize_refused_by_a_test_dataset_leaves_the_runs_features_in_place
     run = tiny_run(tmp_path)
     assert main(["featurize", str(run)]) == 0
     before = {p: p.read_bytes() for p in (run / "features").rglob("*") if p.is_file()}
-    config = tmp_path / "other.json"
-    config.write_text(json.dumps({**TINY, "n_test_per_class": TINY["n_test_per_class"] + 1}))
+    (run / "config.json").write_text(
+        json.dumps({**TINY, "n_test_per_class": TINY["n_test_per_class"] + 1}))
     capsys.readouterr()
-    assert main(["featurize", str(run), "--config", str(config)]) == 1
+    assert main(["featurize", str(run)]) == 1
     assert "dataset was generated with n_per_class" in capsys.readouterr().err
     after = {p: p.read_bytes() for p in (run / "features").rglob("*") if p.is_file()}
     assert after == before

@@ -43,7 +43,21 @@ def run_chain(tmp_path, config_path, capsys):
         ["evaluate", str(run)],
     ):
         assert main(argv) == 0, capsys.readouterr().err
+    assert_features_follow_the_config(run)
     return run
+
+
+def assert_features_follow_the_config(run: Path) -> None:
+    """Check that the run's features were made under its ``config.json``."""
+    config = pipeline.config_from_dict(json.loads((run / "config.json").read_text()))
+    manifest = json.loads((run / "features" / "manifest.json").read_text())
+    assert manifest["config"] == pipeline.config_to_dict(config)
+
+
+def edit_config(run: Path, **changes) -> None:
+    """Edit the run's ``config.json`` in place, as a user switching it would."""
+    path = run / "config.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **changes}))
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +100,26 @@ def test_threads_flag_is_a_usage_error(argv, capsys):
         main([*argv, "--threads", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["a/b", "x/../../../plotted", "a\\b", "a\x00b"],
+                         ids=["nested", "escaping", "backslash", "nul"])
+@pytest.mark.parametrize("argv", [["generate", "--config", "config.json"],
+                                  ["reproduce", "table1-lr"], ["plot"]],
+                         ids=["generate", "reproduce", "plot"])
+def test_a_run_name_that_is_not_one_directory_name_is_a_usage_error(
+        tmp_path, capsys, monkeypatch, argv, name):
+    # `generate --run-name a/b` wrote runs/<stamp>-seed42-a/b/, and `plot`
+    # wrote its .dat files above the working directory
+    work = tmp_path / "one" / "two" / "work"
+    work.mkdir(parents=True)
+    (work / "config.json").write_text(json.dumps(TINY))
+    monkeypatch.chdir(work)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--run-name", name])
+    assert exc.value.code == 2
+    assert f"argument --run-name: {name!r} must not contain" in capsys.readouterr().err
+    assert files_under(tmp_path) == {"one/two/work/config.json"}
 
 
 # ---------------------------------------------------------------------------
@@ -195,25 +229,6 @@ def test_a_raw_config_keeps_length_1(tmp_path):
     assert main(["generate", "--config", str(path), "--out", str(run)]) == 0
     for step in ("featurize", "train", "evaluate"):
         assert main([step, str(run)]) == 0
-
-
-def test_a_model_override_that_makes_the_config_invalid_is_a_config_error(tmp_path, capsys):
-    # a raw config keeps length 1, which has no spectra; `featurize --model
-    # fft` used to exit 1 as a runtime error
-    path = tmp_path / "raw.json"
-    path.write_text(json.dumps({
-        "length": 1, "model": "raw", "test_recipes": [], "n_train_per_class": 10,
-        "train_recipe": {"name": "t", "causal": {"kind": "ar", "lag_hi": 1},
-                         "noncausal": {"kind": "noise_normal"}}}))
-    run = tmp_path / "run"
-    for argv in (["generate", "--config", str(path), "--out", str(run)], ["featurize", str(run)]):
-        assert main(argv) == 0, capsys.readouterr().err
-    features = {p: p.read_bytes() for p in (run / "features").rglob("*") if p.is_file()}
-    capsys.readouterr()
-    assert main(["featurize", str(run), "--model", "fft"]) == 2
-    assert ("config error: --model fft: length must be >= 2 for model 'fft''s spectra, got 1"
-            in capsys.readouterr().err)
-    assert {p: p.read_bytes() for p in (run / "features").rglob("*") if p.is_file()} == features
 
 
 def test_featurize_before_generate_fails_cleanly(tmp_path, tiny_config_path, capsys):
@@ -408,6 +423,9 @@ def modules_after(code, cwd, package="scipy"):
 def test_import_loads_no_scipy(tmp_path, module):
     assert modules_after(f"import {module}", tmp_path) == []
     assert modules_after(f"import {module}", tmp_path, "concurrent") == []
+    if module == "tscausal":
+        # so a change to the CLI alone leaves what an in-process run loads as it was
+        assert "tscausal.cli" not in modules_after("import tscausal", tmp_path, "tscausal")
 
 
 # an import hook under which ``import scipy`` (or any submodule) fails
@@ -693,37 +711,37 @@ def test_seed_override_changes_generated_data(tmp_path, tiny_config_path, capsys
     assert set(a).isdisjoint(b)
 
 
-def test_model_override_at_featurize(tmp_path, tiny_config_path, capsys):
-    run = tmp_path / "run"
-    assert main(["generate", "--config", str(tiny_config_path), "--out", str(run)]) == 0
-    assert main(["featurize", str(run), "--model", "raw"]) == 0
-    manifest = json.loads((run / "features" / "manifest.json").read_text())
-    assert manifest["config"]["model"] == "raw"
-    features = np.load(run / "features" / "train-split" / "features.npy")
-    assert features.shape[1] == TINY["length"]
-
-
-def test_featurize_model_override_resolves_the_hyperparameters_of_its_model(tmp_path, capsys):
+def test_featurize_under_a_config_edited_to_another_model_resolves_its_hyperparameters(
+        tmp_path, capsys):
     config = {k: v for k, v in TINY.items() if k != "model"}
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     run = tmp_path / "run"
-    for argv in (["generate", "--config", str(config_path), "--out", str(run)],
-                 ["featurize", str(run), "--model", "raw"], ["train", str(run)],
-                 ["evaluate", str(run)]):
-        assert main(argv) == 0, capsys.readouterr().err
+    assert main(["generate", "--config", str(config_path), "--out", str(run)]) == 0
+    # lr stays null, so the edited config trains with the raw defaults
     assert json.loads((run / "config.json").read_text())["lr"] is None
+    edit_config(run, model="raw")
+    for step in ("featurize", "train", "evaluate"):
+        assert main([step, str(run)]) == 0, capsys.readouterr().err
+    assert_features_follow_the_config(run)
     direct = tmp_path / "direct"
     raw = pipeline.config_from_dict({**config, "model": "raw"})
     pipeline.write_report(pipeline.run_experiment(raw), direct)
     assert (run / "report.json").read_bytes() == (direct / "report.json").read_bytes()
 
 
-def test_an_unknown_featurize_model_is_a_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("flag", [["--model", "raw"], ["--config", "other.json"]],
+                         ids=["model", "config"])
+def test_featurize_takes_no_config_and_no_model_flag(tmp_path, tiny_config_path, capsys, flag):
+    # the flags were the one way a run's config.json could disagree with its files
+    run = run_chain(tmp_path, tiny_config_path, capsys)
+    (tmp_path / "other.json").write_text(json.dumps({**TINY, "model": "raw"}))
+    before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
     with pytest.raises(SystemExit) as exc:
-        main(["featurize", str(tmp_path), "--model", "bogus"])
+        main(["featurize", str(run), *flag])
     assert exc.value.code == 2
-    assert "argument --model: invalid choice: 'bogus'" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
 
 
 @pytest.mark.parametrize("tests", [["shift-I"], []], ids=["one-test-set", "no-test-sets"])
@@ -805,7 +823,8 @@ def test_generate_removes_the_model_and_report_of_the_datasets_it_replaces(
     if step == "generate":
         argv = ["generate", "--config", str(tiny_config_path), "--seed", "8", "--out", str(run)]
     else:
-        argv = ["featurize", str(run), "--model", "raw"]
+        edit_config(run, model="raw")
+        argv = ["featurize", str(run)]
     assert main(argv) == (1 if fails else 0)
     for name in ("model.json", "report.json", "report.txt"):
         assert not (run / name).exists(), name
@@ -822,16 +841,20 @@ def test_generate_removes_the_model_and_report_of_the_datasets_it_replaces(
         assert train_manifest["source"]["master_seed"] == 8
 
 
+@pytest.mark.parametrize("doc, status, message", [
+    ({**TINY, "master_seed": 8}, 1, "dataset was generated with master_seed 7"),
+    # a config.json that no longer loads is a config error, as at generate
+    ({**TINY, "headroom": 2.0}, 2, "headroom must lie in (0, 0.1)"),
+], ids=["other-seed", "invalid"])
 def test_a_featurize_refused_by_its_config_keeps_the_model_and_reports(
-        tmp_path, tiny_config_path, capsys):
+        tmp_path, tiny_config_path, capsys, doc, status, message):
     run = run_chain(tmp_path, tiny_config_path, capsys)
     names = ("features/manifest.json", "model.json", "report.json", "report.txt")
     before = {name: (run / name).read_bytes() for name in names}
-    other = tmp_path / "other.json"
-    other.write_text(json.dumps({**TINY, "master_seed": 8}))
+    (run / "config.json").write_text(json.dumps(doc))
     capsys.readouterr()
-    assert main(["featurize", str(run), "--config", str(other)]) == 1
-    assert "dataset was generated with master_seed 7" in capsys.readouterr().err
+    assert main(["featurize", str(run)]) == status
+    assert message in capsys.readouterr().err
     assert {name: (run / name).read_bytes() for name in names} == before
 
 
@@ -841,11 +864,13 @@ def test_evaluate_refuses_a_model_trained_for_other_features(tmp_path, capsys):
     run = tmp_path / "run"
     model_path = tmp_path / "fft-model.json"
     assert main(["generate", "--config", str(config_path), "--out", str(run)]) == 0
-    assert main(["featurize", str(run), "--model", "fft"]) == 0
+    edit_config(run, model="fft")
+    assert main(["featurize", str(run)]) == 0
     # outside the run directory, so the next featurize leaves it in place
     assert main(["train", str(run), "--model-out", str(model_path)]) == 0
     trained_for = json.loads(model_path.read_text())["fingerprint"]
     # same feature width, different pipeline
+    edit_config(run, model="fft_chaosfex")
     assert main(["featurize", str(run)]) == 0
     manifest = json.loads((run / "features" / "manifest.json").read_text())
     features_for = pipeline.config_fingerprint(pipeline.config_from_dict(manifest["config"]))
